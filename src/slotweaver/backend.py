@@ -12,8 +12,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import requests
 

@@ -20,7 +20,7 @@ import yaml
 from . import backend as backend_mod
 from . import evalx, induct, refine, seqio, sim
 from .backend import AuthError, Backend, BackendError
-from .seqio import CorpusFile, StateMode, canonical_json
+from .seqio import StateMode, canonical_json
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -94,8 +94,8 @@ def main() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Corpus output path.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--scenarios", "n_scenarios", type=int, default=None)
-@click.option("--dialogues-per-scenario", type=int, default=None)
+@click.option("--scenarios", "n_scenarios", type=click.IntRange(min=1), default=None)
+@click.option("--dialogues-per-scenario", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)
 def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scenario, seed):
     """Simulate a state-annotated corpus and write it to disk."""
@@ -111,13 +111,15 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
     pack = sim.DEFAULT_SIM_PACK
     if cfg.simulation.get("prompt_pack"):
         pack = sim.load_sim_pack(cfg.simulation["prompt_pack"])
-    n_scenarios = n_scenarios or cfg.simulation.get("scenarios", 2)
-    per_scenario = dialogues_per_scenario or cfg.simulation.get("dialogues_per_scenario", 2)
+    if n_scenarios is None:
+        n_scenarios = cfg.simulation.get("scenarios", 2)
+    if dialogues_per_scenario is None:
+        dialogues_per_scenario = cfg.simulation.get("dialogues_per_scenario", 2)
     try:
         backend = cfg.make_backend()
         scenarios = sim.generate_scenarios(n_scenarios, backend, pack, sim_cfg)
         corpus, report = sim.simulate_corpus(
-            scenarios, per_scenario, backend, random.Random(seed), pack, sim_cfg
+            scenarios, dialogues_per_scenario, backend, random.Random(seed), pack, sim_cfg
         )
     except AuthError as exc:
         _fail(str(exc), EXIT_CONFIG)
@@ -159,11 +161,14 @@ def _states_jsonl(state_log) -> str:
 @click.option("--refiner", "refiner_name",
               type=click.Choice(["none", "slot-conf", "fifo", "priority", "revision"]),
               default=None)
-@click.option("--window", type=int, default=None, help="Confidence window in dialogues.")
-@click.option("--tau", type=int, default=None, help="Confidence threshold in updates.")
-@click.option("--cap", type=int, default=None, help="FIFO/priority schema size cap.")
+@click.option("--window", type=click.IntRange(min=1), default=None,
+              help="Confidence window in dialogues.")
+@click.option("--tau", type=click.IntRange(min=1), default=None,
+              help="Confidence threshold in updates.")
+@click.option("--cap", type=click.IntRange(min=1), default=None,
+              help="FIFO/priority schema size cap.")
 @click.option("--two-pass", is_flag=True, default=False)
-@click.option("--replicates", type=int, default=1)
+@click.option("--replicates", type=click.IntRange(min=1), default=1)
 @click.option("--seed", type=int, default=None)
 @click.option("--shuffle-seed", "shuffle", is_flag=True, default=False,
               help="Shuffle stream order by the seed.")
@@ -174,9 +179,9 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     mode = StateMode(mode or cfg.induction.get("mode", "state"))
     refiner_name = refiner_name if refiner_name is not None else cfg.induction.get("refiner", "none")
     filter_cfg = refine.FilterConfig(
-        window_w=window or cfg.induction.get("window", 10),
-        threshold_tau=tau or cfg.induction.get("tau", 1),
-        cap=cap or cfg.induction.get("cap", 100),
+        window_w=window if window is not None else cfg.induction.get("window", 10),
+        threshold_tau=tau if tau is not None else cfg.induction.get("tau", 1),
+        cap=cap if cap is not None else cfg.induction.get("cap", 100),
     )
     base_seed = seed if seed is not None else cfg.seed
     out = Path(out_dir)
@@ -209,7 +214,6 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
         except (BackendError, induct.SchemaOverflowError) as exc:
             _fail(str(exc), EXIT_PIPELINE)
         report = result.to_obj()
-        report["final_schema"] = seqio.schema_to_obj(schema)
         report["two_pass"] = two_pass
         report["mode"] = mode.value
         report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
@@ -233,10 +237,7 @@ def _load_state_log(path: Path):
         entries = [json.loads(line) for line in text.splitlines() if line.strip()]
     else:
         entries = json.loads(text)["states"]
-    return [
-        (e["dialogue_id"], e["turn"], seqio.state_from_obj(e["state"]))
-        for e in entries
-    ]
+    return [seqio.StateLogEntry.from_obj(e) for e in entries]
 
 
 @main.command()
@@ -258,7 +259,6 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
         _fail(str(exc), EXIT_PIPELINE)
     click.echo(report.render_table())
     if human_path:
-        dialogue_ids = {d.id for d in gold.dialogues}
         P = evalx.collect_valued_slots(log)
         G = evalx.gold_valued_slots(gold.dialogues, StateMode(mode))
         auto = evalx.match_slots(P, G)

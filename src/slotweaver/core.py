@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "GOLD",
@@ -108,11 +108,14 @@ class SlotSchema:
     version: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        seen = set()
+        # key -> SlotDef index; not a dataclass field, so equality and repr
+        # see only the slot tuple
+        index: Dict[SlotKey, SlotDef] = {}
         for slot in self.slots:
-            if slot.key in seen:
+            if slot.key in index:
                 raise ValueError(f"duplicate slot key in schema: {slot.key}")
-            seen.add(slot.key)
+            index[slot.key] = slot
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -121,39 +124,37 @@ class SlotSchema:
         return iter(self.slots)
 
     def __contains__(self, key: SlotKey) -> bool:
-        return any(slot.key == key for slot in self.slots)
+        return key in self._index
 
     def get(self, key: SlotKey) -> Optional[SlotDef]:
-        for slot in self.slots:
-            if slot.key == key:
-                return slot
-        return None
+        return self._index.get(key)
 
     def keys(self) -> Tuple[SlotKey, ...]:
         return tuple(slot.key for slot in self.slots)
 
+    def by_domain(self) -> Dict[str, List[SlotDef]]:
+        """Slots grouped by domain, domains in order of first appearance."""
+        groups: Dict[str, List[SlotDef]] = {}
+        for slot in self.slots:
+            groups.setdefault(slot.key.domain, []).append(slot)
+        return groups
+
     def domains(self) -> Tuple[str, ...]:
         """Domains in order of first appearance."""
-        out: list[str] = []
-        for slot in self.slots:
-            if slot.key.domain not in out:
-                out.append(slot.key.domain)
-        return tuple(out)
+        return tuple(self.by_domain())
 
     def with_slots(self, new_slots: Iterable[SlotDef]) -> "SlotSchema":
         """Append definitions whose keys are absent; no-op keys are skipped.
 
         Returns self unchanged (same version) when nothing is added.
         """
-        existing = set(self.keys())
-        added = []
+        added: Dict[SlotKey, SlotDef] = {}
         for slot in new_slots:
-            if slot.key not in existing:
-                added.append(slot)
-                existing.add(slot.key)
+            if slot.key not in self._index:
+                added.setdefault(slot.key, slot)
         if not added:
             return self
-        return SlotSchema(self.slots + tuple(added), self.version + 1)
+        return SlotSchema(self.slots + tuple(added.values()), self.version + 1)
 
     def without_keys(self, keys: Iterable[SlotKey]) -> "SlotSchema":
         """Remove the given keys; returns self unchanged if none are present."""
@@ -214,6 +215,14 @@ class DialogueState:
 
     def as_dict(self) -> dict:
         return {key: value for key, value in self.triples}
+
+    def changed_since(self, prev: "DialogueState") -> "DialogueState":
+        """The update-mode delta: triples that are new or changed since ``prev``.
+
+        A state holds one value per key, so a triple absent from ``prev`` is
+        exactly a key whose value differs from (or is missing in) ``prev``.
+        """
+        return DialogueState(self.triples - prev.triples)
 
     @classmethod
     def from_pairs(

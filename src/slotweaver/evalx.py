@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Dialogue, DialogueState, SlotKey, SlotSchema, canonical_slot_key
-from .seqio import CorpusFile, StateMode
+from .core import Dialogue, SlotKey, SlotSchema, canonical_slot_key
+from .seqio import CorpusFile, StateLogEntry, StateMode, gold_turns
 
 __all__ = [
     "ValuedSlot",
@@ -142,7 +142,6 @@ def match_slots(
     P: Sequence[ValuedSlot],
     G: Sequence[ValuedSlot],
     threshold: float = MATCH_THRESHOLD,
-    similarity=similarity_exact,
 ) -> SlotMapping:
     """Map each predicted slot to its argmax-similarity gold slot.
 
@@ -153,21 +152,22 @@ def match_slots(
     gold_keys = [g.key for g in G]
     if len(gold_keys) != len(set(gold_keys)):
         raise InvalidGold("gold slot keys must be unique")
+    gold_folded = [(g.key, g.folded_fills()) for g in G]
     pairs: List[Tuple[SlotKey, SlotKey]] = []
     unmatched: List[SlotKey] = []
     for p in sorted(P, key=lambda s: s.key):
         if not p.fills or not G:
             unmatched.append(p.key)
             continue
-        best = max(G, key=lambda g: (similarity(p, g), _overlap(p, g)), default=None)
-        # deterministic tie-break: among equal (similarity, overlap), smallest key
-        best_score = (similarity(p, best), _overlap(p, best))
-        candidates = [g for g in G if (similarity(p, g), _overlap(p, g)) == best_score]
-        best = min(candidates, key=lambda g: g.key)
-        if best_score[0] < threshold:
+        # similarity is overlap / |p.fills|, so for a fixed p it rises with the
+        # overlap: the argmax over (similarity, overlap) with the smallest-key
+        # tie-break is the min over (-overlap, key)
+        folded = p.folded_fills()
+        neg_overlap, best_key = min((-len(folded & fills), key) for key, fills in gold_folded)
+        if -neg_overlap / len(p.fills) < threshold:
             unmatched.append(p.key)
         else:
-            pairs.append((p.key, best.key))
+            pairs.append((p.key, best_key))
     return SlotMapping(
         tuple(pairs),
         frozenset(unmatched),
@@ -202,60 +202,30 @@ def value_prf(mapping: SlotMapping) -> PRF:
 
 
 def collect_valued_slots(
-    state_log: Iterable,
-    schema: Optional[SlotSchema] = None,
-    mode: StateMode = StateMode.STATE,
+    state_log: Iterable[StateLogEntry], schema: Optional[SlotSchema] = None
 ) -> List[ValuedSlot]:
     """Group a run's per-turn states into per-slot fill sets.
 
-    Entries are (dialogue_id, turn_index, state) triples or objects with
-    those attributes. When a schema is given, fills on keys outside it are
-    ignored.
+    When a schema is given, fills on keys outside it are ignored.
     """
     fills: Dict[SlotKey, set] = {}
     for entry in state_log:
-        if isinstance(entry, tuple):
-            dialogue_id, turn_index, state = entry
-        else:
-            dialogue_id, turn_index, state = entry.dialogue_id, entry.turn_index, entry.state
-        for key, value in state.triples:
+        for key, value in entry.state.triples:
             if schema is not None and key not in schema:
                 continue
-            fills.setdefault(key, set()).add((dialogue_id, turn_index, value))
+            fills.setdefault(key, set()).add((entry.dialogue_id, entry.turn_index, value))
     return [ValuedSlot(key, frozenset(events)) for key, events in sorted(fills.items())]
-
-
-def _gold_state_stream(dialogue: Dialogue, mode: StateMode):
-    """Yield (turn_index, state) pairs for the gold side in the given mode."""
-    user_turns = [i for i in dialogue.user_turn_indices() if dialogue.turns[i].gold_state]
-    if mode is StateMode.FINAL:
-        indices = dialogue.user_turn_indices()
-        if indices and dialogue.turns[indices[-1]].gold_state is not None:
-            yield indices[-1], dialogue.turns[indices[-1]].gold_state
-        return
-    prev = DialogueState()
-    for i in dialogue.user_turn_indices():
-        state = dialogue.turns[i].gold_state
-        if state is None:
-            continue
-        if mode is StateMode.UPDATE:
-            delta = frozenset(
-                (k, v) for k, v in state.triples if prev.value_of(k) != v
-            )
-            yield i, DialogueState(delta)
-        else:
-            yield i, state
-        prev = state
 
 
 def gold_valued_slots(
     dialogues: Sequence[Dialogue], mode: StateMode, schema: Optional[SlotSchema] = None
 ) -> List[ValuedSlot]:
-    entries = []
-    for dialogue in dialogues:
-        for turn_index, state in _gold_state_stream(dialogue, mode):
-            entries.append((dialogue.id, turn_index, state))
-    return collect_valued_slots(entries, schema, mode)
+    entries = [
+        StateLogEntry(dialogue.id, turn_index, target)
+        for dialogue in dialogues
+        for turn_index, _, target in gold_turns(dialogue, mode)
+    ]
+    return collect_valued_slots(entries, schema)
 
 
 @dataclass(frozen=True)
@@ -305,7 +275,7 @@ class MetricReport:
 
 
 def evaluate_run(
-    state_log: Iterable,
+    state_log: Iterable[StateLogEntry],
     gold_corpus: CorpusFile,
     mode: StateMode,
     predicted_schema: Optional[SlotSchema] = None,
@@ -318,10 +288,9 @@ def evaluate_run(
     dialogue_scenario = {d.id: d.scenario_id for d in gold_corpus.dialogues}
     entries_by_scenario: Dict[str, list] = {d.scenario_id: [] for d in gold_corpus.dialogues}
     for entry in state_log:
-        dialogue_id = entry[0] if isinstance(entry, tuple) else entry.dialogue_id
-        if dialogue_id not in dialogue_scenario:
-            raise UnknownScenario(f"dialogue {dialogue_id!r} not present in gold corpus")
-        entries_by_scenario[dialogue_scenario[dialogue_id]].append(entry)
+        if entry.dialogue_id not in dialogue_scenario:
+            raise UnknownScenario(f"dialogue {entry.dialogue_id!r} not present in gold corpus")
+        entries_by_scenario[dialogue_scenario[entry.dialogue_id]].append(entry)
 
     per_scenario = {}
     for scenario_id, entries in sorted(entries_by_scenario.items()):
@@ -329,7 +298,7 @@ def evaluate_run(
         G = gold_valued_slots(dialogues, mode)
         if not G:
             raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
-        P = collect_valued_slots(entries, predicted_schema, mode)
+        P = collect_valued_slots(entries, predicted_schema)
         mapping = match_slots(P, G, threshold)
         s = slot_prf(mapping, P, G)
         v = value_prf(mapping)

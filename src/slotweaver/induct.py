@@ -19,11 +19,11 @@ from .seqio import (
     CorpusFile,
     MissingValuesHeader,
     PromptPack,
+    StateLogEntry,
     StateMode,
     parse_state_block,
     render_prompt,
     schema_to_obj,
-    state_to_obj,
 )
 
 __all__ = [
@@ -44,25 +44,6 @@ DEFAULT_HARD_CAP = 300  # absolute schema size guard, independent of refiners
 
 class SchemaOverflowError(RuntimeError):
     """The schema exceeded the hard size cap; the run is aborted."""
-
-
-@dataclass(frozen=True)
-class StateLogEntry:
-    dialogue_id: str
-    dialogue_index: int
-    turn_index: int
-    state: DialogueState
-
-    def to_obj(self) -> dict:
-        return {
-            "dialogue_id": self.dialogue_id,
-            "dialogue_index": self.dialogue_index,
-            "turn": self.turn_index,
-            "state": state_to_obj(self.state),
-            "new_slot_descriptions": {
-                str(key): desc for key, desc in sorted(self.state.new_slot_descriptions.items())
-            },
-        }
 
 
 @dataclass
@@ -198,7 +179,7 @@ def run_induction(
                 state = DialogueState()
             turns += 1
             run.per_turn_states.append(
-                StateLogEntry(dialogue.id, d_index, turn_index, state)
+                StateLogEntry(dialogue.id, turn_index, state, d_index)
             )
             if refiner is not None:
                 refiner.observe_state(state, d_index)

@@ -11,7 +11,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .backend import Backend, GenerationRequest
 from .core import GOLD, DialogueState, SlotDef, SlotKey, SlotSchema, schema_update
@@ -21,6 +21,7 @@ from .seqio import (
     MissingGoldError,
     MissingTypesHeader,
     PromptPack,
+    StateLogEntry,
     parse_schema_block,
     render_revision_prompt,
     render_schema_block,
@@ -242,7 +243,7 @@ def revise_schema(
 
 def build_revision_pairs(
     corpus: CorpusFile,
-    noisy_states,
+    noisy_states: Iterable[StateLogEntry],
     seed: int,
     pack: PromptPack = DEFAULT_PACK,
 ) -> List[Tuple[str, str]]:
@@ -256,13 +257,7 @@ def build_revision_pairs(
     """
     if corpus.gold_schema is None:
         raise MissingGoldError("corpus has no gold schema")
-    noisy_by_position = {}
-    for entry in noisy_states:
-        if isinstance(entry, tuple):
-            dialogue_id, turn_index, state = entry
-        else:
-            dialogue_id, turn_index, state = entry.dialogue_id, entry.turn_index, entry.state
-        noisy_by_position[(dialogue_id, turn_index)] = state
+    noisy_by_position = {(e.dialogue_id, e.turn_index): e.state for e in noisy_states}
 
     rng = random.Random(seed)
     noisy_schema = SlotSchema()

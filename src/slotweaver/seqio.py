@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
-    AGENT,
     GOLD,
     USER,
     Dialogue,
@@ -53,7 +52,9 @@ __all__ = [
     "schema_from_obj",
     "state_to_obj",
     "state_from_obj",
+    "StateLogEntry",
     "canonical_json",
+    "gold_turns",
     "build_training_sequences",
     "save_training_pairs",
     "load_training_pairs",
@@ -111,12 +112,10 @@ def _display_domain(domain: str) -> str:
 def render_schema_block(schema: SlotSchema, pack: PromptPack = DEFAULT_PACK) -> str:
     """Render the typed-slot catalog: one ``##`` section per domain."""
     lines = [pack.types_header]
-    for domain in schema.domains():
+    for domain, slots in schema.by_domain().items():
         lines.append("")
         lines.append(f"## {_display_domain(domain)}")
-        for slot in schema:
-            if slot.key.domain == domain:
-                lines.append(f"* {slot.key.name}: {slot.description}")
+        lines.extend(f"* {slot.key.name}: {slot.description}" for slot in slots)
     return "\n".join(lines)
 
 
@@ -201,7 +200,6 @@ class PromptSequence:
     dialogue_block: str
     instruction: str
     mode: StateMode
-    revision_mode: bool = False
 
     def text(self) -> str:
         return "\n\n".join([self.schema_block, self.dialogue_block, self.instruction])
@@ -265,7 +263,6 @@ class ParsedPrediction:
 
     state: DialogueState
     parse_warnings: Tuple[str, ...] = ()
-    revised_schema: Optional[SlotSchema] = None
 
 
 def parse_state_block(
@@ -373,19 +370,18 @@ class CorpusFile:
 
 
 def schema_to_obj(schema: SlotSchema) -> dict:
-    domains = []
-    for domain in schema.domains():
-        domains.append(
+    return {
+        "domains": [
             {
                 "name": domain,
                 "slots": [
                     {"name": slot.key.name, "description": slot.description}
-                    for slot in schema
-                    if slot.key.domain == domain
+                    for slot in slots
                 ],
             }
-        )
-    return {"domains": domains}
+            for domain, slots in schema.by_domain().items()
+        ]
+    }
 
 
 def schema_from_obj(obj: dict, discovered_at=GOLD) -> SlotSchema:
@@ -435,6 +431,38 @@ def state_from_obj(obj: dict) -> DialogueState:
             except InvalidSlotName as exc:
                 raise CorpusFormatError(str(exc)) from exc
     return DialogueState.from_pairs(pairs)
+
+
+@dataclass(frozen=True)
+class StateLogEntry:
+    """One predicted state of a run's log, at (dialogue id, turn index).
+
+    ``dialogue_index`` is the dialogue's position in the stream; logs
+    written without it still load. ``new_slot_descriptions`` is written out
+    for readers but not read back: a loaded entry carries the triples only.
+    """
+
+    dialogue_id: str
+    turn_index: int
+    state: DialogueState
+    dialogue_index: Optional[int] = None
+
+    def to_obj(self) -> dict:
+        return {
+            "dialogue_id": self.dialogue_id,
+            "dialogue_index": self.dialogue_index,
+            "turn": self.turn_index,
+            "state": state_to_obj(self.state),
+            "new_slot_descriptions": {
+                str(key): desc for key, desc in sorted(self.state.new_slot_descriptions.items())
+            },
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "StateLogEntry":
+        return cls(
+            obj["dialogue_id"], obj["turn"], state_from_obj(obj["state"]), obj.get("dialogue_index")
+        )
 
 
 def corpus_to_obj(corpus: CorpusFile) -> dict:
@@ -518,6 +546,26 @@ def _require_gold(corpus: CorpusFile) -> SlotSchema:
     return corpus.gold_schema
 
 
+def gold_turns(
+    dialogue: Dialogue, mode: StateMode
+) -> Iterator[Tuple[int, DialogueState, DialogueState]]:
+    """Yield (turn_index, gold_state, target_state) for user turns with a gold state.
+
+    FINAL mode visits only the last user turn. The target is the change since
+    the previous gold state in UPDATE mode and the gold state itself otherwise.
+    """
+    indices = dialogue.user_turn_indices()
+    if mode is StateMode.FINAL:
+        indices = indices[-1:]
+    prev = DialogueState()
+    for i in indices:
+        state = dialogue.turns[i].gold_state
+        if state is None:
+            continue
+        yield i, state, state.changed_since(prev) if mode is StateMode.UPDATE else state
+        prev = state
+
+
 def _with_discoveries(
     state: DialogueState, introduced: set, gold_schema: SlotSchema
 ) -> DialogueState:
@@ -543,34 +591,16 @@ def build_training_sequences(
     introduced: set = set()
     pairs: List[Tuple[str, str]] = []
     for dialogue in corpus.dialogues:
-        user_turns = dialogue.user_turn_indices()
-        if mode is StateMode.FINAL:
-            user_turns = user_turns[-1:]
-        prev_state = DialogueState()
-        for turn_index in user_turns:
-            gold_state = dialogue.turns[turn_index].gold_state
-            assert gold_state is not None
-            if mode is StateMode.UPDATE:
-                delta = frozenset(
-                    (key, value)
-                    for key, value in gold_state.triples
-                    if prev_state.value_of(key) != value
-                )
-                target_state = DialogueState(delta)
-            else:
-                target_state = gold_state
+        for turn_index, gold_state, target_state in gold_turns(dialogue, mode):
             target_state = _with_discoveries(target_state, introduced, gold_schema)
             prompt_schema = gold_schema.restricted_to(introduced)
             prompt = render_prompt(prompt_schema, dialogue, turn_index, mode, pack)
             pairs.append((prompt, render_state_block(target_state, pack)))
             introduced |= gold_state.keys()
-            prev_state = gold_state
         if mode is StateMode.FINAL:
             # slots never surfaced at the final turn still count as introduced
-            for i in dialogue.user_turn_indices():
-                state = dialogue.turns[i].gold_state
-                if state is not None:
-                    introduced |= state.keys()
+            for _, state, _ in gold_turns(dialogue, StateMode.STATE):
+                introduced |= state.keys()
     return pairs
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .backend import Backend, GenerationRequest
+from .backend import Backend, GenerationRequest, TransportError
 from .core import (
     AGENT,
     GOLD,
@@ -501,13 +501,12 @@ def initialize_task(
         config,
     )
     goal: Dict[SlotKey, str] = {}
-    schema_keys = set(schemas.slot_schema.keys())
     for name, value in goal_records[0].items():
         try:
             key = canonical_slot_key(schemas.task, name)
         except InvalidSlotName:
             continue
-        if key in schema_keys:
+        if key in schemas.slot_schema:
             goal[key] = value
         else:
             log.warning("goal field %r not in the slot schema, dropped", name)
@@ -561,10 +560,9 @@ def _annotate(
     except MissingValuesHeader:
         log.warning("annotation had no values block; recording empty state")
         return DialogueState()
-    schema_keys = set(setup.schemas.slot_schema.keys())
     kept = []
     for key, value in prediction.state.triples:
-        if key in schema_keys:
+        if key in setup.schemas.slot_schema:
             kept.append((key, value))
         else:
             log.warning("annotation slot %s outside the active schema, dropped", key)
@@ -686,6 +684,10 @@ def simulate_corpus(
 ) -> Tuple[CorpusFile, SimReport]:
     """Simulate the full corpus; failing dialogues are dropped and counted.
 
+    A SimError or a TransportError that outlasts the backend's retries loses
+    only its dialogue (or, during schema definition, its scenario's
+    dialogues); other backend errors, such as AuthError, abort the corpus.
+
     Task setups are regenerated per dialogue so each gets fresh goals and
     knowledge. The corpus gold schema is the union of all task slot schemas.
     """
@@ -693,23 +695,19 @@ def simulate_corpus(
     histogram: Dict[str, int] = {}
     lost = 0
     dialogues = []
-    all_slots: List[SlotDef] = []
-    seen_keys = set()
+    gold = SlotSchema()
     for scenario in scenarios:
         try:
             schemas = [
                 define_schemas(scenario, task, backend, pack, config)
                 for task in scenario.tasks
             ]
-        except SimError as exc:
+        except (SimError, TransportError) as exc:
             log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
             lost += dialogues_per_scenario
             continue
         for ts in schemas:
-            for slot in ts.slot_schema:
-                if slot.key not in seen_keys:
-                    seen_keys.add(slot.key)
-                    all_slots.append(slot)
+            gold = gold.with_slots(ts.slot_schema)
         for j in range(dialogues_per_scenario):
             child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
             try:
@@ -719,12 +717,12 @@ def simulate_corpus(
                 trace = simulate_dialogue(
                     scenario, setups, backend, f"{scenario.id}-d{j:03d}", pack, config
                 )
-            except SimError as exc:
+            except (SimError, TransportError) as exc:
                 log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
                 lost += 1
                 continue
             histogram[trace.termination] = histogram.get(trace.termination, 0) + 1
             dialogues.append(trace.dialogue)
-    corpus = CorpusFile(tuple(dialogues), SlotSchema(tuple(all_slots)))
+    corpus = CorpusFile(tuple(dialogues), gold)
     report = SimReport(requested, len(dialogues), lost, histogram)
     return corpus, report

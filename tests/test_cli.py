@@ -111,6 +111,17 @@ class TestInduce:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag", ["--replicates", "--window", "--tau", "--cap"])
+    def test_zero_count_flag_is_usage_error(self, runner, config_path, tmp_path, flag):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", config_path, "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(out), "--refiner", "slot-conf", flag, "0"],
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
+
     def test_malformed_corpus_is_config_error(self, runner, config_path, tmp_path):
         bad = tmp_path / "corpus.json"
         bad.write_text('{"dialogues": []}')  # missing format_version
@@ -339,6 +350,15 @@ class TestSimulate:
         # one of two dialogues lost: fraction 0.5 is not under the 0.5 limit
         assert result.exit_code == 1
         assert "(1 lost)" in result.output
+
+    @pytest.mark.parametrize("flag", ["--scenarios", "--dialogues-per-scenario"])
+    def test_zero_count_flag_is_usage_error(self, runner, tmp_path, flag):
+        out = tmp_path / "corpus.json"
+        result = runner.invoke(
+            main, ["simulate", "--config", self._config(tmp_path), "--out", str(out), flag, "0"]
+        )
+        assert result.exit_code == 2
+        assert not out.exists()
 
     def test_no_config_defaults_to_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "c.json")])

@@ -23,7 +23,7 @@ from slotweaver.evalx import (
     slot_prf,
     value_prf,
 )
-from slotweaver.seqio import CorpusFile, StateMode
+from slotweaver.seqio import CorpusFile, StateLogEntry, StateMode
 
 from conftest import key, make_dialogue
 
@@ -202,8 +202,8 @@ class TestCollection:
     def test_collect_groups_by_slot(self):
         k1, k2 = key("d", "a"), key("d", "b")
         log = [
-            ("d1", 0, DialogueState.from_pairs([(k1, "x")])),
-            ("d1", 2, DialogueState.from_pairs([(k1, "x"), (k2, "y")])),
+            StateLogEntry("d1", 0, DialogueState.from_pairs([(k1, "x")])),
+            StateLogEntry("d1", 2, DialogueState.from_pairs([(k1, "x"), (k2, "y")])),
         ]
         slots = {s.key: s for s in collect_valued_slots(log)}
         assert slots[k1].fills == frozenset([("d1", 0, "x"), ("d1", 2, "x")])
@@ -212,7 +212,7 @@ class TestCollection:
     def test_schema_filter_drops_outside_keys(self):
         k1, k2 = key("d", "a"), key("d", "b")
         schema = SlotSchema((SlotDef(k1),))
-        log = [("d1", 0, DialogueState.from_pairs([(k1, "x"), (k2, "y")]))]
+        log = [StateLogEntry("d1", 0, DialogueState.from_pairs([(k1, "x"), (k2, "y")]))]
         slots = collect_valued_slots(log, schema)
         assert [s.key for s in slots] == [k1]
 
@@ -258,7 +258,7 @@ class TestEvaluateRun:
     def test_macro_mean_across_scenarios(self):
         corpus, k = self._corpus()
         # s1 perfect, s2 predicted nothing (degenerate zeros): mean is 0.5
-        log = [("d1", 0, DialogueState.from_pairs([(k, "x")]))]
+        log = [StateLogEntry("d1", 0, DialogueState.from_pairs([(k, "x")]))]
         report = evaluate_run(log, corpus, StateMode.STATE)
         assert report.per_scenario["s1"] == (1.0,) * 6
         assert report.per_scenario["s2"] == (0.0,) * 6
@@ -267,7 +267,7 @@ class TestEvaluateRun:
     def test_unknown_dialogue_rejected(self):
         corpus, k = self._corpus()
         with pytest.raises(UnknownScenario):
-            evaluate_run([("ghost", 0, DialogueState())], corpus, StateMode.STATE)
+            evaluate_run([StateLogEntry("ghost", 0, DialogueState())], corpus, StateMode.STATE)
 
     def test_missing_gold_schema_rejected(self):
         corpus, k = self._corpus()
@@ -284,7 +284,7 @@ class TestEvaluateRun:
 
     def test_render_table_contains_mean_row(self):
         corpus, k = self._corpus()
-        log = [("d1", 0, DialogueState.from_pairs([(k, "x")]))]
+        log = [StateLogEntry("d1", 0, DialogueState.from_pairs([(k, "x")]))]
         table = evaluate_run(log, corpus, StateMode.STATE).render_table()
         assert "MEAN" in table and "s1" in table and "s2" in table
 

@@ -1,0 +1,86 @@
+"""Static hygiene of the package source: no unused imports.
+
+A name bound by an import counts as used when the module reads it anywhere,
+lists it in ``__all__``, or mentions it inside a string annotation.
+"""
+
+import ast
+from pathlib import Path
+
+import slotweaver
+
+PACKAGE_DIR = Path(slotweaver.__file__).parent
+
+
+def _bound_names(node):
+    for alias in node.names:
+        if isinstance(node, ast.Import):
+            yield alias.asname or alias.name.split(".")[0]
+        elif alias.name != "*":
+            yield alias.asname or alias.name
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    for annotation in filter(None, _annotations(tree)):
+        for const in ast.walk(annotation):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                expr = ast.parse(const.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name the module never uses."""
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for name in _bound_names(node)
+        if name not in used
+    ]
+
+
+def test_checker_flags_unused_and_accepts_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import List, Optional, Union\n"
+        "from .core import SlotSchema as Schema, SlotDef\n"
+        "__all__ = ['SlotDef']\n"
+        "def f(x: 'Optional[Schema]') -> List[int]:\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(source) == [(3, "Union")]
+
+
+def test_package_has_no_unused_imports():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, name in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -21,7 +21,7 @@ from slotweaver.refine import (
     record_state,
     revise_schema,
 )
-from slotweaver.seqio import CorpusFile, render_schema_block
+from slotweaver.seqio import CorpusFile, StateLogEntry, render_schema_block
 
 from conftest import key, make_dialogue, random_key
 
@@ -330,7 +330,9 @@ class TestBuildRevisionPairs:
 
     def test_pair_count_and_targets(self, garden_schema):
         corpus = self._corpus(garden_schema)
-        noisy = [("d1", 0, DialogueState.from_pairs([(key("garden layouts", "vibe"), "zen")]))]
+        noisy = [
+            StateLogEntry("d1", 0, DialogueState.from_pairs([(key("garden layouts", "vibe"), "zen")]))
+        ]
         pairs = build_revision_pairs(corpus, noisy, seed=5)
         assert len(pairs) == 2
         # target at turn 0 covers only the introduced gold key

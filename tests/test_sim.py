@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slotweaver.backend import ScriptedBackend
+from slotweaver.backend import AuthError, ScriptedBackend, TransportError
 from slotweaver.core import GOLD, SlotDef, SlotSchema
 from slotweaver.seqio import corpus_to_obj
 from slotweaver.sim import (
@@ -370,6 +370,34 @@ class TestSimulateCorpus:
             return corpus_to_obj(corpus), report.to_obj()
 
         assert go() == go()
+
+    @pytest.mark.parametrize("marker", [
+        "Task: pick plants\nList the types",  # scenario schema definition
+        "Task: pick plants\nKnowledge item fields",  # per-dialogue task set-up
+    ])
+    def test_transport_failure_loses_only_that_scenario(self, marker):
+        backend = _RaisingFor(_corpus_backend(), marker, TransportError("reset after retries"))
+        corpus, report = simulate_corpus(_corpus_scenarios(), 2, backend, random.Random(11))
+        assert report.lost == 2
+        assert report.produced == 2
+        assert {d.scenario_id for d in corpus.dialogues} == {"scenario-001"}
+
+    def test_auth_failure_still_aborts(self):
+        backend = _RaisingFor(_corpus_backend(), "Task: choose tools", AuthError("rejected"))
+        with pytest.raises(AuthError):
+            simulate_corpus(_corpus_scenarios(), 2, backend, random.Random(11))
+
+
+class _RaisingFor:
+    """Wraps a backend; raises ``error`` for every prompt containing ``marker``."""
+
+    def __init__(self, inner, marker, error):
+        self.inner, self.marker, self.error = inner, marker, error
+
+    def generate(self, request):
+        if self.marker in request.prompt:
+            raise self.error
+        return self.inner.generate(request)
 
 
 class TestPromptPack:

@@ -8,7 +8,9 @@ is installed.
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -28,9 +30,11 @@ __all__ = [
     "HttpBackend",
     "load_script",
     "API_KEY_ENV",
+    "RETRY_WAIT_CAP",
 ]
 
 API_KEY_ENV = "SLOTWEAVER_API_KEY"
+RETRY_WAIT_CAP = 60.0  # seconds; the longest server-requested wait honoured
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,9 @@ class ScriptMismatch(BackendError):
 
 
 class Backend(Protocol):
+    """Callers read an optional ``max_in_flight`` attribute (default 1): how
+    many ``generate`` calls may overlap when the work allows it."""
+
     def generate(self, request: GenerationRequest) -> str: ...
 
 
@@ -85,6 +92,8 @@ class ScriptedBackend:
 
     Strict-order mode consumes responses in sequence regardless of the
     prompt; keyed mode returns the response of the first matcher that fires.
+    It sets no ``max_in_flight``, so callers send its calls one at a time
+    and a strict-order script sees them in the order they were made.
     """
 
     script: List[Tuple[Optional[Matcher], str]] = field(default_factory=list)
@@ -184,14 +193,43 @@ class _TokenBucket:
             time.sleep(wait)
 
 
+def _retry_hint(headers) -> Optional[float]:
+    """The wait a 429 reply asks for, in seconds, capped at RETRY_WAIT_CAP.
+
+    ``retry-after-ms`` is read first, then ``Retry-After`` in seconds. None
+    when neither holds a usable number (an HTTP-date ``Retry-After`` included).
+    """
+    for name, scale in (("retry-after-ms", 1e-3), ("Retry-After", 1.0)):
+        try:
+            wait = float(headers.get(name, "")) * scale
+        except ValueError:
+            continue
+        if math.isfinite(wait) and wait >= 0:
+            return min(wait, RETRY_WAIT_CAP)
+    return None
+
+
 class HttpBackend:
     """Client for chat-completions style endpoints.
 
     POSTs ``{endpoint}/v1/chat/completions`` with the prompt as a single
     user message and reads ``choices[0].message.content``. Transient
-    failures (connection errors, 429, 5xx) are retried with exponential
-    backoff; 401/403 raise AuthError immediately.
+    failures (connection errors, 429, 5xx) are retried; 401/403 raise
+    AuthError immediately. Before a retry the client waits what a 429 reply
+    asks for (``retry-after-ms``, else ``Retry-After``, capped at 60 s) or,
+    without such a hint, its exponential backoff scaled by a random factor
+    in [0.5, 1.5).
+
+    ``generate`` may be called from several threads at once (each thread
+    gets its own ``requests.Session``); ``max_in_flight`` says how many
+    calls callers may overlap. ``audit_log``, when given, receives
+    ``(prompt, reply)`` pairs in the order the calls complete, which with
+    overlapping calls need not be the order they were made.
     """
+
+    # A conservative overlap for a hosted endpoint, well under requests'
+    # pool of 10 connections per host; no endpoint's own limit was measured.
+    max_in_flight = 4
 
     def __init__(
         self,
@@ -203,7 +241,6 @@ class HttpBackend:
         timeout: float = 120.0,
         requests_per_minute: Optional[float] = None,
         audit_log: Optional[List[Tuple[str, str]]] = None,
-        session: Optional[requests.Session] = None,
     ):
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
@@ -216,7 +253,17 @@ class HttpBackend:
         self.timeout = timeout
         self._bucket = _TokenBucket(requests_per_minute)
         self.audit_log = audit_log
-        self._session = session or requests.Session()
+        self._rng = random.Random()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
+
+    def _backoff(self, failed_attempt: int) -> float:
+        return self.backoff * 2 ** failed_attempt * self._rng.uniform(0.5, 1.5)
 
     def generate(self, request: GenerationRequest) -> str:
         payload = {
@@ -229,19 +276,23 @@ class HttpBackend:
         url = f"{self.endpoint}/v1/chat/completions"
         headers = {"Authorization": f"Bearer {self._key}"}
         last_error: Optional[Exception] = None
+        wait = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(wait)
             self._bucket.acquire()
             try:
-                resp = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
+                resp = self._session().post(url, json=payload, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
+                wait = self._backoff(attempt)
                 continue
             if resp.status_code in (401, 403):
                 raise AuthError(f"endpoint rejected credential (HTTP {resp.status_code})")
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                hint = _retry_hint(resp.headers) if resp.status_code == 429 else None
+                wait = hint if hint is not None else self._backoff(attempt)
                 continue
             try:
                 resp.raise_for_status()

@@ -178,11 +178,14 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     cfg = RunConfig.load(config_path)
     mode = StateMode(mode or cfg.induction.get("mode", "state"))
     refiner_name = refiner_name if refiner_name is not None else cfg.induction.get("refiner", "none")
-    filter_cfg = refine.FilterConfig(
-        window_w=window if window is not None else cfg.induction.get("window", 10),
-        threshold_tau=tau if tau is not None else cfg.induction.get("tau", 1),
-        cap=cap if cap is not None else cfg.induction.get("cap", 100),
-    )
+    try:
+        filter_cfg = refine.FilterConfig(
+            window_w=window if window is not None else cfg.induction.get("window", 10),
+            threshold_tau=tau if tau is not None else cfg.induction.get("tau", 1),
+            cap=cap if cap is not None else cfg.induction.get("cap", 100),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"induction: {exc}") from exc
     base_seed = seed if seed is not None else cfg.seed
     out = Path(out_dir)
     kwargs = _induction_kwargs(cfg)

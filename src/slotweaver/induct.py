@@ -1,13 +1,20 @@
 """Streaming induction engine: joint per-turn state tracking and slot
 discovery, schema accumulation, and the two-pass setup.
 
-A single run is strictly sequential (each turn conditions on the schema
-left by the previous one); independent runs may execute in parallel.
+Each turn is a predict step (render, generate, parse), which only reads
+the run, and a fold step, which records the outcome in the run in stream
+order. An inducing run is strictly sequential: each turn conditions on the
+schema left by the previous one. A DST-only run (pass 2 of the two-pass
+setup) is not: its schema is frozen, so its predict steps are independent
+and up to the backend's ``max_in_flight`` of them overlap, while the fold
+stays in stream order on the calling thread, so the result is the same
+bytes as with one call at a time.
 """
 
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -31,6 +38,9 @@ __all__ = [
     "RunResult",
     "StateLogEntry",
     "SchemaOverflowError",
+    "TurnPrediction",
+    "predict_turn",
+    "fold_turn",
     "induce_turn",
     "run_induction",
     "run_two_pass",
@@ -66,23 +76,51 @@ class InductionRun:
     errors: List[str] = field(default_factory=list)
 
 
-def induce_turn(
+@dataclass(frozen=True)
+class TurnPrediction:
+    """Outcome of the predict step for one turn: the parsed state, or None
+    when the reply had no values header or the backend call failed."""
+
+    state: Optional[DialogueState]
+    error: Optional[BackendError] = None
+
+
+def predict_turn(
     run: InductionRun, dialogue: Dialogue, turn: int, backend: Backend
-) -> Tuple[DialogueState, SlotSchema]:
-    """Predict the state for one user turn and fold discoveries into the
-    schema (unless the run is in DST-only mode)."""
+) -> TurnPrediction:
+    """Render the prompt for one user turn, call the backend and parse the
+    reply. Reads ``run`` but never writes to it. A BackendError other than
+    AuthError is returned in the prediction, not raised."""
     if dialogue.turns[turn].speaker != "user":
         raise ValueError(f"turn {turn} of dialogue {dialogue.id} is not a user turn")
     prompt = render_prompt(
         run.schema, dialogue, turn, run.mode, run.pack, char_budget=run.context_budget
     )
-    response = backend.generate(
-        GenerationRequest(prompt, max_output=run.max_output, temperature=run.temperature)
-    )
     try:
-        prediction = parse_state_block(response, run.schema, run.pack)
-        state = prediction.state
+        response = backend.generate(
+            GenerationRequest(prompt, max_output=run.max_output, temperature=run.temperature)
+        )
+    except AuthError:
+        raise
+    except BackendError as exc:
+        return TurnPrediction(None, exc)
+    try:
+        return TurnPrediction(parse_state_block(response, run.schema, run.pack).state)
     except MissingValuesHeader:
+        return TurnPrediction(None)
+
+
+def fold_turn(
+    run: InductionRun, dialogue: Dialogue, turn: int, prediction: TurnPrediction
+) -> Tuple[DialogueState, SlotSchema]:
+    """Record one turn's prediction in the run: a backend error or a parse
+    failure yields the empty state; discoveries are folded into the schema,
+    or dropped when the run is in DST-only mode."""
+    state = prediction.state
+    if prediction.error is not None:
+        run.errors.append(f"{dialogue.id}:{turn}: {prediction.error}")
+        state = DialogueState()
+    elif state is None:
         run.parse_failures += 1
         state = DialogueState()
 
@@ -102,6 +140,15 @@ def induce_turn(
                 f"at dialogue {dialogue.id} turn {turn}"
             )
     return state, run.schema
+
+
+def induce_turn(
+    run: InductionRun, dialogue: Dialogue, turn: int, backend: Backend
+) -> Tuple[DialogueState, SlotSchema]:
+    """Predict the state for one user turn and fold it into the run. A
+    BackendError other than AuthError is recorded in ``run.errors`` and the
+    turn gets the empty state."""
+    return fold_turn(run, dialogue, turn, predict_turn(run, dialogue, turn, backend))
 
 
 @dataclass(frozen=True)
@@ -131,6 +178,59 @@ def _stream_order(corpus: CorpusFile, seed: Optional[int]) -> List[Dialogue]:
     return dialogues
 
 
+def _tracked_turns(dialogue: Dialogue, mode: StateMode) -> List[int]:
+    user_turns = dialogue.user_turn_indices()
+    return user_turns[-1:] if mode is StateMode.FINAL else user_turns
+
+
+def _record(
+    run: InductionRun, dialogue: Dialogue, turn: int, d_index: int, state: DialogueState
+) -> None:
+    run.per_turn_states.append(StateLogEntry(dialogue.id, turn, state, d_index))
+    if run.refiner is not None:
+        run.refiner.observe_state(state, d_index)
+
+
+def _retrack(run: InductionRun, order: List[Dialogue], backend: Backend) -> None:
+    """DST-only pass: predict every turn against the frozen schema, up to the
+    backend's ``max_in_flight`` calls at a time, and fold the predictions in
+    stream order on the calling thread.
+
+    With one call in flight the builtin (lazy) ``map`` keeps the call order
+    of a serial loop and sends no call after an AuthError. A one-thread
+    executor would keep the order too, but hands every call to another
+    thread: on a 2,500-turn scripted stream that took pass 2 from 0.52 s to
+    0.97 s. With more in flight an AuthError cancels the calls not started.
+    """
+    frozen_version = run.schema.version
+    stream = [
+        (d_index, dialogue, turn)
+        for d_index, dialogue in enumerate(order)
+        for turn in _tracked_turns(dialogue, run.mode)
+    ]
+
+    def predict(item: Tuple[int, Dialogue, int]) -> TurnPrediction:
+        _, dialogue, turn = item
+        return predict_turn(run, dialogue, turn, backend)
+
+    in_flight = getattr(backend, "max_in_flight", 1)
+    pool = ThreadPoolExecutor(in_flight) if in_flight > 1 else None
+    try:
+        predictions = pool.map(predict, stream) if pool else map(predict, stream)
+        for (d_index, dialogue, turn), prediction in zip(stream, predictions):
+            state, _ = fold_turn(run, dialogue, turn, prediction)
+            _record(run, dialogue, turn, d_index, state)
+    except BaseException:
+        if pool is not None:
+            # Do not wait for the calls already running: each may sleep
+            # through its retries. Their replies are discarded.
+            pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    if pool is not None:
+        pool.shutdown()
+    assert run.schema.version == frozen_version, "schema mutated in DST mode"
+
+
 def run_induction(
     corpus: CorpusFile,
     mode: StateMode,
@@ -150,6 +250,8 @@ def run_induction(
     Stream order is corpus order, or shuffled when a seed is given. The
     refiner (if any) runs at every dialogue boundary. Per-turn backend and
     parse failures are aggregated into the result; only AuthError aborts.
+    With ``dst_only`` the schema stays frozen and the backend calls overlap
+    (see ``_retrack``); the result is the same as with serial calls.
     """
     run = InductionRun(
         schema=initial_schema if initial_schema is not None else SlotSchema(),
@@ -162,36 +264,22 @@ def run_induction(
         max_output=max_output,
         temperature=temperature,
     )
-    frozen_version = run.schema.version
-    turns = 0
-    for d_index, dialogue in enumerate(_stream_order(corpus, seed)):
-        user_turns = dialogue.user_turn_indices()
-        if mode is StateMode.FINAL:
-            user_turns = user_turns[-1:]
-        for turn_index in user_turns:
-            run.stream_position = (d_index, turn_index)
-            try:
+    order = _stream_order(corpus, seed)
+    if dst_only:
+        _retrack(run, order, backend)
+    else:
+        for d_index, dialogue in enumerate(order):
+            for turn_index in _tracked_turns(dialogue, mode):
+                run.stream_position = (d_index, turn_index)
                 state, _ = induce_turn(run, dialogue, turn_index, backend)
-            except AuthError:
-                raise
-            except BackendError as exc:
-                run.errors.append(f"{dialogue.id}:{turn_index}: {exc}")
-                state = DialogueState()
-            turns += 1
-            run.per_turn_states.append(
-                StateLogEntry(dialogue.id, turn_index, state, d_index)
-            )
+                _record(run, dialogue, turn_index, d_index, state)
             if refiner is not None:
-                refiner.observe_state(state, d_index)
-        if refiner is not None and not dst_only:
-            run.schema = refiner.end_dialogue(run.schema, d_index)
-        if dst_only:
-            assert run.schema.version == frozen_version, "schema mutated in DST mode"
+                run.schema = refiner.end_dialogue(run.schema, d_index)
     return RunResult(
         final_schema=run.schema,
         state_log=tuple(run.per_turn_states),
         parse_failures=run.parse_failures,
-        turns_processed=turns,
+        turns_processed=len(run.per_turn_states),
         seed=seed,
         errors=tuple(run.errors),
     )

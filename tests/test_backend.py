@@ -1,13 +1,17 @@
 import json
+import random
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+from slotweaver import backend as backend_mod
 from slotweaver.backend import (
     AuthError,
     GenerationRequest,
     HttpBackend,
+    RETRY_WAIT_CAP,
     ScriptExhausted,
     ScriptMismatch,
     ScriptedBackend,
@@ -90,7 +94,7 @@ class TestScriptFile:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    # class-level script: list of (status, body) consumed per request
+    # class-level script: list of (status, body[, extra headers]) consumed per request
     script = []
     requests = []
 
@@ -100,11 +104,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             (self.path, json.loads(self.rfile.read(length) or b"{}"),
              self.headers.get("Authorization"))
         )
-        status, body = _StubHandler.script.pop(0)
+        status, body, *extra = _StubHandler.script.pop(0)
         payload = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -121,6 +127,7 @@ def stub_server():
     _StubHandler.requests = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def _ok_body(text):
@@ -178,3 +185,101 @@ class TestHttpBackend:
         backend = HttpBackend(stub_server, "m")
         backend.generate(req())
         assert _StubHandler.requests[0][2] == "Bearer env-key"
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the client's waits instead of sleeping."""
+    waits = []
+    monkeypatch.setattr(backend_mod.time, "sleep", waits.append)
+    return waits
+
+
+class TestRetryWait:
+    def _run(self, stub_server, script, **kw):
+        _StubHandler.script = script + [(200, _ok_body("ok"))]
+        backend = HttpBackend(stub_server, "m", api_key="k", **kw)
+        assert backend.generate(req()) == "ok"
+        return backend
+
+    def test_retry_after_ms_honoured_first(self, stub_server, sleeps):
+        self._run(stub_server, [(429, {}, {"retry-after-ms": "250", "Retry-After": "7"})])
+        assert sleeps == [0.25]
+
+    def test_retry_after_seconds_honoured(self, stub_server, sleeps):
+        self._run(stub_server, [(429, {}, {"Retry-After": "2"})])
+        assert sleeps == [2.0]
+
+    @pytest.mark.parametrize("hint", [{"retry-after-ms": "600000"}, {"Retry-After": "3600"}])
+    def test_wait_capped(self, stub_server, sleeps, hint):
+        self._run(stub_server, [(429, {}, hint)])
+        assert sleeps == [RETRY_WAIT_CAP] == [60.0]
+
+    def test_backoff_without_hint_is_jittered(self, stub_server, sleeps):
+        no_hint = [(503, {}), (429, {}), (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"})]
+        _StubHandler.script = no_hint + [(200, _ok_body("ok"))]
+        backend = HttpBackend(stub_server, "m", api_key="k", backoff=1.0)
+        backend._rng = random.Random(7)
+        assert backend.generate(req()) == "ok"
+        expected_rng = random.Random(7)
+        assert sleeps == [2 ** i * expected_rng.uniform(0.5, 1.5) for i in range(3)]
+        assert all(0.5 <= wait / 2 ** i < 1.5 for i, wait in enumerate(sleeps))
+        assert sleeps != [1.0, 2.0, 4.0]
+
+    def test_5xx_hint_not_used(self, stub_server, sleeps):
+        self._run(stub_server, [(503, {}, {"Retry-After": "30"})], backoff=0.1)
+        assert len(sleeps) == 1 and 0.05 <= sleeps[0] < 0.15
+
+
+class _EchoHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, so each session reuses its connection
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
+        payload = json.dumps(_ok_body(prompt.upper())).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_threads_share_one_backend():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
+    server.daemon_threads = True
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
+    log = []
+    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", "m", api_key="k",
+                          audit_log=log)
+    replies, sessions = {}, {}
+
+    def client(name):
+        replies[name] = [backend.generate(req(f"{name} call {i}")) for i in range(25)]
+        sessions[name] = backend._session()
+
+    threads = [threading.Thread(target=client, args=(f"t{n}",)) for n in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for session in sessions.values():
+            session.close()
+        server.shutdown()
+        server.server_close()
+    assert not any(thread.is_alive() for thread in threads)
+    for name, got in replies.items():
+        assert got == [f"{name} call {i}".upper() for i in range(25)]
+    assert len(replies) == 4
+    assert sorted(log) == sorted((f"t{n} call {i}", f"T{n} CALL {i}")
+                                 for n in range(4) for i in range(25))
+    assert len({id(session) for session in sessions.values()}) == 4  # one per thread

@@ -122,6 +122,21 @@ class TestInduce:
         assert result.exit_code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["window", "tau", "cap"])
+    def test_zero_filter_setting_in_config_is_config_error(self, runner, tmp_path, setting):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {DATA / 'script.jsonl'}\n"
+                       f"induction:\n  {setting}: 0\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(out), "--refiner", "slot-conf"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "must all be >= 1" in result.output
+        assert not out.exists()
+
     def test_malformed_corpus_is_config_error(self, runner, config_path, tmp_path):
         bad = tmp_path / "corpus.json"
         bad.write_text('{"dialogues": []}')  # missing format_version

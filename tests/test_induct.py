@@ -1,9 +1,18 @@
 import random
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slotweaver.backend import AuthError, GenerationRequest, ScriptedBackend
-from slotweaver.core import DialogueState, SlotDef, SlotSchema
+from slotweaver.backend import (
+    AuthError,
+    GenerationRequest,
+    ScriptedBackend,
+    TransportError,
+)
+from slotweaver.core import Dialogue, DialogueState, SlotDef, SlotSchema, Turn
 from slotweaver.induct import (
     InductionRun,
     SchemaOverflowError,
@@ -12,7 +21,7 @@ from slotweaver.induct import (
     run_two_pass,
 )
 from slotweaver.refine import FilterConfig, SlotConfidenceRefiner, make_refiner
-from slotweaver.seqio import CorpusFile, StateMode
+from slotweaver.seqio import CorpusFile, StateMode, canonical_json, schema_to_obj
 
 from conftest import GARDEN_GREEN_BLOCK, key, make_dialogue
 
@@ -237,3 +246,138 @@ class TestTwoPass:
             return schema, res.to_obj()
 
         assert go() == go()
+
+
+# --- pass 2 with overlapping backend calls -------------------------------
+
+TRANSPORT_FAILURE = "<transport failure>"
+
+
+class SleepyScript(ScriptedBackend):
+    """Keyed script that sleeps a random few ms per call, so overlapping
+    calls complete out of order; the reply TRANSPORT_FAILURE raises
+    TransportError instead of being returned."""
+
+    def generate(self, request):
+        time.sleep(self.rng.uniform(0.0005, 0.004))
+        reply = super().generate(request)
+        if reply == TRANSPORT_FAILURE:
+            raise TransportError("connection reset")
+        return reply
+
+
+def sleepy_script(replies, max_in_flight, seed=0, cls=SleepyScript):
+    """``replies[d][k]`` answers user turn k of dialogue d. Each user turn
+    carries a unique tag and a turn's prompt holds the tags of the turns
+    before it, so later turns are matched first."""
+    entries = [
+        ((lambda tag: lambda prompt: tag in prompt)(f"<{d}:{k}>"), reply)
+        for d, turns in enumerate(replies)
+        for k, reply in reversed(list(enumerate(turns)))
+    ]
+    backend = cls(entries, mode="keyed")
+    backend.max_in_flight = max_in_flight
+    backend.rng = random.Random(seed)
+    return backend
+
+
+def tagged_corpus(replies):
+    dialogues = []
+    for d, turns in enumerate(replies):
+        body = []
+        for k in range(len(turns)):
+            body += [Turn("user", f"<{d}:{k}> I need a room"), Turn("agent", "Anything else?")]
+        dialogues.append(Dialogue(f"d{d}", "scn", tuple(body)))
+    return corpus_of(*dialogues)
+
+
+_NAMES = ["area", "price", "day", "food"]
+_replies = st.one_of(
+    st.lists(st.sampled_from(_NAMES), unique=True, max_size=3).map(
+        lambda names: vblock([("Hotel", [(n, f"v-{n}") for n in names])],
+                             {n: f"the {n}" for n in names})
+    ),
+    st.just("I cannot answer that."),
+    st.just(TRANSPORT_FAILURE),
+)
+_streams = st.lists(st.lists(_replies, min_size=1, max_size=3), min_size=1, max_size=6)
+
+
+class TestOverlappedPass2:
+    @given(_streams, st.sampled_from([None, 1, 2]), st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_output_bytes_do_not_depend_on_max_in_flight(self, replies, window, seed):
+        corpus = tagged_corpus(replies)
+
+        def run(max_in_flight):
+            refiner = None
+            if window is not None:
+                refiner = SlotConfidenceRefiner(FilterConfig(window_w=window, threshold_tau=1))
+            backend = sleepy_script(replies, max_in_flight, seed)
+            schema, result = run_two_pass(corpus, StateMode.STATE, refiner, backend, seed=seed)
+            return canonical_json(schema_to_obj(schema)), canonical_json(result.to_obj())
+
+        serial = run(1)
+        assert run(4) == serial
+
+    def test_failures_are_logged_in_stream_order(self):
+        replies = [[TRANSPORT_FAILURE, "no header"], ["no header", TRANSPORT_FAILURE]] * 3
+        _, result = run_two_pass(
+            tagged_corpus(replies), StateMode.STATE, None, sleepy_script(replies, 4)
+        )
+        assert result.parse_failures == 6
+        assert [e.split(":")[0] for e in result.errors] == [f"d{i}" for i in range(6)]
+        assert [e.split(":")[1] for e in result.errors] == ["0", "2"] * 3
+
+    def test_auth_error_in_pass2_propagates_and_stops_sending(self):
+        replies = [[EMPTY_BLOCK] * 2 for _ in range(60)]
+        n_turns = 120
+
+        class ExpiringCredential(SleepyScript):
+            calls = 0
+
+            def generate(self, request):
+                with self._lock:
+                    ExpiringCredential.calls += 1
+                    call = ExpiringCredential.calls
+                if call == n_turns + 5:
+                    raise AuthError("credential expired")
+                return super().generate(request)
+
+        backend = sleepy_script(replies, 4, cls=ExpiringCredential)
+        with pytest.raises(AuthError):
+            run_two_pass(tagged_corpus(replies), StateMode.STATE, None, backend)
+        assert ExpiringCredential.calls - n_turns < n_turns // 2
+
+    def test_auth_error_does_not_wait_for_calls_in_flight(self):
+        # The other pass-2 calls hang, as a long Retry-After would keep
+        # them; the AuthError of the first turn must come back before they do.
+        replies = [[EMPTY_BLOCK] * 2 for _ in range(10)]
+        n_turns = 20
+        hanging, release = threading.Semaphore(0), threading.Event()
+        state = {"calls": 0, "in_flight": 0}
+
+        class HangingCalls(ScriptedBackend):
+            def generate(self, request):
+                with self._lock:
+                    state["calls"] += 1
+                    pass2 = state["calls"] > n_turns
+                if pass2 and "<0:0>" in request.prompt and "<0:1>" not in request.prompt:
+                    assert hanging.acquire(timeout=10)  # another call is in flight
+                    raise AuthError("credential expired")
+                if pass2:
+                    with self._lock:
+                        state["in_flight"] += 1
+                    hanging.release()
+                    release.wait(timeout=10)
+                    with self._lock:
+                        state["in_flight"] -= 1
+                return super().generate(request)
+
+        backend = sleepy_script(replies, 4, cls=HangingCalls)
+        try:
+            with pytest.raises(AuthError):
+                run_two_pass(tagged_corpus(replies), StateMode.STATE, None, backend)
+            assert state["in_flight"] >= 1
+        finally:
+            release.set()

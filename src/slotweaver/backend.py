@@ -13,8 +13,10 @@ import os
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import requests
 
@@ -29,6 +31,7 @@ __all__ = [
     "ScriptedBackend",
     "HttpBackend",
     "load_script",
+    "ordered_map",
     "API_KEY_ENV",
     "RETRY_WAIT_CAP",
 ]
@@ -77,6 +80,36 @@ class Backend(Protocol):
     many ``generate`` calls may overlap when the work allows it."""
 
     def generate(self, request: GenerationRequest) -> str: ...
+
+
+@contextmanager
+def ordered_map(backend: Backend) -> Iterator[Callable]:
+    """A ``map`` that overlaps up to the backend's ``max_in_flight`` calls
+    and yields the results in input order.
+
+    With one call in flight (the default) this is the builtin lazy ``map``:
+    each item is drawn from the input and run only when its result is read,
+    so the calls are made in the order of a serial loop and none is made
+    after an exception. A one-thread executor would keep the order too, but
+    hands every call to another thread: on a 2,500-turn scripted stream that
+    took pass 2 of a two-pass run from 0.52 s to 0.97 s.
+
+    With more in flight it is ``ThreadPoolExecutor(n).map``, which draws the
+    whole input when called. When the ``with`` body raises, the calls not
+    started are cancelled and the calls already running are not waited for:
+    each may sleep through its retries. Their results are discarded.
+    """
+    in_flight = getattr(backend, "max_in_flight", 1)
+    if in_flight <= 1:
+        yield map
+        return
+    pool = ThreadPoolExecutor(in_flight)
+    try:
+        yield pool.map
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
 
 
 Matcher = Callable[[str], bool]
@@ -141,28 +174,49 @@ class ScriptedBackend:
         return len(self.script) - self._cursor if self.mode == "strict-order" else len(self.script)
 
 
+_SCRIPT_ENTRY = '{"match": {"substring": str} or {"index": int}, "response": str}'
+_MATCH_TYPES = {"substring": str, "index": int}
+
+
+def _script_entry(line: str) -> Tuple[str, object, str]:
+    """(match kind, matcher value, response) of one script line."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"not JSON: {exc}") from None
+    try:
+        response = obj["response"]
+        ((kind, value),) = obj["match"].items()
+    except (TypeError, KeyError, AttributeError, ValueError):
+        raise ValueError(f"not of the form {_SCRIPT_ENTRY}") from None
+    if type(value) is not _MATCH_TYPES.get(kind) or type(response) is not str:
+        raise ValueError(f"not of the form {_SCRIPT_ENTRY}")
+    return kind, value, response
+
+
 def load_script(path) -> ScriptedBackend:
     """Load a script file: JSON lines of {"match": {...}, "response": "..."}.
 
     ``match`` is either {"substring": str} (keyed mode) or {"index": n}
     (strict-order mode, entries sorted by index). A file must use one match
-    kind throughout.
+    kind throughout. A malformed file raises ValueError naming the file and
+    the line.
     """
     entries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            entries.append((lineno, obj["match"], obj["response"]))
-    if not entries:
-        return ScriptedBackend.from_responses([])
-    kinds = {("substring" if "substring" in m else "index") for _, m, _ in entries}
-    if len(kinds) > 1:
-        raise ValueError("script file mixes substring and index matchers")
-    if kinds == {"substring"}:
-        return ScriptedBackend.keyed([(m["substring"], r) for _, m, r in entries])
-    ordered = sorted(entries, key=lambda e: e[1]["index"])
+            try:
+                kind, value, response = _script_entry(line)
+                if entries and kind != entries[0][0]:
+                    raise ValueError("script file mixes substring and index matchers")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            entries.append((kind, value, response))
+    if entries and entries[0][0] == "substring":
+        return ScriptedBackend.keyed([(value, r) for _, value, r in entries])
+    ordered = sorted(entries, key=lambda e: e[1])
     return ScriptedBackend.from_responses([r for _, _, r in ordered])
 
 
@@ -242,6 +296,8 @@ class HttpBackend:
         requests_per_minute: Optional[float] = None,
         audit_log: Optional[List[Tuple[str, str]]] = None,
     ):
+        if type(max_retries) is not int or max_retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {max_retries!r}")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise AuthError(f"no API credential: set {API_KEY_ENV} or pass api_key")

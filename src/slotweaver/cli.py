@@ -63,15 +63,23 @@ class RunConfig:
             script = self.backend.get("script")
             if not script:
                 raise ConfigError("scripted backend needs backend.script in the config")
-            return backend_mod.load_script(script)
+            try:
+                return backend_mod.load_script(script)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"backend.script: {exc}") from exc
         if kind == "http":
-            return backend_mod.HttpBackend(
-                endpoint=self.backend["endpoint"],
-                model=self.backend.get("model", "default"),
-                api_key=self.backend.get("api_key"),
-                max_retries=self.backend.get("max_retries", 3),
-                requests_per_minute=self.backend.get("requests_per_minute"),
-            )
+            if not self.backend.get("endpoint"):
+                raise ConfigError("http backend needs backend.endpoint in the config")
+            try:
+                return backend_mod.HttpBackend(
+                    endpoint=self.backend["endpoint"],
+                    model=self.backend.get("model", "default"),
+                    api_key=self.backend.get("api_key"),
+                    max_retries=self.backend.get("max_retries", 3),
+                    requests_per_minute=self.backend.get("requests_per_minute"),
+                )
+            except ValueError as exc:
+                raise ConfigError(f"backend: {exc}") from exc
         raise ConfigError(f"unknown backend kind: {kind!r}")
 
 

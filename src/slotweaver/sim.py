@@ -4,6 +4,10 @@ Four stages run through the generation backend: scenario generation, schema
 definition, task initialization, and task simulation. The user side of a
 simulated dialogue only ever sees the goal; the agent side only sees the
 knowledge base, so the two must converse to exchange information.
+
+Each dialogue is a chain of dependent calls, but dialogues do not depend on
+each other: ``simulate_corpus`` overlaps them up to the backend's
+``max_in_flight`` and assembles the corpus in scenario and dialogue order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .backend import Backend, GenerationRequest, TransportError
+from .backend import Backend, GenerationRequest, TransportError, ordered_map
 from .core import (
     AGENT,
     GOLD,
@@ -690,35 +694,53 @@ def simulate_corpus(
 
     Task setups are regenerated per dialogue so each gets fresh goals and
     knowledge. The corpus gold schema is the union of all task slot schemas.
+
+    Scenarios are defined, and child seeds drawn, on the calling thread in
+    scenario order. The dialogues run through ``ordered_map``: up to the
+    backend's ``max_in_flight`` of them overlap, and their traces are folded
+    in scenario and dialogue order, so the corpus and the report are the
+    same bytes as with one call at a time when the backend's replies depend
+    only on the prompt. With one call in flight the calls are made in the
+    order of a serial loop, which strict-order scripts rely on.
     """
     requested = len(scenarios) * dialogues_per_scenario
     histogram: Dict[str, int] = {}
     lost = 0
     dialogues = []
     gold = SlotSchema()
-    for scenario in scenarios:
-        try:
-            schemas = [
-                define_schemas(scenario, task, backend, pack, config)
-                for task in scenario.tasks
-            ]
-        except (SimError, TransportError) as exc:
-            log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
-            lost += dialogues_per_scenario
-            continue
-        for ts in schemas:
-            gold = gold.with_slots(ts.slot_schema)
-        for j in range(dialogues_per_scenario):
-            child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
+
+    def jobs():
+        nonlocal lost, gold
+        for scenario in scenarios:
             try:
-                setups = [
-                    initialize_task(ts, backend, child, pack, config) for ts in schemas
+                schemas = [
+                    define_schemas(scenario, task, backend, pack, config)
+                    for task in scenario.tasks
                 ]
-                trace = simulate_dialogue(
-                    scenario, setups, backend, f"{scenario.id}-d{j:03d}", pack, config
-                )
             except (SimError, TransportError) as exc:
-                log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
+                log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
+                lost += dialogues_per_scenario
+                continue
+            for ts in schemas:
+                gold = gold.with_slots(ts.slot_schema)
+            for j in range(dialogues_per_scenario):
+                child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
+                yield scenario, schemas, j, child
+
+    def run(job) -> Optional[SimTrace]:
+        scenario, schemas, j, child = job
+        try:
+            setups = [initialize_task(ts, backend, child, pack, config) for ts in schemas]
+            return simulate_dialogue(
+                scenario, setups, backend, f"{scenario.id}-d{j:03d}", pack, config
+            )
+        except (SimError, TransportError) as exc:
+            log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
+            return None
+
+    with ordered_map(backend) as overlapped:
+        for trace in overlapped(run, jobs()):
+            if trace is None:
                 lost += 1
                 continue
             histogram[trace.termination] = histogram.get(trace.termination, 0) + 1

@@ -89,7 +89,32 @@ class TestScriptFile:
             json.dumps({"match": {"index": 0}, "response": "a"}) + "\n"
             + json.dumps({"match": {"substring": "x"}, "response": "b"}) + "\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"s\.jsonl:2: .*mixes"):
+            load_script(path)
+
+    def test_line_that_is_not_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"match": {"index": 0}, "response": "a"}) + "\n\nnot json\n")
+        with pytest.raises(ValueError, match=r"s\.jsonl:3: not JSON"):
+            load_script(path)
+
+    @pytest.mark.parametrize("line", [
+        '["match", "response"]',
+        '{"response": "r"}',
+        '{"match": {"index": 0}}',
+        '{"match": [], "response": "r"}',
+        '{"match": {}, "response": "r"}',
+        '{"match": {"index": 0, "substring": "x"}, "response": "r"}',
+        '{"match": {"regex": "x"}, "response": "r"}',
+        '{"match": {"index": "0"}, "response": "r"}',
+        '{"match": {"index": true}, "response": "r"}',
+        '{"match": {"substring": 1}, "response": "r"}',
+        '{"match": {"index": 1}, "response": 7}',
+    ])
+    def test_malformed_entry_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"match": {"index": 0}, "response": "a"}) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=r"s\.jsonl:2: not of the form"):
             load_script(path)
 
 
@@ -139,6 +164,11 @@ class TestHttpBackend:
         monkeypatch.delenv("SLOTWEAVER_API_KEY", raising=False)
         with pytest.raises(AuthError):
             HttpBackend("http://x", "m")
+
+    @pytest.mark.parametrize("max_retries", [-1, 1.5, "3", True])
+    def test_max_retries_must_be_a_count(self, max_retries):
+        with pytest.raises(ValueError, match="max_retries"):
+            HttpBackend("http://x", "m", api_key="k", max_retries=max_retries)
 
     def test_returns_completion_and_posts_wire_format(self, stub_server):
         _StubHandler.script = [(200, _ok_body("fixed text"))]

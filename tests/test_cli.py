@@ -111,6 +111,44 @@ class TestInduce:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("backend_yaml, message", [
+        ("kind: http\n  api_key: k", "backend.endpoint"),
+        ("kind: http\n  endpoint: http://127.0.0.1:9\n  api_key: k\n  max_retries: -1",
+         "max_retries"),
+    ])
+    def test_bad_http_backend_is_config_error(self, runner, tmp_path, backend_yaml, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"backend:\n  {backend_yaml}\n")
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"match": {"index": 0}, "response": "a"}', '{"match": {"substring": "x"}, "response": "b"}'],
+         "bad.jsonl:2: script file mixes substring and index matchers"),
+        (['{"match": {"index": 0}, "response": "a"}', "not json"], "bad.jsonl:2: not JSON"),
+        (['{"match": {"index": 0}}'], "bad.jsonl:1: not of the form"),
+        (None, "No such file or directory"),
+    ])
+    def test_bad_script_file_is_config_error(self, runner, tmp_path, lines, message):
+        script = tmp_path / "bad.jsonl"
+        if lines is not None:
+            script.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "bad.jsonl" in result.output
+
     @pytest.mark.parametrize("flag", ["--replicates", "--window", "--tau", "--cap"])
     def test_zero_count_flag_is_usage_error(self, runner, config_path, tmp_path, flag):
         out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Static hygiene of the package source: no unused imports.
+"""Static hygiene of the package source: no unused imports, one thread pool.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -84,3 +84,43 @@ def test_package_has_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+
+def pool_constructions(source: str):
+    """(line, enclosing top-level function or None) of every
+    ``ThreadPoolExecutor(...)`` call, whether the name is imported or
+    reached through ``concurrent.futures``."""
+    tree = ast.parse(source)
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "ThreadPoolExecutor" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    return [
+        (call.lineno, next((f.name for f in functions if f.lineno <= call.lineno <= f.end_lineno), None))
+        for call in calls
+    ]
+
+
+def test_pool_checker_finds_every_construction():
+    source = (
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "POOL = ThreadPoolExecutor(2)\n"
+        "def f():\n"
+        "    with cf.ThreadPoolExecutor(4) as pool:\n"
+        "        return pool\n"
+    )
+    assert sorted(pool_constructions(source)) == [(3, None), (5, "f")]
+
+
+def test_one_thread_pool_in_the_package():
+    """Every overlap of backend calls goes through ``backend.ordered_map``."""
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for _, name in pool_constructions(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["backend.py:ordered_map"]

@@ -1,10 +1,15 @@
 import random
+import re
+import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotweaver.backend import AuthError, ScriptedBackend, TransportError
 from slotweaver.core import GOLD, SlotDef, SlotSchema
-from slotweaver.seqio import corpus_to_obj
+from slotweaver.seqio import CorpusFile, canonical_json, corpus_to_obj
 from slotweaver.sim import (
     DEFAULT_SIM_PACK,
     KnowledgeField,
@@ -12,6 +17,8 @@ from slotweaver.sim import (
     ScenarioSpec,
     SchemaDefinitionError,
     SimConfig,
+    SimError,
+    SimReport,
     TaskInitError,
     TaskSchemas,
     TaskSetup,
@@ -410,3 +417,253 @@ class TestPromptPack:
         pack = load_sim_pack(tmp_path)
         assert pack.scenario == "custom {n}"
         assert pack.agent_turn == DEFAULT_SIM_PACK.agent_turn
+
+
+# ---------------------------------------------------------------------------
+# Overlapped dialogues
+# ---------------------------------------------------------------------------
+
+BROKEN = "broken"  # a task whose slot schema never parses
+POISON_GOAL = "An ideal solution looks like:\nitem = Poison"  # fails in transport
+
+
+def pure_reply(prompt):
+    """A reply that depends on the prompt alone, for every simulation stage.
+
+    Slot schemas of a task named BROKEN never parse, so its scenario is lost
+    at definition; a goal prompt holding POISON_GOAL raises TransportError,
+    so the dialogues that draw that ideal item are lost.
+    """
+    lines = prompt.count("\n")
+    if "Answer yes or no" in prompt:
+        return "yes" if lines >= 6 else "no"
+    if "Record the preferences the user has shared" in prompt:
+        header = next(ln for ln in prompt.splitlines() if ln.startswith("## "))
+        return f"# Key Information Values\n\n{header}\n* color: v{lines}\n"
+    if "seeking help" in prompt:
+        return f"I would like something, message {lines}."
+    if "providing help" in prompt:
+        return f"Here is option {lines}."
+    if "List the types of preferences" in prompt:
+        if f"Task: {BROKEN}\n" in prompt:
+            return "garbled, no fence"
+        return fence("color: The preferred color\nsize: The preferred size")
+    if "The user preference fields are" in prompt:
+        return fence("item: the item\ncolor: its color")
+    if "candidate knowledge items" in prompt:
+        return fence("item = Rose\ncolor = Pink\n\nitem = Poison\ncolor = Black\n\n"
+                     "item = Fern\ncolor = Green")
+    if "Fill in user preferences" in prompt:
+        if POISON_GOAL in prompt:
+            raise TransportError("connection reset after retries")
+        color = re.search(r"color = (\w+)", prompt).group(1)
+        return fence(f"color = {color}\nsize = large")
+    if "similar to the goal without satisfying it" in prompt:
+        return fence("item = Tulip\ncolor = Red")
+    raise AssertionError(f"unexpected prompt: {prompt[:80]!r}")
+
+
+class PromptPure:
+    """Backend answering with ``pure_reply``. Each call sleeps 0.5-4 ms, so
+    overlapping calls complete out of order; ``peak`` is the most calls that
+    were in flight at once."""
+
+    def __init__(self, max_in_flight, seed=0):
+        self.max_in_flight = max_in_flight
+        self._rng = random.Random(seed)
+        self._lock = threading.Lock()
+        self._in_flight = 0
+        self.peak = 0
+
+    def generate(self, request):
+        with self._lock:
+            delay = self._rng.uniform(0.0005, 0.004)
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(delay)
+            return pure_reply(request.prompt)
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+
+
+def _scenarios(task_lists):
+    return [
+        ScenarioSpec(f"scenario-{i:03d}", "A Visitor", "a Guide", tuple(tasks),
+                     f"A Visitor is getting help from a Guide in order to {', '.join(tasks)}")
+        for i, tasks in enumerate(task_lists)
+    ]
+
+
+_SIM_CONFIG = SimConfig(knowledge_size=3, red_herring_count=1, max_turns=8)
+
+
+def _corpus_bytes(scenarios, per_scenario, backend, seed):
+    corpus, report = simulate_corpus(
+        scenarios, per_scenario, backend, random.Random(seed), config=_SIM_CONFIG
+    )
+    return canonical_json(corpus_to_obj(corpus)), canonical_json(report.to_obj())
+
+
+_task_lists = st.lists(
+    st.lists(st.sampled_from(["pick plants", "choose tools", "book rooms", BROKEN]),
+             min_size=1, max_size=2, unique=True),
+    min_size=2, max_size=4,
+)
+
+
+class TestOverlappedDialogues:
+    @given(_task_lists, st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_output_bytes_do_not_depend_on_max_in_flight(self, task_lists, per_scenario, seed):
+        scenarios = _scenarios(task_lists)
+        serial = _corpus_bytes(scenarios, per_scenario, PromptPure(1, seed), seed)
+        assert _corpus_bytes(scenarios, per_scenario, PromptPure(4, seed), seed) == serial
+
+    def test_losses_and_overlap_occur(self):
+        # The property above is vacuous unless dialogues are lost both ways
+        # and calls really overlap: check both on one fixed case.
+        scenarios = _scenarios([["pick plants"], [BROKEN], ["choose tools", "book rooms"]])
+        backend = PromptPure(4)
+        corpus, report = simulate_corpus(
+            scenarios, 6, backend, random.Random(0), config=_SIM_CONFIG
+        )
+        assert report.lost > 6  # the broken scenario's 6 and some poisoned dialogues
+        assert 0 < report.produced < 12
+        assert backend.peak >= 2
+
+    def test_strict_order_script_sees_the_serial_call_order(self):
+        scenarios = _scenarios([["pick plants"], [BROKEN], ["choose tools", "book rooms"]])
+        recorder = _Recorder(PromptPure(1))
+        expected = _serial_reference(scenarios, 3, recorder, random.Random(5))
+        script = ScriptedBackend.from_responses([reply for _, reply in recorder.calls])
+        got = simulate_corpus(
+            scenarios, 3, _RaisingFor(script, POISON_GOAL, TransportError("reset")),
+            random.Random(5), config=_SIM_CONFIG,
+        )
+        assert [prompt for prompt, _ in script.audit_log] == [p for p, _ in recorder.calls]
+        assert script.remaining == 0
+        assert corpus_to_obj(got[0]) == corpus_to_obj(expected[0])
+        assert got[1] == expected[1]
+        assert expected[1].lost > 3  # losses at definition and in dialogues
+
+    def test_auth_error_in_a_dialogue_propagates_without_waiting(self):
+        # One scenario per dialogue, so each dialogue's knowledge prompt names
+        # it. The first dialogue's credential fails while the others hang, as
+        # a long Retry-After would keep them.
+        n = 12
+        scenarios = _scenarios([[f"task {i:02d}"] for i in range(n)])
+        hanging, release = threading.Semaphore(0), threading.Event()
+        state = {"started": 0, "in_flight": 0}
+
+        class HangingDialogues(PromptPure):
+            def generate(self, request):
+                if "candidate knowledge items" in request.prompt:
+                    with self._lock:
+                        state["started"] += 1
+                    if "Task: task 00\n" in request.prompt:
+                        assert hanging.acquire(timeout=10)  # another call is in flight
+                        raise AuthError("credential expired")
+                    with self._lock:
+                        state["in_flight"] += 1
+                    hanging.release()
+                    release.wait(timeout=10)
+                    with self._lock:
+                        state["in_flight"] -= 1
+                return super().generate(request)
+
+        try:
+            with pytest.raises(AuthError):
+                simulate_corpus(scenarios, 1, HangingDialogues(4), random.Random(0),
+                                config=_SIM_CONFIG)
+            assert state["in_flight"] >= 1
+        finally:
+            release.set()
+        _settle(state)
+        assert state["started"] < n // 2  # the dialogues not started were cancelled
+
+    def test_auth_error_defining_a_later_scenario_propagates_without_waiting(self):
+        # Scenarios are defined on the calling thread while the dialogues of
+        # earlier ones run; those hang until the definition fails.
+        scenarios = _scenarios([["pick plants"], ["choose tools"], ["book rooms"]])
+        hanging, release = threading.Semaphore(0), threading.Event()
+        state = {"started": 0, "in_flight": 0}
+
+        class FailingDefinition(PromptPure):
+            def generate(self, request):
+                if "Task: book rooms\nList the types" in request.prompt:
+                    assert hanging.acquire(timeout=10)  # a dialogue is in flight
+                    raise AuthError("credential expired")
+                if "candidate knowledge items" in request.prompt:
+                    with self._lock:
+                        state["started"] += 1
+                        state["in_flight"] += 1
+                    hanging.release()
+                    release.wait(timeout=10)
+                    with self._lock:
+                        state["in_flight"] -= 1
+                return super().generate(request)
+
+        try:
+            with pytest.raises(AuthError):
+                simulate_corpus(scenarios, 3, FailingDefinition(4), random.Random(0),
+                                config=_SIM_CONFIG)
+            assert state["in_flight"] >= 1
+        finally:
+            release.set()
+        _settle(state)
+        assert state["started"] == 4  # of 6: the 2 not started were cancelled
+
+
+def _settle(state):
+    """Wait for the released calls to return, then long enough for a
+    dialogue that was not cancelled to start."""
+    deadline = time.monotonic() + 10
+    while state["in_flight"] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.3)
+
+
+class _Recorder:
+    """Wraps a backend; keeps the (prompt, reply) of every call that returned."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def generate(self, request):
+        reply = self.inner.generate(request)
+        self.calls.append((request.prompt, reply))
+        return reply
+
+
+def _serial_reference(scenarios, dialogues_per_scenario, backend, rng):
+    """The dialogue loop of ``simulate_corpus`` before dialogues overlapped:
+    one call at a time, in scenario and dialogue order."""
+    histogram = {}
+    lost = 0
+    dialogues = []
+    gold = SlotSchema()
+    for scenario in scenarios:
+        try:
+            schemas = [define_schemas(scenario, task, backend, config=_SIM_CONFIG)
+                       for task in scenario.tasks]
+        except (SimError, TransportError):
+            lost += dialogues_per_scenario
+            continue
+        for ts in schemas:
+            gold = gold.with_slots(ts.slot_schema)
+        for j in range(dialogues_per_scenario):
+            child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
+            try:
+                setups = [initialize_task(ts, backend, child, config=_SIM_CONFIG)
+                          for ts in schemas]
+                trace = simulate_dialogue(scenario, setups, backend,
+                                          f"{scenario.id}-d{j:03d}", config=_SIM_CONFIG)
+            except (SimError, TransportError):
+                lost += 1
+                continue
+            histogram[trace.termination] = histogram.get(trace.termination, 0) + 1
+            dialogues.append(trace.dialogue)
+    requested = len(scenarios) * dialogues_per_scenario
+    return CorpusFile(tuple(dialogues), gold), SimReport(requested, len(dialogues), lost, histogram)

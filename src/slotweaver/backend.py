@@ -45,14 +45,12 @@ class GenerationRequest:
     prompt: str
     max_output: int = 1024
     temperature: float = 0.0
-    stop_markers: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.max_output <= 0:
             raise ValueError("max_output must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
-        object.__setattr__(self, "stop_markers", tuple(self.stop_markers))
 
 
 class BackendError(RuntimeError):
@@ -327,7 +325,6 @@ class HttpBackend:
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_output,
-            "stop": list(request.stop_markers) or None,
         }
         url = f"{self.endpoint}/v1/chat/completions"
         headers = {"Authorization": f"Bearer {self._key}"}

@@ -203,6 +203,7 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
         _fail(str(exc), EXIT_CONFIG)
 
     index = []
+    all_failed = []
     for rep in range(replicates):
         rep_seed = None
         if shuffle and base_seed is not None:
@@ -236,8 +237,12 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
             f"[{rep_dir}] {len(schema)} slots, {result.turns_processed} turns, "
             f"{result.parse_failures} parse failures"
         )
+        if result.turns_processed and len(result.errors) == result.turns_processed:
+            all_failed.append(str(rep_dir))
     if replicates > 1:
         _write(out / "index.json", canonical_json({"replicates": index}))
+    if all_failed:
+        _fail(f"every backend call failed in {', '.join(all_failed)}", EXIT_PIPELINE)
     sys.exit(EXIT_OK)
 
 

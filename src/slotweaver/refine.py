@@ -1,17 +1,19 @@
 """Schema refinement: confidence-window filtering, FIFO/priority eviction,
 generative schema revision, and the noise generator for revision training.
 
-All operations are pure functions of their inputs (plus an explicit seed);
-stateful refiner wrappers own their statistics within a single run.
+The filters and the revision helpers are pure functions of their inputs
+(plus an explicit seed). Fill statistics are one mutable table: a stats
+refiner owns its ``SlotStats`` for a single run, and ``record_state``
+updates that table in place.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .backend import Backend, GenerationRequest
 from .core import GOLD, DialogueState, SlotDef, SlotKey, SlotSchema, schema_update
@@ -28,7 +30,6 @@ from .seqio import (
 )
 
 __all__ = [
-    "SlotRecord",
     "SlotStats",
     "FilterConfig",
     "NoiseStrategy",
@@ -51,47 +52,22 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """Fill history of one slot, in dialogue indices (ascending, deduped)."""
-
-    fill_events: Tuple[int, ...]
-    discovered_at: int
-
-    @property
-    def global_count(self) -> int:
-        return len(self.fill_events)
-
-    @property
-    def last_filled(self) -> int:
-        return self.fill_events[-1] if self.fill_events else -1
-
-
-@dataclass(frozen=True)
-class SlotStats:
-    """Per-slot fill statistics across a dialogue stream."""
-
-    records: Mapping[SlotKey, SlotRecord] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
-
-    def get(self, key: SlotKey) -> Optional[SlotRecord]:
-        return self.records.get(key)
+class SlotStats(Dict[SlotKey, List[int]]):
+    """Per-slot fill statistics across a dialogue stream: each slot key maps
+    to the dialogue indices it was filled in, at most one per dialogue, in
+    the order recorded. The first entry is the discovery dialogue and the
+    last the most recent fill. A stream is recorded in ascending order, which
+    the window count of ``confidence_filter`` relies on."""
 
 
 def record_state(stats: SlotStats, state: DialogueState, dialogue_index: int) -> SlotStats:
-    """Count one fill event per valued slot, at most once per dialogue."""
-    if not state.triples:
-        return stats
-    records: Dict[SlotKey, SlotRecord] = dict(stats.records)
+    """Count one fill event per valued slot, at most once per dialogue.
+    Updates ``stats`` in place and returns it."""
     for key in state.keys():
-        rec = records.get(key)
-        if rec is None:
-            records[key] = SlotRecord((dialogue_index,), dialogue_index)
-        elif rec.last_filled != dialogue_index:
-            records[key] = SlotRecord(rec.fill_events + (dialogue_index,), rec.discovered_at)
-    return SlotStats(records)
+        fills = stats.setdefault(key, [])
+        if not fills or fills[-1] != dialogue_index:
+            fills.append(dialogue_index)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -107,9 +83,8 @@ class FilterConfig:
 
 def _eviction_order(schema: SlotSchema, stats: SlotStats, primary) -> List[SlotDef]:
     def sort_key(slot: SlotDef):
-        rec = stats.get(slot.key)
-        discovered = rec.discovered_at if rec else -1
-        return (primary(rec), discovered, slot.key)
+        fills = stats.get(slot.key, ())
+        return (primary(fills), fills[0] if fills else -1, slot.key)
 
     return sorted(schema, key=sort_key)
 
@@ -128,12 +103,11 @@ def confidence_filter(
     for slot in schema:
         if slot.discovered_at == GOLD:
             continue
-        rec = stats.get(slot.key)
-        discovered = rec.discovered_at if rec else current_dialogue
+        fills = stats.get(slot.key, ())
+        discovered = fills[0] if fills else current_dialogue
         if current_dialogue - discovered < w:
             continue
-        fills = rec.fill_events if rec else ()
-        recent = sum(1 for d in fills if current_dialogue - w < d <= current_dialogue)
+        recent = bisect_right(fills, current_dialogue) - bisect_right(fills, current_dialogue - w)
         if recent < tau:
             doomed.append(slot.key)
     return schema.without_keys(doomed)
@@ -143,7 +117,7 @@ def fifo_filter(schema: SlotSchema, stats: SlotStats, cfg: FilterConfig) -> Slot
     """Evict least-recently-filled slots once the schema exceeds the cap."""
     if len(schema) <= cfg.cap:
         return schema
-    order = _eviction_order(schema, stats, lambda rec: rec.last_filled if rec else -1)
+    order = _eviction_order(schema, stats, lambda fills: fills[-1] if fills else -1)
     doomed = [slot.key for slot in order[: len(schema) - cfg.cap]]
     return schema.without_keys(doomed)
 
@@ -155,7 +129,7 @@ def priority_filter(schema: SlotSchema, stats: SlotStats, cfg: FilterConfig) -> 
     """
     if len(schema) < cfg.cap:
         return schema
-    order = _eviction_order(schema, stats, lambda rec: rec.global_count if rec else 0)
+    order = _eviction_order(schema, stats, len)
     doomed = [slot.key for slot in order[: len(schema) - (cfg.cap - 1)]]
     return schema.without_keys(doomed)
 
@@ -309,7 +283,7 @@ class _StatsRefiner(Refiner):
         self.stats = SlotStats()
 
     def observe_state(self, state: DialogueState, dialogue_index: int) -> None:
-        self.stats = record_state(self.stats, state, dialogue_index)
+        record_state(self.stats, state, dialogue_index)
 
 
 class SlotConfidenceRefiner(_StatsRefiner):

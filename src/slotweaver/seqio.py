@@ -30,7 +30,6 @@ __all__ = [
     "StateMode",
     "PromptPack",
     "DEFAULT_PACK",
-    "PromptSequence",
     "ParsedPrediction",
     "CorpusFile",
     "MissingValuesHeader",
@@ -41,7 +40,6 @@ __all__ = [
     "parse_schema_block",
     "render_state_block",
     "render_prompt",
-    "build_prompt_sequence",
     "render_revision_prompt",
     "parse_state_block",
     "load_corpus",
@@ -192,32 +190,20 @@ def render_state_block(state: DialogueState, pack: PromptPack = DEFAULT_PACK) ->
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class PromptSequence:
-    """One prompt: slot catalog, dialogue context, and instruction blocks."""
-
-    schema_block: str
-    dialogue_block: str
-    instruction: str
-    mode: StateMode
-
-    def text(self) -> str:
-        return "\n\n".join([self.schema_block, self.dialogue_block, self.instruction])
-
-
 def _speaker_label(turn: Turn, pack: PromptPack) -> str:
     return pack.user_label if turn.speaker == USER else pack.agent_label
 
 
-def build_prompt_sequence(
+def render_prompt(
     schema: SlotSchema,
     dialogue: Dialogue,
     upto_turn: int,
     mode: StateMode,
     pack: PromptPack = DEFAULT_PACK,
     char_budget: Optional[int] = None,
-) -> PromptSequence:
-    """Assemble the prompt for predicting the state after ``upto_turn``.
+) -> str:
+    """Render the prompt for predicting the state after ``upto_turn``: the
+    slot catalog, the dialogue block and the instruction.
 
     The dialogue block includes turns 0..upto_turn inclusive. When a
     character budget is given, the oldest turns are dropped (current turn is
@@ -234,23 +220,7 @@ def build_prompt_sequence(
         while len(turn_lines) > 1 and sum(len(ln) + 1 for ln in turn_lines) > char_budget:
             turn_lines.pop(0)
     dialogue_block = "\n".join([pack.dialogue_header, ""] + turn_lines)
-    return PromptSequence(
-        schema_block=render_schema_block(schema, pack),
-        dialogue_block=dialogue_block,
-        instruction=pack.instruction,
-        mode=mode,
-    )
-
-
-def render_prompt(
-    schema: SlotSchema,
-    dialogue: Dialogue,
-    upto_turn: int,
-    mode: StateMode,
-    pack: PromptPack = DEFAULT_PACK,
-    char_budget: Optional[int] = None,
-) -> str:
-    return build_prompt_sequence(schema, dialogue, upto_turn, mode, pack, char_budget).text()
+    return "\n\n".join([render_schema_block(schema, pack), dialogue_block, pack.instruction])
 
 
 def render_revision_prompt(schema: SlotSchema, pack: PromptPack = DEFAULT_PACK) -> str:
@@ -438,8 +408,9 @@ class StateLogEntry:
     """One predicted state of a run's log, at (dialogue id, turn index).
 
     ``dialogue_index`` is the dialogue's position in the stream; logs
-    written without it still load. ``new_slot_descriptions`` is written out
-    for readers but not read back: a loaded entry carries the triples only.
+    written without it still load. ``new_slot_descriptions`` is keyed by
+    ``str(key)``; on read, a description is kept for each valued key whose
+    string it matches, and one naming no valued key is ignored.
     """
 
     dialogue_id: str
@@ -460,9 +431,14 @@ class StateLogEntry:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "StateLogEntry":
-        return cls(
-            obj["dialogue_id"], obj["turn"], state_from_obj(obj["state"]), obj.get("dialogue_index")
-        )
+        state = state_from_obj(obj["state"])
+        logged = obj.get("new_slot_descriptions") or {}
+        if not isinstance(logged, dict):
+            raise CorpusFormatError("new_slot_descriptions must map slot keys to descriptions")
+        descriptions = {key: str(logged[str(key)]) for key in state.keys() if str(key) in logged}
+        if descriptions:
+            state = DialogueState(state.triples, descriptions)
+        return cls(obj["dialogue_id"], obj["turn"], state, obj.get("dialogue_index"))
 
 
 def corpus_to_obj(corpus: CorpusFile) -> dict:

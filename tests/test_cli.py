@@ -175,6 +175,38 @@ class TestInduce:
         assert "must all be >= 1" in result.output
         assert not out.exists()
 
+    def _induce_with_script(self, runner, tmp_path, script_lines, *flags):
+        script = tmp_path / "script.jsonl"
+        script.write_text("".join(line + "\n" for line in script_lines))
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(out), *flags],
+        )
+        return result, out
+
+    @pytest.mark.parametrize("flags", [(), ("--two-pass",)])
+    def test_every_call_failed_is_pipeline_error(self, runner, tmp_path, flags):
+        # an empty script answers no call: each one raises ScriptExhausted
+        result, out = self._induce_with_script(runner, tmp_path, [], *flags)
+        assert result.exit_code == 1, result.output
+        assert "error: every backend call failed" in result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["turns_processed"] == 40
+        assert len(report["errors"]) == 40
+        assert (out / "schema.json").exists()
+        assert len((out / "states.jsonl").read_text().splitlines()) == 40
+
+    def test_some_calls_failed_exits_ok(self, runner, tmp_path):
+        lines = (DATA / "script.jsonl").read_text().splitlines()[:10]
+        result, out = self._induce_with_script(runner, tmp_path, lines)
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["errors"]) == 30
+
     def test_malformed_corpus_is_config_error(self, runner, config_path, tmp_path):
         bad = tmp_path / "corpus.json"
         bad.write_text('{"dialogues": []}')  # missing format_version
@@ -318,6 +350,27 @@ class TestMakeTrainData:
         first = json.loads(out.read_text().splitlines()[0])
         assert "Revise the Key Information Types" in first["prompt"]
         assert first["target"].startswith("# Key Information Types")
+
+    def test_revision_prompts_carry_logged_descriptions(self, runner, config_path, tmp_path):
+        # a one-pass run discovers plant selections/sunlight with a description
+        run = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", config_path, "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(run)],
+        )
+        assert result.exit_code == 0, result.output
+        assert "the plant's sun requirements" in (run / "states.jsonl").read_text()
+        out = tmp_path / "revision.jsonl"
+        result = runner.invoke(
+            main,
+            ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--revision",
+             "--noisy-log", str(run / "states.jsonl"), "--seed", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        prompts = [json.loads(line)["prompt"] for line in out.read_text().splitlines()]
+        assert any("* sunlight: the plant's sun requirements\n" in p for p in prompts)
+        assert not any("* sunlight: \n" in p for p in prompts)
 
     def test_revision_without_noisy_log_is_config_error(self, runner, tmp_path):
         result = runner.invoke(

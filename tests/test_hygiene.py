@@ -1,10 +1,13 @@
-"""Static hygiene of the package source: no unused imports, one thread pool.
+"""Hygiene of the package source: no unused imports, no stale ``__all__``
+entries, one thread pool.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import slotweaver
@@ -85,6 +88,28 @@ def test_package_has_no_unused_imports():
     ]
     assert found == []
 
+
+def stale_exports(module):
+    """Names listed in the module's ``__all__`` that the module does not bind."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_export_checker_flags_unbound_names():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = object()
+    assert stale_exports(module) == ["deleted"]
+
+
+def test_every_export_is_bound():
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for name in stale_exports(importlib.import_module(
+            "slotweaver" if path.stem == "__init__" else f"slotweaver.{path.stem}"
+        ))
+    ]
+    assert found == []
 
 
 def pool_constructions(source: str):

@@ -41,11 +41,7 @@ class TestRecordState:
         stats = record_state(stats, state((k, "x")), 3)
         stats = record_state(stats, state((k, "y")), 3)
         stats = record_state(stats, state((k, "z")), 5)
-        rec = stats.get(k)
-        assert rec.fill_events == (3, 5)
-        assert rec.global_count == 2
-        assert rec.last_filled == 5
-        assert rec.discovered_at == 3
+        assert stats[k] == [3, 5]  # discovered at 3, last filled at 5, two fills
 
     def test_matches_counting_oracle(self):
         rng = random.Random(3)
@@ -62,10 +58,9 @@ class TestRecordState:
         for d, s in stream:
             for k in s.keys():
                 expected.setdefault(k, set()).add(d)
-        assert set(stats.records) == set(expected)
+        assert set(stats) == set(expected)
         for k, dialogues in expected.items():
-            assert stats.get(k).fill_events == tuple(sorted(dialogues))
-            assert stats.get(k).discovered_at == min(dialogues)
+            assert stats[k] == sorted(dialogues)
 
 
 class TestConfidenceFilter:
@@ -152,8 +147,8 @@ class TestCapFilters:
             ranked = sorted(
                 keys,
                 key=lambda k: (
-                    stats.get(k).last_filled if stats.get(k) else -1,
-                    stats.get(k).discovered_at if stats.get(k) else -1,
+                    stats[k][-1] if stats.get(k) else -1,
+                    stats[k][0] if stats.get(k) else -1,
                     k,
                 ),
                 reverse=True,

@@ -1,11 +1,16 @@
-"""The keyed schema, the by-domain grouping, the update-mode delta and the
-gold-turn walker against reference copies of the scan-based code they
-replaced, on random inputs."""
+"""The keyed schema, the by-domain grouping, the update-mode delta, the
+gold-turn walker and the refiners' fill table against reference copies of
+the code they replaced, on random inputs."""
+
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotweaver.core import Dialogue, DialogueState, SlotDef, SlotSchema, Turn
+from slotweaver.core import GOLD, Dialogue, DialogueState, SlotDef, SlotSchema, Turn, schema_update
+from slotweaver.refine import FilterConfig, SlotStats, make_refiner, record_state
 from slotweaver.seqio import StateMode, gold_turns
 
 from conftest import key
@@ -99,6 +104,95 @@ def ref_gold_state_stream(dialogue, mode):
         prev = state
 
 
+# The copy-on-write fill statistics and the filters that read them, as they
+# were before the fill table replaced them.
+
+
+@dataclass(frozen=True)
+class RefSlotRecord:
+    fill_events: Tuple[int, ...]
+    discovered_at: int
+
+    @property
+    def global_count(self) -> int:
+        return len(self.fill_events)
+
+    @property
+    def last_filled(self) -> int:
+        return self.fill_events[-1] if self.fill_events else -1
+
+
+@dataclass(frozen=True)
+class RefSlotStats:
+    records: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", MappingProxyType(dict(self.records)))
+
+    def get(self, k) -> Optional[RefSlotRecord]:
+        return self.records.get(k)
+
+
+def ref_record_state(stats, state, dialogue_index):
+    if not state.triples:
+        return stats
+    records = dict(stats.records)
+    for k in state.keys():
+        rec = records.get(k)
+        if rec is None:
+            records[k] = RefSlotRecord((dialogue_index,), dialogue_index)
+        elif rec.last_filled != dialogue_index:
+            records[k] = RefSlotRecord(rec.fill_events + (dialogue_index,), rec.discovered_at)
+    return RefSlotStats(records)
+
+
+def ref_eviction_order(schema, stats, primary):
+    def sort_key(slot):
+        rec = stats.get(slot.key)
+        discovered = rec.discovered_at if rec else -1
+        return (primary(rec), discovered, slot.key)
+
+    return sorted(schema, key=sort_key)
+
+
+def ref_confidence_filter(schema, stats, cfg, current_dialogue):
+    w, tau = cfg.window_w, cfg.threshold_tau
+    doomed = []
+    for slot in schema:
+        if slot.discovered_at == GOLD:
+            continue
+        rec = stats.get(slot.key)
+        discovered = rec.discovered_at if rec else current_dialogue
+        if current_dialogue - discovered < w:
+            continue
+        fills = rec.fill_events if rec else ()
+        recent = sum(1 for d in fills if current_dialogue - w < d <= current_dialogue)
+        if recent < tau:
+            doomed.append(slot.key)
+    return schema.without_keys(doomed)
+
+
+def ref_fifo_filter(schema, stats, cfg):
+    if len(schema) <= cfg.cap:
+        return schema
+    order = ref_eviction_order(schema, stats, lambda rec: rec.last_filled if rec else -1)
+    return schema.without_keys([slot.key for slot in order[: len(schema) - cfg.cap]])
+
+
+def ref_priority_filter(schema, stats, cfg):
+    if len(schema) < cfg.cap:
+        return schema
+    order = ref_eviction_order(schema, stats, lambda rec: rec.global_count if rec else 0)
+    return schema.without_keys([slot.key for slot in order[: len(schema) - (cfg.cap - 1)]])
+
+
+REF_FILTERS = {
+    "slot-conf": ref_confidence_filter,
+    "fifo": lambda schema, stats, cfg, d: ref_fifo_filter(schema, stats, cfg),
+    "priority": lambda schema, stats, cfg, d: ref_priority_filter(schema, stats, cfg),
+}
+
+
 # --- properties --------------------------------------------------------------
 
 
@@ -153,3 +247,44 @@ def test_gold_turns_matches_old_stream(user_states, mode):
     assert got == list(ref_gold_state_stream(dialogue, mode))
     for i, gold, _ in gold_turns(dialogue, mode):
         assert gold is dialogue.turns[i].gold_state
+
+
+# A stream: each dialogue advances the index by 0-3 (so it is nondecreasing,
+# with repeats and gaps) and carries up to four predicted states.
+streams = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(states, max_size=4)), max_size=25
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(REF_FILTERS)),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.lists(keys, max_size=3),
+    streams,
+)
+def test_refiners_match_copy_on_write_stats(name, w, tau, cap, gold_keys, stream):
+    cfg = FilterConfig(window_w=w, threshold_tau=tau, cap=cap)
+    refiner = make_refiner(name, cfg)
+    seeded = schema_of([SlotDef(k, "", GOLD) for k in gold_keys])
+    schema = ref_schema = seeded
+    ref_stats = RefSlotStats()
+    table = SlotStats()
+    d = 0
+    for gap, dialogue_states in stream:
+        d += gap
+        for t, state in enumerate(dialogue_states):
+            schema = schema_update(schema, state, discovered_at=(d, t))
+            ref_schema = schema_update(ref_schema, state, discovered_at=(d, t))
+            refiner.observe_state(state, d)
+            ref_stats = ref_record_state(ref_stats, state, d)
+            assert record_state(table, state, d) is table
+        schema = refiner.end_dialogue(schema, d)
+        ref_schema = REF_FILTERS[name](ref_schema, ref_stats, cfg, d)
+        assert schema == ref_schema
+        assert schema.version == ref_schema.version
+    want = {k: list(rec.fill_events) for k, rec in ref_stats.records.items()}
+    assert table == want
+    assert refiner.stats == want

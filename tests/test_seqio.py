@@ -9,6 +9,7 @@ from slotweaver.seqio import (
     CorpusFormatError,
     MissingGoldError,
     MissingValuesHeader,
+    StateLogEntry,
     StateMode,
     build_training_sequences,
     canonical_json,
@@ -263,6 +264,39 @@ class TestCorpusIO:
             assert {s.key: s.description for s in loaded} == {
                 s.key: s.description for s in schema
             }
+
+
+class TestStateLogEntry:
+    def test_described_discovery_round_trips(self):
+        k = key("plant selections", "sunlight")
+        state = DialogueState.from_pairs(
+            [(k, "Full Sun"), (key("plant selections", "type"), "Flower")],
+            {k: "the plant's sun requirements"},
+        )
+        entry = StateLogEntry("d1", 2, state, 0)
+        loaded = StateLogEntry.from_obj(json.loads(canonical_json(entry.to_obj())))
+        assert loaded == entry
+        assert loaded.state.new_slot_descriptions[k] == "the plant's sun requirements"
+
+    def test_random_entries_round_trip(self):
+        rng = random.Random(29)
+        for i in range(300):
+            entry = StateLogEntry(f"d{i}", rng.randrange(6), random_state(rng), rng.choice([None, i]))
+            assert StateLogEntry.from_obj(json.loads(canonical_json(entry.to_obj()))) == entry
+
+    def test_description_of_an_unvalued_key_is_ignored(self):
+        obj = {"dialogue_id": "d1", "turn": 0, "state": {"hotel": {"area": "north"}},
+               "new_slot_descriptions": {"hotel/area": "the part of town", "hotel/gone": "x"}}
+        entry = StateLogEntry.from_obj(obj)
+        assert dict(entry.state.new_slot_descriptions) == {key("hotel", "area"): "the part of town"}
+        del obj["new_slot_descriptions"]
+        assert StateLogEntry.from_obj(obj).state.new_slot_descriptions == {}
+
+    def test_descriptions_not_an_object_rejected(self):
+        obj = {"dialogue_id": "d1", "turn": 0, "state": {"hotel": {"area": "north"}},
+               "new_slot_descriptions": ["hotel/area"]}
+        with pytest.raises(CorpusFormatError):
+            StateLogEntry.from_obj(obj)
 
 
 class TestTrainingSequences:

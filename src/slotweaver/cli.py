@@ -237,7 +237,7 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
             f"[{rep_dir}] {len(schema)} slots, {result.turns_processed} turns, "
             f"{result.parse_failures} parse failures"
         )
-        if result.turns_processed and len(result.errors) == result.turns_processed:
+        if result.turns_processed and result.failed_turns == result.turns_processed:
             all_failed.append(str(rep_dir))
     if replicates > 1:
         _write(out / "index.json", canonical_json({"replicates": index}))
@@ -246,14 +246,38 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     sys.exit(EXIT_OK)
 
 
+def _parse_json(where, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise seqio.CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
+
+
 def _load_state_log(path: Path):
-    """Read a state log from a report.json or a states.jsonl file."""
+    """Read a state log from a report.json or a states.jsonl file.
+
+    A malformed log is a CorpusFormatError naming the file and the line
+    (states.jsonl) or the entry of ``states`` (report.json).
+    """
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".jsonl":
-        entries = [json.loads(line) for line in text.splitlines() if line.strip()]
+        entries = [
+            (f"{path}:{lineno}", _parse_json(f"{path}:{lineno}", line))
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
     else:
-        entries = json.loads(text)["states"]
-    return [seqio.StateLogEntry.from_obj(e) for e in entries]
+        report = _parse_json(path, text)
+        if not isinstance(report, dict) or not isinstance(report.get("states"), list):
+            raise seqio.CorpusFormatError(f"{path}: no 'states' list")
+        entries = [(f"{path}: states[{i}]", entry) for i, entry in enumerate(report["states"])]
+    log = []
+    for where, obj in entries:
+        try:
+            log.append(seqio.StateLogEntry.from_obj(obj))
+        except seqio.CorpusFormatError as exc:
+            raise seqio.CorpusFormatError(f"{where}: {exc}") from exc
+    return log
 
 
 @main.command()

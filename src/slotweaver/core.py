@@ -1,11 +1,17 @@
 """Core domain types: slot identity, schemas, dialogue states, and dialogues.
 
 All types are immutable values; operations produce new versions instead of
-mutating in place, so they are safe to share across threads.
+mutating in place, so they are safe to share across threads. ``SlotKey``
+values are interned: ``canonical_slot_key`` returns one shared key per
+canonical pair from a bounded table, and each key hashes once.
+``SlotSchema`` memoizes, in private attributes, its key index and its
+rendered catalog (one per prompt pack, filled by ``seqio``); neither takes
+part in equality.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -35,6 +41,10 @@ Provenance = Union[str, StreamPos]
 
 _SEPARATOR_RUN = re.compile(r"[\s_]+")
 
+# Bound of the key interning table: far more surface spellings than a run's
+# schemas hold, while arbitrary model output cannot grow the table further.
+_INTERN_TABLE_SIZE = 8192
+
 
 class InvalidSlotName(ValueError):
     """A slot domain or name is empty after trimming."""
@@ -56,17 +66,31 @@ class SlotKey:
     domain: str
     name: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.domain, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes are salted per process: pickle the pair, not the hash
+        return SlotKey, (self.domain, self.name)
+
     def __str__(self) -> str:
         return f"{self.domain}/{self.name}"
 
 
+@functools.lru_cache(maxsize=_INTERN_TABLE_SIZE)
 def canonical_slot_key(domain: str, name: str) -> SlotKey:
     """Build the canonical SlotKey for a (domain, name) surface pair.
 
     Canonicalization is caseless, trims outer whitespace, and folds internal
     whitespace/underscore runs into single spaces. Idempotent by construction.
+    Results are interned by surface pair; every spelling resolves through
+    the canonical pair's entry, so equal keys are usually the same object.
 
-    Raises InvalidSlotName if either part is empty after trimming.
+    Raises InvalidSlotName if either part is empty after trimming (an
+    exception is never cached).
     """
     cdomain = canonical_text(domain)
     cname = canonical_text(name)
@@ -74,6 +98,8 @@ def canonical_slot_key(domain: str, name: str) -> SlotKey:
         raise InvalidSlotName(f"empty slot domain: {domain!r}")
     if not cname:
         raise InvalidSlotName(f"empty slot name: {name!r}")
+    if (cdomain, cname) != (domain, name):
+        return canonical_slot_key(cdomain, cname)
     return SlotKey(cdomain, cname)
 
 
@@ -116,6 +142,8 @@ class SlotSchema:
                 raise ValueError(f"duplicate slot key in schema: {slot.key}")
             index[slot.key] = slot
         object.__setattr__(self, "_index", index)
+        # PromptPack -> rendered catalog, filled by seqio.render_schema_block
+        object.__setattr__(self, "_rendered", {})
 
     def __len__(self) -> int:
         return len(self.slots)

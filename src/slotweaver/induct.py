@@ -71,6 +71,7 @@ class InductionRun:
     stream_position: Tuple[int, int] = (0, 0)
     per_turn_states: List[StateLogEntry] = field(default_factory=list)
     parse_failures: int = 0
+    failed_turns: int = 0
     dropped_discoveries: List[str] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
 
@@ -118,6 +119,7 @@ def fold_turn(
     state = prediction.state
     if prediction.error is not None:
         run.errors.append(f"{dialogue.id}:{turn}: {prediction.error}")
+        run.failed_turns += 1
         state = DialogueState()
     elif state is None:
         run.parse_failures += 1
@@ -158,6 +160,7 @@ class RunResult:
     turns_processed: int
     seed: Optional[int]
     errors: Tuple[str, ...] = ()
+    failed_turns: int = 0  # turns whose backend call failed; not serialized
 
     def to_obj(self) -> dict:
         return {
@@ -232,7 +235,9 @@ def run_induction(
 
     Stream order is corpus order, or shuffled when a seed is given. The
     refiner (if any) runs at every dialogue boundary. Per-turn backend and
-    parse failures are aggregated into the result; only AuthError aborts.
+    parse failures, and backend failures of the refiner (which leave the
+    schema unchanged, recorded as ``<dialogue id>:refine: <error>``), are
+    aggregated into the result; only AuthError aborts.
     With ``dst_only`` the schema stays frozen and the backend calls overlap
     (see ``_retrack``); the result is the same as with serial calls.
     """
@@ -257,7 +262,12 @@ def run_induction(
                 state, _ = induce_turn(run, dialogue, turn_index, backend)
                 _record(run, dialogue, turn_index, d_index, state)
             if refiner is not None:
-                run.schema = refiner.end_dialogue(run.schema, d_index)
+                try:
+                    run.schema = refiner.end_dialogue(run.schema, d_index)
+                except AuthError:
+                    raise
+                except BackendError as exc:
+                    run.errors.append(f"{dialogue.id}:refine: {exc}")
     return RunResult(
         final_schema=run.schema,
         state_log=tuple(run.per_turn_states),
@@ -265,6 +275,7 @@ def run_induction(
         turns_processed=len(run.per_turn_states),
         seed=seed,
         errors=tuple(run.errors),
+        failed_turns=run.failed_turns,
     )
 
 

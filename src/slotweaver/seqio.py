@@ -108,13 +108,21 @@ def _display_domain(domain: str) -> str:
 
 
 def render_schema_block(schema: SlotSchema, pack: PromptPack = DEFAULT_PACK) -> str:
-    """Render the typed-slot catalog: one ``##`` section per domain."""
-    lines = [pack.types_header]
-    for domain, slots in schema.by_domain().items():
-        lines.append("")
-        lines.append(f"## {_display_domain(domain)}")
-        lines.extend(f"* {slot.key.name}: {slot.description}" for slot in slots)
-    return "\n".join(lines)
+    """Render the typed-slot catalog: one ``##`` section per domain.
+
+    The block is kept on the (immutable) schema per pack, so a schema is
+    rendered once however many prompts carry it. Threads racing to fill the
+    entry render the same string.
+    """
+    block = schema._rendered.get(pack)
+    if block is None:
+        lines = [pack.types_header]
+        for domain, slots in schema.by_domain().items():
+            lines.append("")
+            lines.append(f"## {_display_domain(domain)}")
+            lines.extend(f"* {slot.key.name}: {slot.description}" for slot in slots)
+        block = schema._rendered[pack] = "\n".join(lines)
+    return block
 
 
 def parse_schema_block(
@@ -431,6 +439,11 @@ class StateLogEntry:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "StateLogEntry":
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(f"state-log entry must be an object, got {type(obj).__name__}")
+        missing = [name for name in ("dialogue_id", "turn", "state") if name not in obj]
+        if missing:
+            raise CorpusFormatError(f"state-log entry missing {', '.join(map(repr, missing))}")
         state = state_from_obj(obj["state"])
         logged = obj.get("new_slot_descriptions") or {}
         if not isinstance(logged, dict):

@@ -200,6 +200,17 @@ class TestInduce:
         assert (out / "schema.json").exists()
         assert len((out / "states.jsonl").read_text().splitlines()) == 40
 
+    def test_failed_refiner_calls_do_not_hide_all_failed(self, runner, tmp_path):
+        # every turn call and every revision call fails; the 20 revision
+        # errors are listed too but do not count as turns
+        result, out = self._induce_with_script(runner, tmp_path, [], "--refiner", "revision")
+        assert result.exit_code == 1, result.output
+        assert "error: every backend call failed" in result.output
+        report = json.loads((out / "report.json").read_text())
+        assert report["turns_processed"] == 40
+        assert len(report["errors"]) == 60
+        assert sum(":refine: " in e for e in report["errors"]) == 20
+
     def test_some_calls_failed_exits_ok(self, runner, tmp_path):
         lines = (DATA / "script.jsonl").read_text().splitlines()[:10]
         result, out = self._induce_with_script(runner, tmp_path, lines)
@@ -311,6 +322,47 @@ class TestEvaluate:
              "--gold", str(DATA / "corpus.json")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ('{"dialogue_id": "d00", "state": {}}', "missing 'turn'"),
+        ("not json at all", "invalid JSON"),
+        ("[1,2]", "must be an object, got list"),
+    ])
+    def test_malformed_state_log_line_names_file_and_line(
+        self, runner, tmp_path, bad_line, message
+    ):
+        states = tmp_path / "states.jsonl"
+        good = (GOLDEN / "states.jsonl").read_text().splitlines()[:2]
+        states.write_text("\n".join(good + ["", bad_line]) + "\n")
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(states), "--gold", str(DATA / "corpus.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{states}:4: " in result.output  # the blank line 3 still counts
+        assert message in result.output
+
+    def test_report_without_states_is_config_error(self, runner, tmp_path):
+        report = json.loads((GOLDEN / "report.json").read_text())
+        del report["states"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(path), "--gold", str(DATA / "corpus.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{path}: no 'states' list" in result.output
+
+    def test_malformed_report_entry_names_its_index(self, runner, tmp_path):
+        report = json.loads((GOLDEN / "report.json").read_text())
+        del report["states"][1]["dialogue_id"]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(path), "--gold", str(DATA / "corpus.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"{path}: states[1]: state-log entry missing 'dialogue_id'" in result.output
 
 
 class TestMakeTrainData:

@@ -1,10 +1,16 @@
+import os
+import pickle
 import random
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slotweaver
 from slotweaver.core import (
     GOLD,
     Dialogue,
@@ -54,6 +60,41 @@ class TestCanonicalSlotKey:
                 continue
             twice = canonical_slot_key(once.domain, once.name)
             assert once == twice
+
+    def test_spellings_share_one_interned_key(self):
+        first = canonical_slot_key("Garden  Layouts", "Maintenance_Level")
+        assert canonical_slot_key("garden layouts", "maintenance level") is first
+        assert canonical_slot_key(" GARDEN_layouts", "maintenance  level ") is first
+
+    def test_invalid_pair_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(InvalidSlotName, match="empty slot name"):
+                canonical_slot_key("hotel", " _ ")
+
+    def test_intern_table_stays_bounded(self):
+        bound = canonical_slot_key.cache_info().maxsize
+        assert bound is not None
+        for i in range(100_000):
+            canonical_slot_key(f"Domain {i % 97}", f"slot_{i}")
+        assert canonical_slot_key.cache_info().currsize <= bound
+        # still correct for a key whose entry was evicted long ago
+        assert canonical_slot_key("Domain 0", "slot_0") == SlotKey("domain 0", "slot 0")
+
+    def test_key_pickled_in_another_process_hashes_as_here(self):
+        # string hashes are salted per process: the pickle must not carry one
+        code = (
+            "import pickle, sys\n"
+            "from slotweaver.core import canonical_slot_key\n"
+            "sys.stdout.buffer.write(pickle.dumps(canonical_slot_key('Hotel', 'price_range')))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": str(Path(slotweaver.__file__).parents[1])}
+        blob = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              check=True).stdout
+        there = pickle.loads(blob)
+        here = canonical_slot_key("hotel", "price range")
+        assert there == here and hash(there) == hash(here)
+        assert {here: 1}[there] == 1
 
 
 class TestSchemaTypes:

@@ -1,5 +1,5 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
-entries, one thread pool.
+entries, one thread pool, no unbounded memo table.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -149,3 +149,75 @@ def test_one_thread_pool_in_the_package():
         for _, name in pool_constructions(path.read_text(encoding="utf-8"))
     ]
     assert found == ["backend.py:ordered_map"]
+
+
+def _functools_cache_names(tree):
+    """Names under which the module reaches ``functools.cache`` and
+    ``functools.lru_cache``, and the names bound to ``functools`` itself."""
+    direct, modules = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            direct.update({a.asname or a.name: a.name for a in node.names
+                           if a.name in ("cache", "lru_cache")})
+    return direct, modules
+
+
+def unbounded_caches(source: str):
+    """(line, name) of every ``functools.cache``, and of every ``lru_cache``
+    not called with an explicit ``maxsize`` other than ``None``."""
+    tree = ast.parse(source)
+    direct, modules = _functools_cache_names(tree)
+
+    def cache_name(node):
+        if isinstance(node, ast.Name):
+            return direct.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr in ("cache", "lru_cache")):
+            return node.attr
+        return None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and cache_name(node.func) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if sizes and not (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                bounded.add(node.func)
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if (name := cache_name(node)) and node not in bounded
+    )
+
+
+def test_cache_checker_flags_unbounded_caches():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cache, lru_cache as lc\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def a(x): return x\n"
+        "@lc(256)\n"
+        "def b(x): return x\n"
+        "@ft.lru_cache\n"
+        "def c(x): return x\n"
+        "@lc(maxsize=None)\n"
+        "def d(x): return x\n"
+        "@cache\n"
+        "def e(x): return x\n"
+        "f = functools.cache(len)\n"
+        "g = ft.lru_cache()(len)\n"
+    )
+    assert unbounded_caches(source) == [(8, "lru_cache"), (10, "lru_cache"), (12, "cache"),
+                                        (14, "cache"), (15, "lru_cache")]
+
+
+def test_every_cache_in_the_package_is_bounded():
+    """A memo table that arbitrary input can grow must have a finite bound."""
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for line, name in unbounded_caches(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

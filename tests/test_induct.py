@@ -21,7 +21,7 @@ from slotweaver.induct import (
     run_two_pass,
 )
 from slotweaver.refine import FilterConfig, SlotConfidenceRefiner, make_refiner
-from slotweaver.seqio import CorpusFile, StateMode, canonical_json, schema_to_obj
+from slotweaver.seqio import DEFAULT_PACK, CorpusFile, StateMode, canonical_json, schema_to_obj
 
 from conftest import GARDEN_GREEN_BLOCK, key, make_dialogue
 
@@ -163,6 +163,41 @@ class TestRunInduction:
 
         with pytest.raises(AuthError):
             run_induction(corpus_of(make_dialogue("d1", 1)), StateMode.STATE, None, Dead())
+
+    def test_refiner_transport_error_recorded_and_run_completes(self):
+        revisions = []
+
+        class RevisionDownOnce:
+            def generate(self, request: GenerationRequest) -> str:
+                if DEFAULT_PACK.revision_instruction not in request.prompt:
+                    return vblock([("D", [("a", "x"), ("b", "y")])])
+                revisions.append(request.prompt)
+                if len(revisions) == 1:
+                    raise TransportError("connection reset")
+                return "# Key Information Types\n\n## D\n* a: kept\n"
+
+        backend = RevisionDownOnce()
+        corpus = corpus_of(*(make_dialogue(f"d{i}", 2) for i in range(3)))
+        result = run_induction(corpus, StateMode.STATE, make_refiner("revision", backend=backend), backend)
+        assert len(revisions) == 3
+        assert result.errors == ("d0:refine: connection reset",)
+        assert result.failed_turns == 0
+        assert result.turns_processed == 6
+        # the failed revision left d0's schema for d1's turns; the later ones applied
+        assert "* b: " in revisions[1]
+        assert [(str(s.key), s.description) for s in result.final_schema] == [("d/a", "kept")]
+
+    def test_refiner_auth_error_aborts(self):
+        class RevisionRejected:
+            def generate(self, request: GenerationRequest) -> str:
+                if DEFAULT_PACK.revision_instruction in request.prompt:
+                    raise AuthError("rejected")
+                return EMPTY_BLOCK
+
+        backend = RevisionRejected()
+        with pytest.raises(AuthError):
+            run_induction(corpus_of(make_dialogue("d1", 1)), StateMode.STATE,
+                          make_refiner("revision", backend=backend), backend)
 
     def test_shuffle_seed_reorders_reproducibly(self):
         corpus = corpus_of(*(make_dialogue(f"d{i}", 1) for i in range(6)))

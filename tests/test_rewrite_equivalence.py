@@ -1,7 +1,10 @@
 """The keyed schema, the by-domain grouping, the update-mode delta, the
-gold-turn walker and the refiners' fill table against reference copies of
-the code they replaced, on random inputs."""
+gold-turn walker, the refiners' fill table, the interned slot keys and the
+memoized catalog render against reference copies of the code they
+replaced, on random inputs."""
 
+import pickle
+import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
@@ -9,9 +12,20 @@ from typing import Mapping, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotweaver.core import GOLD, Dialogue, DialogueState, SlotDef, SlotSchema, Turn, schema_update
+from slotweaver.core import (
+    GOLD,
+    Dialogue,
+    DialogueState,
+    InvalidSlotName,
+    SlotDef,
+    SlotKey,
+    SlotSchema,
+    Turn,
+    canonical_slot_key,
+    schema_update,
+)
 from slotweaver.refine import FilterConfig, SlotStats, make_refiner, record_state
-from slotweaver.seqio import StateMode, gold_turns
+from slotweaver.seqio import DEFAULT_PACK, PromptPack, StateMode, gold_turns, render_schema_block
 
 from conftest import key
 
@@ -288,3 +302,129 @@ def test_refiners_match_copy_on_write_stats(name, w, tau, cap, gold_keys, stream
     want = {k: list(rec.fill_events) for k, rec in ref_stats.records.items()}
     assert table == want
     assert refiner.stats == want
+
+
+# Slot keys and the catalog render as they were before keys were interned
+# and hashed once and the render was kept on the schema.
+
+
+@dataclass(frozen=True, order=True)
+class RefSlotKey:
+    domain: str
+    name: str
+
+    def __str__(self) -> str:
+        return f"{self.domain}/{self.name}"
+
+
+_REF_SEPARATOR_RUN = re.compile(r"[\s_]+")
+
+
+def ref_canonical_text(text):
+    return _REF_SEPARATOR_RUN.sub(" ", text).strip().lower()
+
+
+def ref_canonical_slot_key(domain, name):
+    cdomain = ref_canonical_text(domain)
+    cname = ref_canonical_text(name)
+    if not cdomain:
+        raise InvalidSlotName(f"empty slot domain: {domain!r}")
+    if not cname:
+        raise InvalidSlotName(f"empty slot name: {name!r}")
+    return RefSlotKey(cdomain, cname)
+
+
+def ref_render_schema_block(schema, pack):
+    lines = [pack.types_header]
+    for domain, slots in schema.by_domain().items():
+        lines.append("")
+        lines.append(f"## {domain.title()}")
+        lines.extend(f"* {slot.key.name}: {slot.description}" for slot in slots)
+    return "\n".join(lines)
+
+
+def outcome(build, domain, name):
+    """("key", key) or ("invalid", message) for one surface pair."""
+    try:
+        return "key", build(domain, name)
+    except InvalidSlotName as exc:
+        return "invalid", str(exc)
+
+
+# Surface spellings: a few words in mixed case, separator runs, empty and
+# blank parts, non-ASCII letters whose case mapping is not one to one, and
+# arbitrary characters.
+surface = st.lists(
+    st.sampled_from(["hotel", "Hotel", "HOTEL", "price", "Price", "area", "Straße", "İzmir",
+                     "ΣΊΣΥΦΟΣ", "é", " ", "  ", "_", "__", "\t", "\n", "\u00a0", ""])
+    | st.text(max_size=3),
+    max_size=5,
+).map("".join)
+pairs = st.lists(st.tuples(surface, surface), min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+def test_interned_keys_match_old_keys(surface_pairs):
+    got = [outcome(canonical_slot_key, d, n) for d, n in surface_pairs]
+    want = [outcome(ref_canonical_slot_key, d, n) for d, n in surface_pairs]
+    for (kind, k), (ref_kind, ref) in zip(got, want):
+        assert kind == ref_kind
+        if kind == "invalid":
+            assert k == ref
+            continue
+        assert type(k) is SlotKey
+        assert (k.domain, k.name) == (ref.domain, ref.name)
+        assert str(k) == str(ref)
+        assert repr(k) == "SlotKey" + repr(ref)[len("RefSlotKey"):]
+    # an invalid pair raises again: no exception is cached
+    assert [outcome(canonical_slot_key, d, n) for d, n in surface_pairs] == got
+    keys_ = [(k, ref) for (kind, k), (_, ref) in zip(got, want) if kind == "key"]
+    for a, ref_a in keys_:
+        for b, ref_b in keys_:
+            assert (a == b) == (ref_a == ref_b)
+            assert (a < b) == (ref_a < ref_b)
+            assert (a <= b) == (ref_a <= ref_b)
+            if a == b:
+                assert hash(a) == hash(b)
+        # a directly built key is equal, hashes equal and sorts the same
+        direct = SlotKey(a.domain, a.name)
+        assert direct == a and hash(direct) == hash(a) and not direct < a
+
+
+@settings(max_examples=200, deadline=None)
+@given(surface, surface, st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_pickled_key_round_trips(domain, name, protocol):
+    kind, k = outcome(canonical_slot_key, domain, name)
+    if kind == "invalid":
+        return
+    back = pickle.loads(pickle.dumps(k, protocol))
+    assert back == k and hash(back) == hash(k)
+    assert {k: 1}[back] == 1
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("with_slots"), st.lists(slot_defs, max_size=4)),
+        st.tuples(st.just("without_keys"), st.lists(keys, max_size=4)),
+        st.tuples(st.just("restricted_to"), st.lists(keys, max_size=8)),
+    ),
+    max_size=8,
+)
+OTHER_PACK = PromptPack(types_header="# Slot Catalog")
+
+
+@settings(max_examples=200, deadline=None)
+@given(schemas, _ops, st.lists(st.booleans(), min_size=9, max_size=9))
+def test_cached_render_matches_old_render(schema, ops, other_first):
+    chain = [schema]
+    for op, arg in ops:
+        chain.append(getattr(chain[-1], op)(arg))
+    # render each schema of the chain with both packs, in either order, then
+    # again once every schema has been rendered: no entry goes stale or
+    # leaks from one pack or schema to another
+    for _ in range(2):
+        for s, flip in zip(chain, other_first):
+            packs = (OTHER_PACK, DEFAULT_PACK) if flip else (DEFAULT_PACK, OTHER_PACK)
+            for pack in packs:
+                assert render_schema_block(s, pack) == ref_render_schema_block(s, pack)

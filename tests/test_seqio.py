@@ -1,9 +1,19 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 
-from slotweaver.core import Dialogue, DialogueState, SlotDef, SlotSchema, Turn, canonical_slot_key
+from slotweaver.core import (
+    Dialogue,
+    DialogueState,
+    SlotDef,
+    SlotKey,
+    SlotSchema,
+    Turn,
+    canonical_slot_key,
+)
 from slotweaver.seqio import (
     CorpusFile,
     CorpusFormatError,
@@ -81,6 +91,35 @@ class TestRenderPrompt:
             assert {s.key: s.description for s in parsed} == {
                 s.key: s.description for s in schema
             }
+
+    def test_threads_racing_on_one_schema_get_one_block_and_equal_keys(self):
+        # more threads than cores, switching often, on a schema nobody has
+        # rendered yet: every thread must see the block of a fresh render
+        slots = tuple(SlotDef(key(f"domain {i % 7}", f"slot {i}"), f"desc {i}") for i in range(300))
+        schema = SlotSchema(slots)
+        want = render_schema_block(SlotSchema(slots))
+        barrier = threading.Barrier(8)
+        blocks, keys = [], []
+
+        def work(t):
+            barrier.wait(timeout=10)
+            for i in range(50):
+                blocks.append(render_schema_block(schema))
+                keys.append(canonical_slot_key(f"Race_{t}", f"Slot  {i % 5}"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t % 2,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(blocks) == 400 and set(blocks) == {want}
+        assert set(keys) == {SlotKey(f"race {t}", f"slot {i}") for t in range(2) for i in range(5)}
 
 
 class TestParseStateBlock:

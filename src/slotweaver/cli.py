@@ -46,15 +46,23 @@ class RunConfig:
     @classmethod
     def load(cls, path: Optional[str]) -> "RunConfig":
         cfg = cls()
-        if path:
+        if not path:
+            return cfg
+        try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-            cfg.backend.update(raw.get("backend", {}))
-            cfg.induction.update(raw.get("induction", {}))
-            cfg.simulation.update(raw.get("simulation", {}))
-            if "seed" in raw:
-                cfg.seed = raw["seed"]
-            if "loss_limit" in raw:
-                cfg.loss_limit = raw["loss_limit"]
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: top level must be a mapping, got {type(raw).__name__}")
+        for name in ("backend", "induction", "simulation"):
+            section = raw.get(name)
+            if section is not None and not isinstance(section, dict):
+                raise ConfigError(f"{path}: {name} must be a mapping, got {type(section).__name__}")
+            getattr(cfg, name).update(section or {})
+        if "seed" in raw:
+            cfg.seed = raw["seed"]
+        if "loss_limit" in raw:
+            cfg.loss_limit = raw["loss_limit"]
         return cfg
 
     def make_backend(self) -> Backend:
@@ -259,7 +267,7 @@ def _load_state_log(path: Path):
     A malformed log is a CorpusFormatError naming the file and the line
     (states.jsonl) or the entry of ``states`` (report.json).
     """
-    text = path.read_text(encoding="utf-8")
+    text = seqio.read_utf8(path)
     if path.suffix == ".jsonl":
         entries = [
             (f"{path}:{lineno}", _parse_json(f"{path}:{lineno}", line))

@@ -5,8 +5,7 @@ mutating in place, so they are safe to share across threads. ``SlotKey``
 values are interned: ``canonical_slot_key`` returns one shared key per
 canonical pair from a bounded table, and each key hashes once.
 ``SlotSchema`` memoizes, in private attributes, its key index and its
-rendered catalog (one per prompt pack, filled by ``seqio``); neither takes
-part in equality.
+rendered catalog (filled by ``seqio``); neither takes part in equality.
 """
 
 from __future__ import annotations
@@ -142,8 +141,8 @@ class SlotSchema:
                 raise ValueError(f"duplicate slot key in schema: {slot.key}")
             index[slot.key] = slot
         object.__setattr__(self, "_index", index)
-        # PromptPack -> rendered catalog, filled by seqio.render_schema_block
-        object.__setattr__(self, "_rendered", {})
+        # the rendered catalog, filled by seqio.render_schema_block
+        object.__setattr__(self, "_rendered", None)
 
     def __len__(self) -> int:
         return len(self.slots)

@@ -21,10 +21,8 @@ from .backend import AuthError, Backend, BackendError, GenerationRequest, ordere
 from .core import Dialogue, DialogueState, SlotSchema, schema_update
 from .refine import Refiner
 from .seqio import (
-    DEFAULT_PACK,
     CorpusFile,
     MissingValuesHeader,
-    PromptPack,
     StateLogEntry,
     StateMode,
     parse_state_block,
@@ -63,7 +61,6 @@ class InductionRun:
     mode: StateMode = StateMode.STATE
     refiner: Optional[Refiner] = None
     dst_only: bool = False
-    pack: PromptPack = DEFAULT_PACK
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     hard_cap: int = DEFAULT_HARD_CAP
     max_output: int = 1024
@@ -93,9 +90,7 @@ def predict_turn(
     AuthError is returned in the prediction, not raised."""
     if dialogue.turns[turn].speaker != "user":
         raise ValueError(f"turn {turn} of dialogue {dialogue.id} is not a user turn")
-    prompt = render_prompt(
-        run.schema, dialogue, turn, run.mode, run.pack, char_budget=run.context_budget
-    )
+    prompt = render_prompt(run.schema, dialogue, turn, run.mode, char_budget=run.context_budget)
     try:
         response = backend.generate(
             GenerationRequest(prompt, max_output=run.max_output, temperature=run.temperature)
@@ -105,7 +100,7 @@ def predict_turn(
     except BackendError as exc:
         return TurnPrediction(None, exc)
     try:
-        return TurnPrediction(parse_state_block(response, run.schema, run.pack).state)
+        return TurnPrediction(parse_state_block(response, run.schema).state)
     except MissingValuesHeader:
         return TurnPrediction(None)
 
@@ -225,7 +220,6 @@ def run_induction(
     seed: Optional[int] = None,
     initial_schema: Optional[SlotSchema] = None,
     dst_only: bool = False,
-    pack: PromptPack = DEFAULT_PACK,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
     hard_cap: int = DEFAULT_HARD_CAP,
     max_output: int = 1024,
@@ -246,7 +240,6 @@ def run_induction(
         mode=mode,
         refiner=refiner,
         dst_only=dst_only,
-        pack=pack,
         context_budget=context_budget,
         hard_cap=hard_cap,
         max_output=max_output,

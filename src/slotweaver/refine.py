@@ -18,11 +18,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .backend import Backend, GenerationRequest
 from .core import GOLD, DialogueState, SlotDef, SlotKey, SlotSchema, schema_update
 from .seqio import (
-    DEFAULT_PACK,
     CorpusFile,
     MissingGoldError,
     MissingTypesHeader,
-    PromptPack,
     StateLogEntry,
     parse_schema_block,
     render_revision_prompt,
@@ -186,7 +184,6 @@ def make_revision_example(
 def revise_schema(
     schema: SlotSchema,
     backend: Backend,
-    pack: PromptPack = DEFAULT_PACK,
     position=None,
     max_output: int = 2048,
 ) -> SlotSchema:
@@ -196,10 +193,10 @@ def revise_schema(
     position; new or renamed slots get ``position``. An unparseable reply
     leaves the schema unchanged with a logged warning.
     """
-    prompt = render_revision_prompt(schema, pack)
+    prompt = render_revision_prompt(schema)
     response = backend.generate(GenerationRequest(prompt, max_output=max_output))
     try:
-        revised, warnings = parse_schema_block(response, pack)
+        revised, warnings = parse_schema_block(response)
     except MissingTypesHeader:
         log.warning("revision reply had no schema block; schema unchanged")
         return schema
@@ -216,10 +213,7 @@ def revise_schema(
 
 
 def build_revision_pairs(
-    corpus: CorpusFile,
-    noisy_states: Iterable[StateLogEntry],
-    seed: int,
-    pack: PromptPack = DEFAULT_PACK,
+    corpus: CorpusFile, noisy_states: Iterable[StateLogEntry], seed: int
 ) -> List[Tuple[str, str]]:
     """Build revision (prompt, target) pairs from a gold corpus and a prior
     run's noisy state log.
@@ -250,9 +244,7 @@ def build_revision_pairs(
                 continue
             strategy = NoiseStrategy.draw(rng)
             noised, target = make_revision_example(gold_t, noisy_schema, strategy)
-            pairs.append(
-                (render_revision_prompt(noised, pack), render_schema_block(target, pack))
-            )
+            pairs.append((render_revision_prompt(noised), render_schema_block(target)))
     return pairs
 
 
@@ -319,19 +311,17 @@ class PriorityRefiner(_StatsRefiner):
 class RevisionRefiner(Refiner):
     name = "revision"
 
-    def __init__(self, backend: Backend, pack: PromptPack = DEFAULT_PACK):
+    def __init__(self, backend: Backend):
         self.backend = backend
-        self.pack = pack
 
     def end_dialogue(self, schema: SlotSchema, dialogue_index: int) -> SlotSchema:
-        return revise_schema(schema, self.backend, self.pack, position=(dialogue_index, -1))
+        return revise_schema(schema, self.backend, position=(dialogue_index, -1))
 
 
 def make_refiner(
     name: Optional[str],
     cfg: Optional[FilterConfig] = None,
     backend: Optional[Backend] = None,
-    pack: PromptPack = DEFAULT_PACK,
 ) -> Optional[Refiner]:
     if name in (None, "none"):
         return None
@@ -345,5 +335,5 @@ def make_refiner(
     if name == "revision":
         if backend is None:
             raise ValueError("revision refiner requires a backend")
-        return RevisionRefiner(backend, pack)
+        return RevisionRefiner(backend)
     raise ValueError(f"unknown refiner: {name!r}")

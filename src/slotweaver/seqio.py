@@ -3,6 +3,8 @@
 The block format puts a typed-slot catalog, the dialogue so far, and an
 instruction line into one prompt; model output is parsed back into a
 dialogue state with fault tolerance (malformed lines warn, never abort).
+This module owns the format: its headers and instructions are the
+constants below, and one walker reads both the types and the values block.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
+    AGENT,
     GOLD,
     USER,
     Dialogue,
@@ -28,8 +31,12 @@ from .core import (
 
 __all__ = [
     "StateMode",
-    "PromptPack",
-    "DEFAULT_PACK",
+    "TYPES_HEADER",
+    "DIALOGUE_HEADER",
+    "VALUES_HEADER",
+    "INSTRUCTION",
+    "REVISION_INSTRUCTION",
+    "SPEAKER_LABELS",
     "ParsedPrediction",
     "CorpusFile",
     "MissingValuesHeader",
@@ -42,6 +49,7 @@ __all__ = [
     "render_prompt",
     "render_revision_prompt",
     "parse_state_block",
+    "read_utf8",
     "load_corpus",
     "save_corpus",
     "corpus_to_obj",
@@ -83,83 +91,71 @@ class MissingGoldError(ValueError):
     """The corpus lacks gold labels required for the requested operation."""
 
 
-@dataclass(frozen=True)
-class PromptPack:
-    """The exact surface tokens of the block format.
-
-    Frozen defaults match the shipped fine-tuning format; prompted backends
-    can swap in their own strings without touching parser logic.
-    """
-
-    types_header: str = "# Key Information Types"
-    dialogue_header: str = "# Dialogue"
-    values_header: str = "# Key Information Values"
-    instruction: str = "Identify Key Information Values from the Dialogue"
-    revision_instruction: str = "Revise the Key Information Types to remove redundant or invalid entries"
-    user_label: str = "User"
-    agent_label: str = "Agent"
+# The surface tokens of the block format.
+TYPES_HEADER = "# Key Information Types"
+DIALOGUE_HEADER = "# Dialogue"
+VALUES_HEADER = "# Key Information Values"
+INSTRUCTION = "Identify Key Information Values from the Dialogue"
+REVISION_INSTRUCTION = "Revise the Key Information Types to remove redundant or invalid entries"
+SPEAKER_LABELS = {USER: "User", AGENT: "Agent"}
 
 
-DEFAULT_PACK = PromptPack()
+def _render_block(header: str, bullets: Iterable[Tuple[SlotKey, str, Optional[str]]]) -> str:
+    """Render ``header`` and one ``## Domain`` section per run of bullets of
+    one domain. A bullet is a ``* name: text`` line, followed by a
+    ``- <description>`` line when its description is not None."""
+    lines = [header]
+    domain = None
+    for key, text, description in bullets:
+        if key.domain != domain:
+            domain = key.domain
+            lines += ("", f"## {domain.title()}")
+        lines.append(f"* {key.name}: {text}")
+        if description is not None:
+            lines.append(f"- {description}")
+    return "\n".join(lines)
 
 
-def _display_domain(domain: str) -> str:
-    return domain.title()
+def _walk_block(
+    text: str, header: str, missing: type, known: Optional[SlotSchema] = None
+) -> Tuple[Dict[SlotKey, str], Dict[SlotKey, str], List[str]]:
+    """Read the block under ``header``, up to the next ``# `` block:
+    ``## Domain`` sections of ``* name: text`` bullets.
 
-
-def render_schema_block(schema: SlotSchema, pack: PromptPack = DEFAULT_PACK) -> str:
-    """Render the typed-slot catalog: one ``##`` section per domain.
-
-    The block is kept on the (immutable) schema per pack, so a schema is
-    rendered once however many prompts carry it. Threads racing to fill the
-    entry render the same string.
-    """
-    block = schema._rendered.get(pack)
-    if block is None:
-        lines = [pack.types_header]
-        for domain, slots in schema.by_domain().items():
-            lines.append("")
-            lines.append(f"## {_display_domain(domain)}")
-            lines.extend(f"* {slot.key.name}: {slot.description}" for slot in slots)
-        block = schema._rendered[pack] = "\n".join(lines)
-    return block
-
-
-def parse_schema_block(
-    text: str, pack: PromptPack = DEFAULT_PACK
-) -> Tuple[SlotSchema, List[str]]:
-    """Parse a rendered slot catalog back into a SlotSchema.
-
-    Tolerant: malformed lines yield warnings and are skipped. Raises
-    MissingTypesHeader when the header is absent entirely.
+    Returns the text of each well-formed bullet by key (the last bullet of a
+    duplicate key wins), the descriptions by key, and one warning per
+    malformed line. Only a values block, walked with ``known``, has
+    ``- <description>`` lines: one describes the bullet right before it,
+    unless that bullet's slot is in ``known``. Raises ``missing`` when no
+    line is ``header``.
     """
     lines = text.splitlines()
     try:
-        start = next(i for i, ln in enumerate(lines) if ln.strip() == pack.types_header)
+        start = next(i for i, ln in enumerate(lines) if ln.strip() == header)
     except StopIteration:
-        raise MissingTypesHeader(f"no {pack.types_header!r} line found") from None
+        raise missing(f"no {header!r} line found") from None
 
     warnings: List[str] = []
-    slots: List[SlotDef] = []
-    seen = {}
+    texts: Dict[SlotKey, str] = {}
+    descriptions: Dict[SlotKey, str] = {}
     domain: Optional[str] = None
+    last_key: Optional[SlotKey] = None
     for lineno, raw in enumerate(lines[start + 1 :], start=start + 2):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("## "):
-            domain = line[3:].strip()
-            if not domain:
-                warnings.append(f"line {lineno}: empty domain header")
-                domain = None
+            domain = line[3:].strip()  # never empty: ``line`` is stripped
+            last_key = None
             continue
         if line.startswith("# "):
             break  # next top-level block
         if line.startswith("* "):
+            last_key = None
             if domain is None:
                 warnings.append(f"line {lineno}: bullet outside any domain section")
                 continue
-            name, sep, description = line[2:].partition(":")
+            name, sep, value = line[2:].partition(":")
             if not sep:
                 warnings.append(f"line {lineno}: bullet without colon: {line!r}")
                 continue
@@ -168,38 +164,65 @@ def parse_schema_block(
             except InvalidSlotName:
                 warnings.append(f"line {lineno}: empty slot name")
                 continue
-            if key in seen:
-                warnings.append(f"line {lineno}: duplicate slot {key}")
-            seen[key] = SlotDef(key, description.strip())
+            if key in texts:
+                warnings.append(f"line {lineno}: duplicate slot {key}, keeping last")
+                descriptions.pop(key, None)
+            texts[key] = value.strip()
+            last_key = key
+            continue
+        if known is not None and line.startswith("-"):
+            if last_key is None:
+                warnings.append(f"line {lineno}: description line without preceding bullet")
+            elif last_key in known:
+                warnings.append(
+                    f"line {lineno}: description attached to known slot {last_key}, ignored"
+                )
+            else:
+                descriptions[last_key] = line[1:].strip()
+            last_key = None
             continue
         warnings.append(f"line {lineno}: unrecognized line {line!r}")
-    slots = list(seen.values())
-    return SlotSchema(tuple(slots)), warnings
+        last_key = None
+    return texts, descriptions, warnings
 
 
-def render_state_block(state: DialogueState, pack: PromptPack = DEFAULT_PACK) -> str:
+def render_schema_block(schema: SlotSchema) -> str:
+    """Render the typed-slot catalog: one ``##`` section per domain.
+
+    The block is kept on the (immutable) schema, so a schema is rendered
+    once however many prompts carry it. Threads racing to fill the memo
+    render the same string.
+    """
+    block = schema._rendered
+    if block is None:
+        slots = (slot for group in schema.by_domain().values() for slot in group)
+        block = _render_block(TYPES_HEADER, ((s.key, s.description, None) for s in slots))
+        object.__setattr__(schema, "_rendered", block)
+    return block
+
+
+def parse_schema_block(text: str) -> Tuple[SlotSchema, List[str]]:
+    """Parse a rendered slot catalog back into a SlotSchema.
+
+    Tolerant: malformed lines yield warnings and are skipped. Raises
+    MissingTypesHeader when the header is absent entirely.
+    """
+    texts, _, warnings = _walk_block(text, TYPES_HEADER, MissingTypesHeader)
+    return SlotSchema(tuple(SlotDef(key, text) for key, text in texts.items())), warnings
+
+
+def render_state_block(state: DialogueState) -> str:
     """Render a dialogue state as a values block.
 
     Newly discovered slots (those in ``new_slot_descriptions``) get a
     trailing ``- <description>`` line. Output order is sorted by key for
     determinism.
     """
-    lines = [pack.values_header]
-    triples = sorted(state.triples, key=lambda kv: (kv[0], kv[1]))
-    domain = None
-    for key, value in triples:
-        if key.domain != domain:
-            domain = key.domain
-            lines.append("")
-            lines.append(f"## {_display_domain(domain)}")
-        lines.append(f"* {key.name}: {value}")
-        if key in state.new_slot_descriptions:
-            lines.append(f"- {state.new_slot_descriptions[key]}")
-    return "\n".join(lines)
-
-
-def _speaker_label(turn: Turn, pack: PromptPack) -> str:
-    return pack.user_label if turn.speaker == USER else pack.agent_label
+    descriptions = state.new_slot_descriptions
+    return _render_block(
+        VALUES_HEADER,
+        ((key, value, descriptions.get(key)) for key, value in sorted(state.triples)),
+    )
 
 
 def render_prompt(
@@ -207,7 +230,6 @@ def render_prompt(
     dialogue: Dialogue,
     upto_turn: int,
     mode: StateMode,
-    pack: PromptPack = DEFAULT_PACK,
     char_budget: Optional[int] = None,
 ) -> str:
     """Render the prompt for predicting the state after ``upto_turn``: the
@@ -221,18 +243,16 @@ def render_prompt(
         raise IndexError(f"upto_turn {upto_turn} out of range for {len(dialogue.turns)} turns")
     if mode is StateMode.FINAL and upto_turn != dialogue.last_user_turn_index():
         raise ValueError("final mode renders only at the last user turn")
-    turn_lines = [
-        f"{_speaker_label(t, pack)}: {t.text}" for t in dialogue.turns[: upto_turn + 1]
-    ]
+    turn_lines = [f"{SPEAKER_LABELS[t.speaker]}: {t.text}" for t in dialogue.turns[: upto_turn + 1]]
     if char_budget is not None:
         while len(turn_lines) > 1 and sum(len(ln) + 1 for ln in turn_lines) > char_budget:
             turn_lines.pop(0)
-    dialogue_block = "\n".join([pack.dialogue_header, ""] + turn_lines)
-    return "\n\n".join([render_schema_block(schema, pack), dialogue_block, pack.instruction])
+    dialogue_block = "\n".join([DIALOGUE_HEADER, ""] + turn_lines)
+    return "\n\n".join([render_schema_block(schema), dialogue_block, INSTRUCTION])
 
 
-def render_revision_prompt(schema: SlotSchema, pack: PromptPack = DEFAULT_PACK) -> str:
-    return "\n\n".join([render_schema_block(schema, pack), pack.revision_instruction])
+def render_revision_prompt(schema: SlotSchema) -> str:
+    return "\n\n".join([render_schema_block(schema), REVISION_INSTRUCTION])
 
 
 @dataclass(frozen=True)
@@ -243,9 +263,7 @@ class ParsedPrediction:
     parse_warnings: Tuple[str, ...] = ()
 
 
-def parse_state_block(
-    text: str, known_schema: SlotSchema, pack: PromptPack = DEFAULT_PACK
-) -> ParsedPrediction:
+def parse_state_block(text: str, known_schema: SlotSchema) -> ParsedPrediction:
     """Parse arbitrary model output into a dialogue state.
 
     Keys that canonically match ``known_schema`` are existing-slot fills;
@@ -253,64 +271,9 @@ def parse_state_block(
     line that follows their bullet. Malformed lines produce warnings; the
     only hard failure is a missing values header.
     """
-    lines = text.splitlines()
-    try:
-        start = next(i for i, ln in enumerate(lines) if ln.strip() == pack.values_header)
-    except StopIteration:
-        raise MissingValuesHeader(f"no {pack.values_header!r} line found") from None
-
-    warnings: List[str] = []
-    values = {}  # SlotKey -> str, last occurrence wins
-    descriptions = {}  # SlotKey -> str for discoveries
-    domain: Optional[str] = None
-    last_key: Optional[SlotKey] = None
-    for lineno, raw in enumerate(lines[start + 1 :], start=start + 2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("## "):
-            domain = line[3:].strip() or None
-            if domain is None:
-                warnings.append(f"line {lineno}: empty domain header")
-            last_key = None
-            continue
-        if line.startswith("# "):
-            break
-        if line.startswith("* "):
-            last_key = None
-            if domain is None:
-                warnings.append(f"line {lineno}: value bullet outside any domain section")
-                continue
-            name, sep, value = line[2:].partition(":")
-            if not sep:
-                warnings.append(f"line {lineno}: bullet without colon: {line!r}")
-                continue
-            try:
-                key = canonical_slot_key(domain, name)
-            except InvalidSlotName:
-                warnings.append(f"line {lineno}: empty slot name")
-                continue
-            if key in values:
-                warnings.append(f"line {lineno}: duplicate value for {key}, keeping last")
-                descriptions.pop(key, None)
-            values[key] = value.strip()
-            last_key = key
-            continue
-        if line.startswith("-"):
-            description = line[1:].strip()
-            if last_key is None:
-                warnings.append(f"line {lineno}: description line without preceding bullet")
-            elif last_key in known_schema:
-                warnings.append(
-                    f"line {lineno}: description attached to known slot {last_key}, ignored"
-                )
-            else:
-                descriptions[last_key] = description
-            last_key = None
-            continue
-        warnings.append(f"line {lineno}: unrecognized line {line!r}")
-        last_key = None
-
+    values, descriptions, warnings = _walk_block(
+        text, VALUES_HEADER, MissingValuesHeader, known_schema
+    )
     new_descriptions = {
         key: descriptions.get(key, "") for key in values if key not in known_schema
     }
@@ -391,7 +354,7 @@ def schema_from_obj(obj: dict, discovered_at=GOLD) -> SlotSchema:
 
 def state_to_obj(state: DialogueState) -> dict:
     out: dict = {}
-    for key, value in sorted(state.triples, key=lambda kv: (kv[0], kv[1])):
+    for key, value in sorted(state.triples):
         out.setdefault(key.domain, {})[key.name] = value
     return out
 
@@ -505,10 +468,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def load_corpus(path) -> CorpusFile:
-    raw = Path(path).read_text(encoding="utf-8")
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; any other encoding is a CorpusFormatError
+    naming the file."""
     try:
-        obj = json.loads(raw)
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
+def load_corpus(path) -> CorpusFile:
+    try:
+        obj = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return corpus_from_obj(obj)
@@ -566,9 +537,7 @@ def _with_discoveries(
     return DialogueState(state.triples, new_descriptions)
 
 
-def build_training_sequences(
-    corpus: CorpusFile, mode: StateMode, pack: PromptPack = DEFAULT_PACK
-) -> List[Tuple[str, str]]:
+def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[str, str]]:
     """Build (prompt, target) pairs from a gold-labeled corpus.
 
     The prompt schema at each turn is the gold schema restricted to slots
@@ -583,8 +552,8 @@ def build_training_sequences(
         for turn_index, gold_state, target_state in gold_turns(dialogue, mode):
             target_state = _with_discoveries(target_state, introduced, gold_schema)
             prompt_schema = gold_schema.restricted_to(introduced)
-            prompt = render_prompt(prompt_schema, dialogue, turn_index, mode, pack)
-            pairs.append((prompt, render_state_block(target_state, pack)))
+            prompt = render_prompt(prompt_schema, dialogue, turn_index, mode)
+            pairs.append((prompt, render_state_block(target_state)))
             introduced |= gold_state.keys()
         if mode is StateMode.FINAL:
             # slots never surfaced at the final turn still count as introduced

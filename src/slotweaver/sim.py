@@ -34,7 +34,14 @@ from .core import (
     canonical_slot_key,
     canonical_text,
 )
-from .seqio import CorpusFile, MissingValuesHeader, parse_state_block, render_schema_block
+from .seqio import (
+    DIALOGUE_HEADER,
+    VALUES_HEADER,
+    CorpusFile,
+    MissingValuesHeader,
+    parse_state_block,
+    render_schema_block,
+)
 
 __all__ = [
     "ScenarioSpec",
@@ -152,14 +159,8 @@ class SimPromptPack:
         "Write your next message. Keep it short."
     )
     annotate: str = (
-        "{schema_block}\n"
-        "\n"
-        "# Dialogue\n"
-        "\n"
-        "{dialogue}\n"
-        "\n"
-        "Record the preferences the user has shared so far as a "
-        "'# Key Information Values' block."
+        f"{{schema_block}}\n\n{DIALOGUE_HEADER}\n\n{{dialogue}}\n\n"
+        f"Record the preferences the user has shared so far as a '{VALUES_HEADER}' block."
     )
     end_of_task: str = (
         "Dialogue so far:\n"

@@ -218,6 +218,36 @@ class TestInduce:
         report = json.loads((out / "report.json").read_text())
         assert len(report["errors"]) == 30
 
+    @pytest.mark.parametrize("text, message", [
+        ("backend: [\n", "invalid YAML"),
+        ("- a\n", "top level must be a mapping, got list"),
+        ("backend: 5\n", "backend must be a mapping, got int"),
+        ("induction: [1]\n", "induction must be a mapping, got list"),
+    ])
+    def test_malformed_config_file_is_config_error(self, runner, tmp_path, text, message):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{cfg}: {message}" in result.output
+
+    def test_non_utf8_corpus_is_config_error(self, runner, config_path, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(
+            main,
+            ["induce", "--config", config_path, "--corpus", str(bad),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{bad}: not UTF-8 text" in result.output
+
     def test_malformed_corpus_is_config_error(self, runner, config_path, tmp_path):
         bad = tmp_path / "corpus.json"
         bad.write_text('{"dialogues": []}')  # missing format_version
@@ -341,6 +371,17 @@ class TestEvaluate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{states}:4: " in result.output  # the blank line 3 still counts
         assert message in result.output
+
+    @pytest.mark.parametrize("flag", ["--predictions", "--gold"])
+    def test_non_utf8_input_is_config_error(self, runner, tmp_path, flag):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe" + (GOLDEN / "states.jsonl").read_bytes())
+        files = {"--predictions": str(GOLDEN / "states.jsonl"), "--gold": str(DATA / "corpus.json")}
+        files[flag] = str(bad)
+        result = runner.invoke(main, ["evaluate", *(x for kv in files.items() for x in kv)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{bad}: not UTF-8 text" in result.output
 
     def test_report_without_states_is_config_error(self, runner, tmp_path):
         report = json.loads((GOLDEN / "report.json").read_text())

@@ -1,5 +1,6 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
-entries, one thread pool, no unbounded memo table.
+entries, one thread pool, no unbounded memo table, and the block format's
+strings spelled in ``seqio`` only.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -11,6 +12,7 @@ import types
 from pathlib import Path
 
 import slotweaver
+from slotweaver import seqio
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 
@@ -219,5 +221,45 @@ def test_every_cache_in_the_package_is_bounded():
         f"{path.name}:{line}: {name}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         for line, name in unbounded_caches(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+FORMAT_STRINGS = (seqio.TYPES_HEADER, seqio.DIALOGUE_HEADER, seqio.VALUES_HEADER,
+                  seqio.INSTRUCTION, seqio.REVISION_INSTRUCTION)
+
+
+def format_literals(source: str):
+    """(line, format string) of every string literal, f-string parts and
+    docstrings included, that spells out a header or instruction of the
+    block format."""
+    return sorted(
+        (node.lineno, fmt)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for fmt in FORMAT_STRINGS
+        if fmt in node.value
+    )
+
+
+def test_format_checker_finds_spelled_headers():
+    source = (
+        "# Dialogue: a comment, not a literal\n"
+        "from .seqio import DIALOGUE_HEADER\n"
+        "A = f'{DIALOGUE_HEADER}\\n{{x}}'\n"
+        "B = 'as a \\'# Key Information Values\\' block'\n"
+        "C = f'{A}\\n# Dialogue\\n'\n"
+    )
+    assert format_literals(source) == [(4, seqio.VALUES_HEADER), (5, seqio.DIALOGUE_HEADER)]
+
+
+def test_block_format_strings_live_in_seqio():
+    """Every other module reaches the headers and instructions through
+    ``seqio``'s constants, so the format has one owner."""
+    found = [
+        f"{path.name}:{line}: {fmt!r}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "seqio.py"
+        for line, fmt in format_literals(path.read_text(encoding="utf-8"))
     ]
     assert found == []

@@ -21,7 +21,7 @@ from slotweaver.induct import (
     run_two_pass,
 )
 from slotweaver.refine import FilterConfig, SlotConfidenceRefiner, make_refiner
-from slotweaver.seqio import DEFAULT_PACK, CorpusFile, StateMode, canonical_json, schema_to_obj
+from slotweaver.seqio import REVISION_INSTRUCTION, CorpusFile, StateMode, canonical_json, schema_to_obj
 
 from conftest import GARDEN_GREEN_BLOCK, key, make_dialogue
 
@@ -169,7 +169,7 @@ class TestRunInduction:
 
         class RevisionDownOnce:
             def generate(self, request: GenerationRequest) -> str:
-                if DEFAULT_PACK.revision_instruction not in request.prompt:
+                if REVISION_INSTRUCTION not in request.prompt:
                     return vblock([("D", [("a", "x"), ("b", "y")])])
                 revisions.append(request.prompt)
                 if len(revisions) == 1:
@@ -190,7 +190,7 @@ class TestRunInduction:
     def test_refiner_auth_error_aborts(self):
         class RevisionRejected:
             def generate(self, request: GenerationRequest) -> str:
-                if DEFAULT_PACK.revision_instruction in request.prompt:
+                if REVISION_INSTRUCTION in request.prompt:
                     raise AuthError("rejected")
                 return EMPTY_BLOCK
 

@@ -1,7 +1,7 @@
 """The keyed schema, the by-domain grouping, the update-mode delta, the
-gold-turn walker, the refiners' fill table, the interned slot keys and the
-memoized catalog render against reference copies of the code they
-replaced, on random inputs."""
+gold-turn walker, the refiners' fill table, the interned slot keys, the
+memoized catalog render and the block parsers and renderers against
+reference copies of the code they replaced, on random inputs."""
 
 import pickle
 import re
@@ -25,7 +25,16 @@ from slotweaver.core import (
     schema_update,
 )
 from slotweaver.refine import FilterConfig, SlotStats, make_refiner, record_state
-from slotweaver.seqio import DEFAULT_PACK, PromptPack, StateMode, gold_turns, render_schema_block
+from slotweaver.seqio import (
+    MissingTypesHeader,
+    MissingValuesHeader,
+    StateMode,
+    gold_turns,
+    parse_schema_block,
+    parse_state_block,
+    render_schema_block,
+    render_state_block,
+)
 
 from conftest import key
 
@@ -334,8 +343,12 @@ def ref_canonical_slot_key(domain, name):
     return RefSlotKey(cdomain, cname)
 
 
-def ref_render_schema_block(schema, pack):
-    lines = [pack.types_header]
+REF_TYPES_HEADER = "# Key Information Types"
+REF_VALUES_HEADER = "# Key Information Values"
+
+
+def ref_render_schema_block(schema):
+    lines = [REF_TYPES_HEADER]
     for domain, slots in schema.by_domain().items():
         lines.append("")
         lines.append(f"## {domain.title()}")
@@ -411,20 +424,231 @@ _ops = st.lists(
     ),
     max_size=8,
 )
-OTHER_PACK = PromptPack(types_header="# Slot Catalog")
 
 
 @settings(max_examples=200, deadline=None)
 @given(schemas, _ops, st.lists(st.booleans(), min_size=9, max_size=9))
-def test_cached_render_matches_old_render(schema, ops, other_first):
+def test_cached_render_matches_old_render(schema, ops, early):
     chain = [schema]
     for op, arg in ops:
         chain.append(getattr(chain[-1], op)(arg))
-    # render each schema of the chain with both packs, in either order, then
-    # again once every schema has been rendered: no entry goes stale or
-    # leaks from one pack or schema to another
+    # render some schemas of the chain first, then every schema, twice: no
+    # memo goes stale or leaks from one schema to another
+    for s, first in zip(chain, early):
+        if first:
+            assert render_schema_block(s) == ref_render_schema_block(s)
     for _ in range(2):
-        for s, flip in zip(chain, other_first):
-            packs = (OTHER_PACK, DEFAULT_PACK) if flip else (DEFAULT_PACK, OTHER_PACK)
-            for pack in packs:
-                assert render_schema_block(s, pack) == ref_render_schema_block(s, pack)
+        for s in chain:
+            assert render_schema_block(s) == ref_render_schema_block(s)
+
+
+# --- the two block parsers and the values-block renderer --------------------
+
+
+def ref_parse_schema_block(text):
+    lines = text.splitlines()
+    try:
+        start = next(i for i, ln in enumerate(lines) if ln.strip() == REF_TYPES_HEADER)
+    except StopIteration:
+        raise MissingTypesHeader(f"no {REF_TYPES_HEADER!r} line found") from None
+    warnings = []
+    seen = {}
+    domain = None
+    for lineno, raw in enumerate(lines[start + 1 :], start=start + 2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("## "):
+            domain = line[3:].strip()
+            if not domain:
+                warnings.append(f"line {lineno}: empty domain header")
+                domain = None
+            continue
+        if line.startswith("# "):
+            break
+        if line.startswith("* "):
+            if domain is None:
+                warnings.append(f"line {lineno}: bullet outside any domain section")
+                continue
+            name, sep, description = line[2:].partition(":")
+            if not sep:
+                warnings.append(f"line {lineno}: bullet without colon: {line!r}")
+                continue
+            try:
+                k = canonical_slot_key(domain, name)
+            except InvalidSlotName:
+                warnings.append(f"line {lineno}: empty slot name")
+                continue
+            if k in seen:
+                warnings.append(f"line {lineno}: duplicate slot {k}")
+            seen[k] = SlotDef(k, description.strip())
+            continue
+        warnings.append(f"line {lineno}: unrecognized line {line!r}")
+    return SlotSchema(tuple(seen.values())), warnings
+
+
+def ref_parse_state_block(text, known_schema):
+    lines = text.splitlines()
+    try:
+        start = next(i for i, ln in enumerate(lines) if ln.strip() == REF_VALUES_HEADER)
+    except StopIteration:
+        raise MissingValuesHeader(f"no {REF_VALUES_HEADER!r} line found") from None
+    warnings = []
+    values = {}
+    descriptions = {}
+    domain = None
+    last_key = None
+    for lineno, raw in enumerate(lines[start + 1 :], start=start + 2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("## "):
+            domain = line[3:].strip() or None
+            if domain is None:
+                warnings.append(f"line {lineno}: empty domain header")
+            last_key = None
+            continue
+        if line.startswith("# "):
+            break
+        if line.startswith("* "):
+            last_key = None
+            if domain is None:
+                warnings.append(f"line {lineno}: value bullet outside any domain section")
+                continue
+            name, sep, value = line[2:].partition(":")
+            if not sep:
+                warnings.append(f"line {lineno}: bullet without colon: {line!r}")
+                continue
+            try:
+                k = canonical_slot_key(domain, name)
+            except InvalidSlotName:
+                warnings.append(f"line {lineno}: empty slot name")
+                continue
+            if k in values:
+                warnings.append(f"line {lineno}: duplicate value for {k}, keeping last")
+                descriptions.pop(k, None)
+            values[k] = value.strip()
+            last_key = k
+            continue
+        if line.startswith("-"):
+            description = line[1:].strip()
+            if last_key is None:
+                warnings.append(f"line {lineno}: description line without preceding bullet")
+            elif last_key in known_schema:
+                warnings.append(
+                    f"line {lineno}: description attached to known slot {last_key}, ignored"
+                )
+            else:
+                descriptions[last_key] = description
+            last_key = None
+            continue
+        warnings.append(f"line {lineno}: unrecognized line {line!r}")
+        last_key = None
+    new_descriptions = {k: descriptions.get(k, "") for k in values if k not in known_schema}
+    return DialogueState.from_pairs(values.items(), new_descriptions), tuple(warnings)
+
+
+def ref_render_state_block(state):
+    lines = [REF_VALUES_HEADER]
+    domain = None
+    for k, value in sorted(state.triples, key=lambda kv: (kv[0], kv[1])):
+        if k.domain != domain:
+            domain = k.domain
+            lines.append("")
+            lines.append(f"## {domain.title()}")
+        lines.append(f"* {k.name}: {value}")
+        if k in state.new_slot_descriptions:
+            lines.append(f"- {state.new_slot_descriptions[k]}")
+    return "\n".join(lines)
+
+
+def unified_wording(warning):
+    """An old warning in the shared walker's wording: a bullet outside a
+    section and a duplicate key read the same in both blocks."""
+    warning = warning.replace("value bullet outside", "bullet outside")
+    warning = re.sub(r"duplicate value for (.*), keeping last$", r"duplicate slot \1", warning)
+    return re.sub(r"(duplicate slot .*?)(, keeping last)?$", r"\1, keeping last", warning)
+
+
+def warned_lines(warnings):
+    return [int(w.split()[1].rstrip(":")) for w in warnings]
+
+
+# Both blocks are drawn as runs of chunks: section headers (empty and bare
+# ``##`` ones too), bullets over the small key vocabulary (so keys repeat
+# and hit the known schema), some without a colon or a name, each followed
+# by up to two ``-`` or blank lines, and stray lines: other ``#`` blocks,
+# lone ``-`` lines and free text. Text before the header is drawn the same.
+section_lines = st.sampled_from(["## Hotel", "## train", "##  Garden ", "## ", "##", "## _"])
+bullet_lines = st.sampled_from([
+    "* area: north", "* Area : cheap", "* price: 2", "*  day:Monday ", "* style: a: b",
+    "* style", "* : x", "*  _ : y", "*", "*area: south",
+])
+dash_lines = st.sampled_from(["- a new thing", "- the price", "-", "- ", "-- dashes", "-x"])
+stray_lines = st.sampled_from([
+    "# Key Information Values", "# Key Information Types", "# Dialogue", "#", "#x",
+    "", "   ", "free text", "User: hi", "- stray",
+])
+chunks = st.one_of(
+    section_lines.map(lambda line: [line]),
+    st.tuples(bullet_lines, st.lists(dash_lines | st.just(""), max_size=2))
+    .map(lambda t: [t[0], *t[1]]),
+    stray_lines.map(lambda line: [line]),
+)
+block_bodies = st.lists(chunks, max_size=12).map(lambda cs: [line for c in cs for line in c])
+block_texts = st.tuples(
+    block_bodies,
+    st.sampled_from(["# Key Information Values", "# Key Information Types",
+                     "  # Key Information Values "]),
+    block_bodies,
+).map(lambda t: "\n".join(t[0] + [t[1]] + t[2]))
+
+
+def outcome_of(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except (MissingTypesHeader, MissingValuesHeader) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_texts, st.lists(slot_defs, max_size=3).map(schema_of))
+def test_state_parser_matches_old_parser(text, known):
+    # a small known schema, so that most drawn keys are discoveries
+    got = outcome_of(parse_state_block, text, known)
+    want = outcome_of(ref_parse_state_block, text, known)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    (state, warnings), prediction = want[1], got[1]
+    assert prediction.state == state
+    assert warned_lines(prediction.parse_warnings) == warned_lines(warnings)
+    assert list(prediction.parse_warnings) == [unified_wording(w) for w in warnings]
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_texts)
+def test_schema_parser_matches_old_parser(text):
+    got = outcome_of(parse_schema_block, text)
+    want = outcome_of(ref_parse_schema_block, text)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    (schema, warnings), (ref_schema, ref_warnings) = got[1], want[1]
+    assert schema.slots == ref_schema.slots
+    assert warned_lines(warnings) == warned_lines(ref_warnings)
+    assert warnings == [unified_wording(w) for w in ref_warnings]
+
+
+described_states = st.tuples(
+    st.dictionaries(keys, values, max_size=6),
+    st.lists(st.sampled_from(["", "a thing", "the price"]), max_size=6),
+).map(lambda t: DialogueState.from_pairs(t[0].items(), dict(zip(t[0], t[1]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(described_states)
+def test_state_renderer_matches_old_renderer(state):
+    assert render_state_block(state) == ref_render_state_block(state)

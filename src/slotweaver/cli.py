@@ -33,11 +33,41 @@ class ConfigError(click.ClickException):
     exit_code = EXIT_CONFIG
 
 
+# Config keys passed on to the code that receives them, each with the name of
+# the parameter it sets. Only the keys a file sets are passed, so the
+# receiver's own default applies to the others.
+HTTP_KEYS = {"api_key": "api_key", "max_retries": "max_retries",
+             "requests_per_minute": "requests_per_minute"}
+FILTER_KEYS = {"window": "window_w", "tau": "threshold_tau", "cap": "cap"}
+RUN_KEYS = {"context_budget": "context_budget", "hard_cap": "hard_cap",
+            "max_output": "max_output", "temperature": "temperature"}
+SIM_KEYS = {"knowledge_size": "knowledge_size", "red_herrings": "red_herring_count",
+            "p_clear": "p_clear", "max_turns": "max_turns", "temperature": "temperature"}
+
+# Every key a config file may set, by section; None marks a key that the
+# commands read themselves.
+CONFIG_KEYS = {
+    "backend": {"kind": None, "script": None, "endpoint": None, "model": None, **HTTP_KEYS},
+    "induction": {"mode": None, "refiner": None, **FILTER_KEYS, **RUN_KEYS},
+    "simulation": {"scenarios": None, "dialogues_per_scenario": None, **SIM_KEYS},
+}
+TOP_LEVEL_KEYS = {*CONFIG_KEYS, "seed", "loss_limit"}
+
+
+def _passed(section: dict, keys: dict, **flags) -> dict:
+    """The settings of ``section`` that ``keys`` names, under their parameter
+    names, overridden by every flag that is set."""
+    settings = {param: section[key] for key, param in keys.items() if key in section}
+    settings.update((param, value) for param, value in flags.items() if value is not None)
+    return settings
+
+
 @dataclass
 class RunConfig:
-    """Merged view of the config file; every field has its module default."""
+    """Merged view of the config file; a key it does not set is left to the
+    default of the code that reads it."""
 
-    backend: dict = field(default_factory=lambda: {"kind": "scripted", "script": None})
+    backend: dict = field(default_factory=dict)
     induction: dict = field(default_factory=dict)
     simulation: dict = field(default_factory=dict)
     seed: Optional[int] = None
@@ -54,15 +84,22 @@ class RunConfig:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping, got {type(raw).__name__}")
-        for name in ("backend", "induction", "simulation"):
+        unknown = [str(key) for key in raw if key not in TOP_LEVEL_KEYS]
+        for name, known in CONFIG_KEYS.items():
             section = raw.get(name)
             if section is not None and not isinstance(section, dict):
                 raise ConfigError(f"{path}: {name} must be a mapping, got {type(section).__name__}")
             getattr(cfg, name).update(section or {})
-        if "seed" in raw:
-            cfg.seed = raw["seed"]
-        if "loss_limit" in raw:
-            cfg.loss_limit = raw["loss_limit"]
+            unknown += [f"{name}.{key}" for key in section or {} if key not in known]
+        if unknown:
+            raise ConfigError(f"{path}: unknown config key {', '.join(unknown)}")
+        cfg.seed = raw.get("seed")
+        cfg.loss_limit = raw.get("loss_limit", cfg.loss_limit)
+        if cfg.seed is not None and type(cfg.seed) is not int:
+            raise ConfigError(f"{path}: seed must be an integer or null, got {cfg.seed!r}")
+        if type(cfg.loss_limit) not in (int, float) or not 0 <= cfg.loss_limit <= 1:
+            raise ConfigError(f"{path}: loss_limit must be a number in [0, 1], "
+                              f"got {cfg.loss_limit!r}")
         return cfg
 
     def make_backend(self) -> Backend:
@@ -82,9 +119,7 @@ class RunConfig:
                 return backend_mod.HttpBackend(
                     endpoint=self.backend["endpoint"],
                     model=self.backend.get("model", "default"),
-                    api_key=self.backend.get("api_key"),
-                    max_retries=self.backend.get("max_retries", 3),
-                    requests_per_minute=self.backend.get("requests_per_minute"),
+                    **_passed(self.backend, HTTP_KEYS),
                 )
             except ValueError as exc:
                 raise ConfigError(f"backend: {exc}") from exc
@@ -117,25 +152,23 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
     """Simulate a state-annotated corpus and write it to disk."""
     cfg = RunConfig.load(config_path)
     seed = seed if seed is not None else cfg.seed
-    sim_cfg = sim.SimConfig(
-        knowledge_size=cfg.simulation.get("knowledge_size", 8),
-        red_herring_count=cfg.simulation.get("red_herrings", 3),
-        p_clear=cfg.simulation.get("p_clear", 0.3),
-        max_turns=cfg.simulation.get("max_turns", 40),
-        temperature=cfg.simulation.get("temperature", 0.7),
-    )
-    pack = sim.DEFAULT_SIM_PACK
-    if cfg.simulation.get("prompt_pack"):
-        pack = sim.load_sim_pack(cfg.simulation["prompt_pack"])
-    if n_scenarios is None:
-        n_scenarios = cfg.simulation.get("scenarios", 2)
-    if dialogues_per_scenario is None:
-        dialogues_per_scenario = cfg.simulation.get("dialogues_per_scenario", 2)
+    try:
+        sim_cfg = sim.SimConfig(**_passed(cfg.simulation, SIM_KEYS))
+    except ValueError as exc:
+        raise ConfigError(f"simulation: {exc}") from exc
+    # the flags are checked by click; only a count from the file can be bad
+    n_scenarios = n_scenarios or cfg.simulation.get("scenarios", 2)
+    dialogues_per_scenario = (dialogues_per_scenario
+                              or cfg.simulation.get("dialogues_per_scenario", 2))
+    for name, count in (("scenarios", n_scenarios),
+                        ("dialogues_per_scenario", dialogues_per_scenario)):
+        if type(count) is not int or count < 1:
+            raise ConfigError(f"simulation: {name} must be an integer >= 1, got {count!r}")
     try:
         backend = cfg.make_backend()
-        scenarios = sim.generate_scenarios(n_scenarios, backend, pack, sim_cfg)
+        scenarios = sim.generate_scenarios(n_scenarios, backend, sim_cfg)
         corpus, report = sim.simulate_corpus(
-            scenarios, dialogues_per_scenario, backend, random.Random(seed), pack, sim_cfg
+            scenarios, dialogues_per_scenario, backend, random.Random(seed), sim_cfg
         )
     except AuthError as exc:
         _fail(str(exc), EXIT_CONFIG)
@@ -150,16 +183,6 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
     )
     loss_fraction = report.lost / report.dialogues_requested if report.dialogues_requested else 0.0
     sys.exit(EXIT_OK if loss_fraction < cfg.loss_limit else EXIT_PIPELINE)
-
-
-def _induction_kwargs(cfg: RunConfig) -> dict:
-    ind = cfg.induction
-    return {
-        "context_budget": ind.get("context_budget", induct.DEFAULT_CONTEXT_BUDGET),
-        "hard_cap": ind.get("hard_cap", induct.DEFAULT_HARD_CAP),
-        "max_output": ind.get("max_output", 1024),
-        "temperature": ind.get("temperature", 0.0),
-    }
 
 
 def _states_jsonl(state_log) -> str:
@@ -196,15 +219,13 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     refiner_name = refiner_name if refiner_name is not None else cfg.induction.get("refiner", "none")
     try:
         filter_cfg = refine.FilterConfig(
-            window_w=window if window is not None else cfg.induction.get("window", 10),
-            threshold_tau=tau if tau is not None else cfg.induction.get("tau", 1),
-            cap=cap if cap is not None else cfg.induction.get("cap", 100),
+            **_passed(cfg.induction, FILTER_KEYS, window_w=window, threshold_tau=tau, cap=cap)
         )
     except ValueError as exc:
         raise ConfigError(f"induction: {exc}") from exc
     base_seed = seed if seed is not None else cfg.seed
     out = Path(out_dir)
-    kwargs = _induction_kwargs(cfg)
+    kwargs = _passed(cfg.induction, RUN_KEYS)
     try:
         corpus = seqio.load_corpus(corpus_path)
     except seqio.CorpusFormatError as exc:
@@ -300,18 +321,18 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
     try:
         gold = seqio.load_corpus(gold_path)
         log = _load_state_log(Path(predictions))
+        human = evalx.load_human_mapping(human_path) if human_path else None
         report = evalx.evaluate_run(log, gold, StateMode(mode))
     except seqio.CorpusFormatError as exc:
         _fail(str(exc), EXIT_CONFIG)
     except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
         _fail(str(exc), EXIT_PIPELINE)
     click.echo(report.render_table())
-    if human_path:
+    if human is not None:
         P = evalx.collect_valued_slots(log)
         G = evalx.gold_valued_slots(gold.dialogues, StateMode(mode))
         auto = evalx.match_slots(P, G)
         try:
-            human = evalx.load_human_mapping(human_path)
             agreement = evalx.mapping_agreement(auto, human)
         except evalx.IncompleteMapping as exc:
             _fail(str(exc), EXIT_PIPELINE)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Dialogue, SlotKey, SlotSchema, canonical_slot_key
-from .seqio import CorpusFile, StateLogEntry, StateMode, gold_turns
+from .core import Dialogue, InvalidSlotName, SlotKey, SlotSchema, canonical_slot_key
+from .seqio import CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns, read_utf8
 
 __all__ = [
     "ValuedSlot",
@@ -319,21 +318,38 @@ def mean_reports(reports: Sequence[MetricReport]) -> MetricReport:
     return MetricReport(*means, per_scenario={}, replicate_mean=True)
 
 
+def _decided_key(where: str, slot) -> SlotKey:
+    if not (isinstance(slot, dict) and isinstance(slot.get("domain"), str)
+            and isinstance(slot.get("name"), str)):
+        raise CorpusFormatError(f"{where}: needs a 'domain' and a 'name' string")
+    try:
+        return canonical_slot_key(slot["domain"], slot["name"])
+    except InvalidSlotName as exc:
+        raise CorpusFormatError(f"{where}: {exc}") from exc
+
+
 def load_human_mapping(path) -> SlotMapping:
     """Load a human decisions file: each predicted slot maps to a gold slot
-    or an explicit null for "no match"."""
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    or an explicit null for "no match". A file that is not a JSON object
+    with a ``decisions`` list of such entries is a CorpusFormatError naming
+    the file and, for a bad entry, its index."""
+    try:
+        obj = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(obj, dict) or not isinstance(obj.get("decisions"), list):
+        raise CorpusFormatError(f"{path}: no 'decisions' list")
     pairs = []
     unmatched = []
-    for decision in obj["decisions"]:
-        predicted = canonical_slot_key(
-            decision["predicted"]["domain"], decision["predicted"]["name"]
-        )
+    for i, decision in enumerate(obj["decisions"]):
+        where = f"{path}: decisions[{i}]"
+        if not isinstance(decision, dict):
+            raise CorpusFormatError(f"{where}: not an object")
+        predicted = _decided_key(f"{where}.predicted", decision.get("predicted"))
         if decision.get("gold") is None:
             unmatched.append(predicted)
         else:
-            gold = canonical_slot_key(decision["gold"]["domain"], decision["gold"]["name"])
-            pairs.append((predicted, gold))
+            pairs.append((predicted, _decided_key(f"{where}.gold", decision["gold"])))
     return SlotMapping(tuple(pairs), frozenset(unmatched))
 
 

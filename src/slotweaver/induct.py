@@ -43,10 +43,14 @@ __all__ = [
     "run_two_pass",
     "DEFAULT_CONTEXT_BUDGET",
     "DEFAULT_HARD_CAP",
+    "DEFAULT_MAX_OUTPUT",
+    "DEFAULT_TEMPERATURE",
 ]
 
 DEFAULT_CONTEXT_BUDGET = 8000  # characters of dialogue context per prompt
 DEFAULT_HARD_CAP = 300  # absolute schema size guard, independent of refiners
+DEFAULT_MAX_OUTPUT = 1024  # output limit of each turn's call
+DEFAULT_TEMPERATURE = 0.0
 
 
 class SchemaOverflowError(RuntimeError):
@@ -63,8 +67,8 @@ class InductionRun:
     dst_only: bool = False
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     hard_cap: int = DEFAULT_HARD_CAP
-    max_output: int = 1024
-    temperature: float = 0.0
+    max_output: int = DEFAULT_MAX_OUTPUT
+    temperature: float = DEFAULT_TEMPERATURE
     stream_position: Tuple[int, int] = (0, 0)
     per_turn_states: List[StateLogEntry] = field(default_factory=list)
     parse_failures: int = 0
@@ -222,8 +226,8 @@ def run_induction(
     dst_only: bool = False,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
     hard_cap: int = DEFAULT_HARD_CAP,
-    max_output: int = 1024,
-    temperature: float = 0.0,
+    max_output: int = DEFAULT_MAX_OUTPUT,
+    temperature: float = DEFAULT_TEMPERATURE,
 ) -> RunResult:
     """Process the dialogue stream, accumulating the schema and state log.
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
 from .backend import Backend, GenerationRequest, TransportError, ordered_map
 from .core import (
@@ -50,7 +49,6 @@ __all__ = [
     "TaskSetup",
     "SimTrace",
     "SimConfig",
-    "SimPromptPack",
     "SimReport",
     "SimError",
     "ScenarioGenerationError",
@@ -61,8 +59,6 @@ __all__ = [
     "initialize_task",
     "simulate_dialogue",
     "simulate_corpus",
-    "load_sim_pack",
-    "save_sim_pack",
 ]
 
 log = logging.getLogger(__name__)
@@ -84,109 +80,82 @@ class TaskInitError(SimError):
     """Knowledge/goal generation failed to parse after a retry."""
 
 
-@dataclass(frozen=True)
-class SimPromptPack:
-    """Templates for every simulation prompt, with named placeholders.
-
-    Each template can be overridden by a same-named ``.txt`` file in a
-    prompt-pack directory.
-    """
-
-    scenario: str = (
-        "Write a numbered list of {n} different scenarios in which one person is "
-        "getting help from another.\n"
-        "Each line must follow this template exactly:\n"
-        "<user> is getting help from <agent> in order to <task A>, <task B>, ...\n"
-        "Use 2 or 3 tasks per scenario and make the scenarios distinct."
-    )
-    slot_schema: str = (
-        "Scenario: {scenario}\n"
-        "Task: {task}\n"
-        "List the types of preferences or requirements the user might bring to "
-        "this task.\n"
-        "Write one line per field inside a fenced code block, each formatted as:\n"
-        "name: description"
-    )
-    knowledge_schema: str = (
-        "Scenario: {scenario}\n"
-        "Task: {task}\n"
-        "The user preference fields are:\n"
-        "{slot_block}\n"
-        "List the fields that describe one of the agent's actual knowledge items "
-        "for this task. Preference fields like a maximum price should become "
-        "actual-value fields like a price.\n"
-        "Write one line per field inside a fenced code block, each formatted as:\n"
-        "name: description"
-    )
-    knowledge_list: str = (
-        "Task: {task}\n"
-        "Knowledge item fields:\n"
-        "{schema_block}\n"
-        "Write {count} candidate knowledge items inside a fenced code block.\n"
-        "Write each item as 'name = value' lines and separate items with blank lines."
-    )
-    goal: str = (
-        "Task: {task}\n"
-        "Preference fields:\n"
-        "{slot_block}\n"
-        "An ideal solution looks like:\n"
-        "{ideal_block}\n"
-        "Fill in user preferences matching this solution inside a fenced code "
-        "block, one 'name = value' line per preference field."
-    )
-    red_herring: str = (
-        "Task: {task}\n"
-        "Knowledge item fields:\n"
-        "{schema_block}\n"
-        "The user goal is:\n"
-        "{goal_block}\n"
-        "Write {count} additional knowledge items that are similar to the goal "
-        "without satisfying it, inside a fenced code block.\n"
-        "Write each item as 'name = value' lines and separate items with blank lines."
-    )
-    user_turn: str = (
-        "You are {role}, seeking help. Your goal preferences:\n"
-        "{goal_block}\n"
-        "Dialogue so far:\n"
-        "{dialogue}\n"
-        "Write your next message. Keep it short and do not reveal everything at once."
-    )
-    agent_turn: str = (
-        "You are {role}, providing help. Your knowledge:\n"
-        "{knowledge_block}\n"
-        "Dialogue so far:\n"
-        "{dialogue}\n"
-        "Write your next message. Keep it short."
-    )
-    annotate: str = (
-        f"{{schema_block}}\n\n{DIALOGUE_HEADER}\n\n{{dialogue}}\n\n"
-        f"Record the preferences the user has shared so far as a '{VALUES_HEADER}' block."
-    )
-    end_of_task: str = (
-        "Dialogue so far:\n"
-        "{dialogue}\n"
-        "Has the task '{task}' been completed or abandoned? Answer yes or no."
-    )
-
-
-DEFAULT_SIM_PACK = SimPromptPack()
-
-
-def load_sim_pack(directory) -> SimPromptPack:
-    """Load prompt overrides from ``<directory>/<prompt name>.txt`` files."""
-    overrides = {}
-    for f in fields(SimPromptPack):
-        path = Path(directory) / f"{f.name}.txt"
-        if path.exists():
-            overrides[f.name] = path.read_text(encoding="utf-8")
-    return replace(DEFAULT_SIM_PACK, **overrides)
-
-
-def save_sim_pack(pack: SimPromptPack, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for f in fields(SimPromptPack):
-        (directory / f"{f.name}.txt").write_text(getattr(pack, f.name), encoding="utf-8")
+# Every simulation prompt, with named placeholders.
+SCENARIO_PROMPT = (
+    "Write a numbered list of {n} different scenarios in which one person is "
+    "getting help from another.\n"
+    "Each line must follow this template exactly:\n"
+    "<user> is getting help from <agent> in order to <task A>, <task B>, ...\n"
+    "Use 2 or 3 tasks per scenario and make the scenarios distinct."
+)
+SLOT_SCHEMA_PROMPT = (
+    "Scenario: {scenario}\n"
+    "Task: {task}\n"
+    "List the types of preferences or requirements the user might bring to "
+    "this task.\n"
+    "Write one line per field inside a fenced code block, each formatted as:\n"
+    "name: description"
+)
+KNOWLEDGE_SCHEMA_PROMPT = (
+    "Scenario: {scenario}\n"
+    "Task: {task}\n"
+    "The user preference fields are:\n"
+    "{slot_block}\n"
+    "List the fields that describe one of the agent's actual knowledge items "
+    "for this task. Preference fields like a maximum price should become "
+    "actual-value fields like a price.\n"
+    "Write one line per field inside a fenced code block, each formatted as:\n"
+    "name: description"
+)
+KNOWLEDGE_LIST_PROMPT = (
+    "Task: {task}\n"
+    "Knowledge item fields:\n"
+    "{schema_block}\n"
+    "Write {count} candidate knowledge items inside a fenced code block.\n"
+    "Write each item as 'name = value' lines and separate items with blank lines."
+)
+GOAL_PROMPT = (
+    "Task: {task}\n"
+    "Preference fields:\n"
+    "{slot_block}\n"
+    "An ideal solution looks like:\n"
+    "{ideal_block}\n"
+    "Fill in user preferences matching this solution inside a fenced code "
+    "block, one 'name = value' line per preference field."
+)
+RED_HERRING_PROMPT = (
+    "Task: {task}\n"
+    "Knowledge item fields:\n"
+    "{schema_block}\n"
+    "The user goal is:\n"
+    "{goal_block}\n"
+    "Write {count} additional knowledge items that are similar to the goal "
+    "without satisfying it, inside a fenced code block.\n"
+    "Write each item as 'name = value' lines and separate items with blank lines."
+)
+USER_TURN_PROMPT = (
+    "You are {role}, seeking help. Your goal preferences:\n"
+    "{goal_block}\n"
+    "Dialogue so far:\n"
+    "{dialogue}\n"
+    "Write your next message. Keep it short and do not reveal everything at once."
+)
+AGENT_TURN_PROMPT = (
+    "You are {role}, providing help. Your knowledge:\n"
+    "{knowledge_block}\n"
+    "Dialogue so far:\n"
+    "{dialogue}\n"
+    "Write your next message. Keep it short."
+)
+ANNOTATE_PROMPT = (
+    f"{{schema_block}}\n\n{DIALOGUE_HEADER}\n\n{{dialogue}}\n\n"
+    f"Record the preferences the user has shared so far as a '{VALUES_HEADER}' block."
+)
+END_OF_TASK_PROMPT = (
+    "Dialogue so far:\n"
+    "{dialogue}\n"
+    "Has the task '{task}' been completed or abandoned? Answer yes or no."
+)
 
 
 @dataclass(frozen=True)
@@ -268,6 +237,16 @@ class SimConfig:
     temperature: float = 0.7
     max_output: int = 512
 
+    def __post_init__(self) -> None:
+        for name in ("knowledge_size", "red_herring_count", "max_turns", "max_output"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.p_clear) not in (int, float) or not 0 <= self.p_clear <= 1:
+            raise ValueError(f"p_clear must be a number in [0, 1], got {self.p_clear!r}")
+        if type(self.temperature) not in (int, float) or not self.temperature >= 0:
+            raise ValueError(f"temperature must be a number >= 0, got {self.temperature!r}")
+
 
 # ---------------------------------------------------------------------------
 # Structured-output helpers
@@ -309,12 +288,20 @@ def _parse_records(block: str) -> List[KnowledgeRecord]:
     return records
 
 
+def _definitions_block(definitions: Iterable[Tuple[str, str]]) -> str:
+    return "\n".join(f"{name}: {description}" for name, description in definitions)
+
+
 def _record_block(record: KnowledgeRecord) -> str:
     return "\n".join(f"{name} = {value}" for name, value in record.items())
 
 
 def _records_block(records: Sequence[KnowledgeRecord]) -> str:
     return "\n\n".join(_record_block(r) for r in records)
+
+
+def _goal_block(goal: Mapping[SlotKey, str]) -> str:
+    return "\n".join(f"{k.name} = {v}" for k, v in sorted(goal.items())) or "(none)"
 
 
 def _dialogue_text(scenario: ScenarioSpec, turns: Sequence[Turn]) -> str:
@@ -339,11 +326,28 @@ def _split_tasks(text: str) -> List[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _generate(backend: Backend, prompt: str, config: SimConfig) -> str:
+    return backend.generate(
+        GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
+    )
+
+
+def _generate_block(backend: Backend, prompt: str, config: SimConfig,
+                    parse: Callable[[str], list], error: Type[SimError], noun: str) -> list:
+    """Run a prompt whose reply holds a fenced block, retrying once when
+    nothing in the block parses."""
+    for attempt in range(2):
+        block = _fenced_block(_generate(backend, prompt, config))
+        parsed = parse(block) if block is not None else None
+        if parsed:
+            return parsed
+        if attempt == 0:
+            log.warning("%s block failed to parse, retrying", noun)
+    raise error(f"no parseable {noun} block for prompt: {prompt[:80]!r}")
+
+
 def generate_scenarios(
-    n: int,
-    backend: Backend,
-    pack: SimPromptPack = DEFAULT_SIM_PACK,
-    config: SimConfig = SimConfig(),
+    n: int, backend: Backend, config: SimConfig = SimConfig()
 ) -> List[ScenarioSpec]:
     """Generate up to n scenario specs from a templated numbered list.
 
@@ -352,13 +356,7 @@ def generate_scenarios(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    response = backend.generate(
-        GenerationRequest(
-            pack.scenario.format(n=n),
-            max_output=config.max_output,
-            temperature=config.temperature,
-        )
-    )
+    response = _generate(backend, SCENARIO_PROMPT.format(n=n), config)
     specs: List[ScenarioSpec] = []
     seen = set()
     for line in response.splitlines():
@@ -396,38 +394,19 @@ def generate_scenarios(
     return specs
 
 
-def _generate_fields(
-    backend: Backend, prompt: str, config: SimConfig
-) -> List[Tuple[str, str]]:
-    """Run a definition prompt, retrying once when nothing parses."""
-    for attempt in range(2):
-        response = backend.generate(
-            GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
-        )
-        block = _fenced_block(response)
-        if block is not None:
-            parsed = _parse_fields(block)
-            if parsed:
-                return parsed
-        if attempt == 0:
-            log.warning("definition block failed to parse, retrying")
-    raise SchemaDefinitionError(f"no parseable definition block for prompt: {prompt[:80]!r}")
-
-
 def define_schemas(
     scenario: ScenarioSpec,
     task: str,
     backend: Backend,
-    pack: SimPromptPack = DEFAULT_SIM_PACK,
     config: SimConfig = SimConfig(),
 ) -> TaskSchemas:
     """Generate the slot schema and the agent knowledge schema for one task."""
     if task not in scenario.tasks:
         raise ValueError(f"task {task!r} not part of scenario {scenario.id}")
-    slot_fields = _generate_fields(
+    slot_fields = _generate_block(
         backend,
-        pack.slot_schema.format(scenario=scenario.description, task=task),
-        config,
+        SLOT_SCHEMA_PROMPT.format(scenario=scenario.description, task=task),
+        config, _parse_fields, SchemaDefinitionError, "definition",
     )
     slots = []
     seen = set()
@@ -440,13 +419,14 @@ def define_schemas(
             seen.add(key)
             slots.append(SlotDef(key, description or name, GOLD))
     slot_schema = SlotSchema(tuple(slots))
-    slot_block = "\n".join(f"{s.key.name}: {s.description}" for s in slot_schema)
-    knowledge_fields = _generate_fields(
+    knowledge_fields = _generate_block(
         backend,
-        pack.knowledge_schema.format(
-            scenario=scenario.description, task=task, slot_block=slot_block
+        KNOWLEDGE_SCHEMA_PROMPT.format(
+            scenario=scenario.description,
+            task=task,
+            slot_block=_definitions_block((s.key.name, s.description) for s in slot_schema),
         ),
-        config,
+        config, _parse_fields, SchemaDefinitionError, "definition",
     )
     return TaskSchemas(
         task=task,
@@ -455,28 +435,10 @@ def define_schemas(
     )
 
 
-def _generate_records(
-    backend: Backend, prompt: str, config: SimConfig
-) -> List[KnowledgeRecord]:
-    for attempt in range(2):
-        response = backend.generate(
-            GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
-        )
-        block = _fenced_block(response)
-        if block is not None:
-            records = _parse_records(block)
-            if records:
-                return records
-        if attempt == 0:
-            log.warning("record block failed to parse, retrying")
-    raise TaskInitError(f"no parseable record block for prompt: {prompt[:80]!r}")
-
-
 def initialize_task(
     schemas: TaskSchemas,
     backend: Backend,
     rng: random.Random,
-    pack: SimPromptPack = DEFAULT_SIM_PACK,
     config: SimConfig = SimConfig(),
 ) -> TaskSetup:
     """Initialize knowledge, ideal, goal, and red herrings for one dialogue.
@@ -485,25 +447,26 @@ def initialize_task(
     each goal slot is independently cleared with probability ``p_clear``;
     the ideal is removed from the knowledge a random 50% of the time.
     """
-    schema_block = "\n".join(
-        f"{f.name}: {f.description}" for f in schemas.knowledge_schema
-    )
-    knowledge = _generate_records(
+    schema_block = _definitions_block((f.name, f.description) for f in schemas.knowledge_schema)
+    knowledge = _generate_block(
         backend,
-        pack.knowledge_list.format(
+        KNOWLEDGE_LIST_PROMPT.format(
             task=schemas.task, schema_block=schema_block, count=config.knowledge_size
         ),
-        config,
+        config, _parse_records, TaskInitError, "record",
     )
     ideal = rng.choice(knowledge)
 
-    slot_block = "\n".join(f"{s.key.name}: {s.description}" for s in schemas.slot_schema)
-    goal_records = _generate_records(
+    goal_records = _generate_block(
         backend,
-        pack.goal.format(
-            task=schemas.task, slot_block=slot_block, ideal_block=_record_block(ideal)
+        GOAL_PROMPT.format(
+            task=schemas.task,
+            slot_block=_definitions_block(
+                (s.key.name, s.description) for s in schemas.slot_schema
+            ),
+            ideal_block=_record_block(ideal),
         ),
-        config,
+        config, _parse_records, TaskInitError, "record",
     )
     goal: Dict[SlotKey, str] = {}
     for name, value in goal_records[0].items():
@@ -519,15 +482,15 @@ def initialize_task(
         if rng.random() < config.p_clear:
             del goal[key]
 
-    herrings = _generate_records(
+    herrings = _generate_block(
         backend,
-        pack.red_herring.format(
+        RED_HERRING_PROMPT.format(
             task=schemas.task,
             schema_block=schema_block,
-            goal_block="\n".join(f"{k.name} = {v}" for k, v in sorted(goal.items())) or "(none)",
+            goal_block=_goal_block(goal),
             count=config.red_herring_count,
         ),
-        config,
+        config, _parse_records, TaskInitError, "record",
     )[: config.red_herring_count]
     knowledge = knowledge + herrings
 
@@ -550,10 +513,9 @@ def _annotate(
     turns: Sequence[Turn],
     setup: TaskSetup,
     backend: Backend,
-    pack: SimPromptPack,
     config: SimConfig,
 ) -> DialogueState:
-    prompt = pack.annotate.format(
+    prompt = ANNOTATE_PROMPT.format(
         schema_block=render_schema_block(setup.schemas.slot_schema),
         dialogue=_dialogue_text(scenario, turns),
     )
@@ -586,7 +548,6 @@ def simulate_dialogue(
     setups: Sequence[TaskSetup],
     backend: Backend,
     dialogue_id: str = "d000",
-    pack: SimPromptPack = DEFAULT_SIM_PACK,
     config: SimConfig = SimConfig(),
 ) -> SimTrace:
     """Simulate one dialogue across the scenario's tasks.
@@ -605,38 +566,33 @@ def simulate_dialogue(
     task_index = 0
     while len(turns) < config.max_turns:
         setup = setups[task_index]
-        goal_block = "\n".join(f"{k.name} = {v}" for k, v in sorted(setup.goal.items())) or "(none)"
-        user_text = backend.generate(
-            GenerationRequest(
-                pack.user_turn.format(
-                    role=scenario.user_role,
-                    goal_block=goal_block,
-                    dialogue=_dialogue_text(scenario, turns),
-                ),
-                max_output=config.max_output,
-                temperature=config.temperature,
-            )
+        user_text = _generate(
+            backend,
+            USER_TURN_PROMPT.format(
+                role=scenario.user_role,
+                goal_block=_goal_block(setup.goal),
+                dialogue=_dialogue_text(scenario, turns),
+            ),
+            config,
         ).strip()
         if not user_text:
             termination = TERMINATION_STALLED
             break
         turns.append(Turn(USER, user_text))
-        task_state = _annotate(scenario, turns, setup, backend, pack, config)
+        task_state = _annotate(scenario, turns, setup, backend, config)
         merged = _merge_states(carried, task_state)
         turns[-1] = Turn(USER, user_text, merged)
         if len(turns) >= config.max_turns:
             break
 
-        agent_text = backend.generate(
-            GenerationRequest(
-                pack.agent_turn.format(
-                    role=scenario.agent_role,
-                    knowledge_block=_records_block(setup.knowledge),
-                    dialogue=_dialogue_text(scenario, turns),
-                ),
-                max_output=config.max_output,
-                temperature=config.temperature,
-            )
+        agent_text = _generate(
+            backend,
+            AGENT_TURN_PROMPT.format(
+                role=scenario.agent_role,
+                knowledge_block=_records_block(setup.knowledge),
+                dialogue=_dialogue_text(scenario, turns),
+            ),
+            config,
         ).strip()
         if not agent_text:
             termination = TERMINATION_STALLED
@@ -645,7 +601,7 @@ def simulate_dialogue(
 
         verdict = backend.generate(
             GenerationRequest(
-                pack.end_of_task.format(
+                END_OF_TASK_PROMPT.format(
                     dialogue=_dialogue_text(scenario, turns), task=setup.schemas.task
                 ),
                 max_output=16,
@@ -684,7 +640,6 @@ def simulate_corpus(
     dialogues_per_scenario: int,
     backend: Backend,
     rng: random.Random,
-    pack: SimPromptPack = DEFAULT_SIM_PACK,
     config: SimConfig = SimConfig(),
 ) -> Tuple[CorpusFile, SimReport]:
     """Simulate the full corpus; failing dialogues are dropped and counted.
@@ -714,10 +669,7 @@ def simulate_corpus(
         nonlocal lost, gold
         for scenario in scenarios:
             try:
-                schemas = [
-                    define_schemas(scenario, task, backend, pack, config)
-                    for task in scenario.tasks
-                ]
+                schemas = [define_schemas(scenario, task, backend, config) for task in scenario.tasks]
             except (SimError, TransportError) as exc:
                 log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
                 lost += dialogues_per_scenario
@@ -731,10 +683,8 @@ def simulate_corpus(
     def run(job) -> Optional[SimTrace]:
         scenario, schemas, j, child = job
         try:
-            setups = [initialize_task(ts, backend, child, pack, config) for ts in schemas]
-            return simulate_dialogue(
-                scenario, setups, backend, f"{scenario.id}-d{j:03d}", pack, config
-            )
+            setups = [initialize_task(ts, backend, child, config) for ts in schemas]
+            return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}", config)
         except (SimError, TransportError) as exc:
             log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
             return None

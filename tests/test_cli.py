@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from slotweaver.cli import main
@@ -236,6 +237,30 @@ class TestInduce:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{cfg}: {message}" in result.output
 
+    @pytest.mark.parametrize("section, keys", [
+        (None, ["sed"]),
+        ("backend", ["endpont"]),
+        ("induction", ["windw", "refinr"]),
+        ("simulation", ["prompt_pack"]),
+    ])
+    def test_unknown_config_key_is_config_error(self, runner, tmp_path, section, keys):
+        config = {"backend": {"kind": "scripted", "script": str(DATA / "script.jsonl")}}
+        for key in keys:
+            (config if section is None else config.setdefault(section, {}))[key] = 0
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(config, sort_keys=False))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        named = ", ".join(key if section is None else f"{section}.{key}" for key in keys)
+        assert f"{cfg}: unknown config key {named}" in result.output
+        assert not out.exists()
+
     def test_non_utf8_corpus_is_config_error(self, runner, config_path, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")
@@ -333,6 +358,33 @@ class TestEvaluate:
              "--human-mapping", str(mapping)],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"x": 1}', "no 'decisions' list"),
+        ("not json", "invalid JSON at line 1"),
+        ('{"decisions": [{"predicted": {"domain": "garden layouts"}}]}',
+         "decisions[0].predicted: needs a 'domain' and a 'name' string"),
+        ('{"decisions": [{"predicted": {"domain": "garden layouts", "name": " "}}]}',
+         "decisions[0].predicted: empty slot name: ' '"),
+        ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}}, 7]}',
+         "decisions[1]: not an object"),
+        ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}, "gold": {"name": "c"}}]}',
+         "decisions[0].gold: needs a 'domain' and a 'name' string"),
+        (b"\xff\xfe{}", "not UTF-8 text"),
+    ], ids=["no-decisions", "not-json", "no-name", "blank-name", "entry-not-object",
+            "gold-no-domain", "not-utf8"])
+    def test_malformed_human_mapping_is_config_error(self, runner, tmp_path, text, message):
+        gold, states = self._tiny_fixture(tmp_path)
+        mapping = tmp_path / "mapping.json"
+        mapping.write_bytes(text if isinstance(text, bytes) else text.encode())
+        result = runner.invoke(
+            main,
+            ["evaluate", "--predictions", str(states), "--gold", str(gold),
+             "--human-mapping", str(mapping)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{mapping}: {message}" in result.output
 
     def test_unknown_dialogue_is_pipeline_error(self, runner, tmp_path):
         gold, states = self._tiny_fixture(tmp_path)
@@ -515,6 +567,23 @@ def sim_script_entries(break_first=False):
     return entries
 
 
+# A config line with a bad simulation setting, and the message it must give.
+BAD_SIM_SETTINGS = [
+    ("simulation: {temperature: -1}", "simulation: temperature must be a number >= 0, got -1"),
+    ("simulation: {scenarios: 0}", "simulation: scenarios must be an integer >= 1, got 0"),
+    ("simulation: {max_turns: 0}", "simulation: max_turns must be an integer >= 1, got 0"),
+    ("simulation: {dialogues_per_scenario: 0}",
+     "simulation: dialogues_per_scenario must be an integer >= 1, got 0"),
+    ("simulation: {knowledge_size: many}",
+     "simulation: knowledge_size must be an integer >= 1, got 'many'"),
+    ("simulation: {red_herrings: 0}",
+     "simulation: red_herring_count must be an integer >= 1, got 0"),
+    ("simulation: {p_clear: 1.5}", "simulation: p_clear must be a number in [0, 1], got 1.5"),
+    ("loss_limit: abc", "loss_limit must be a number in [0, 1], got 'abc'"),
+    ("seed: [1]", "seed must be an integer or null, got [1]"),
+]
+
+
 class TestSimulate:
     def _config(self, tmp_path, break_first=False):
         script = tmp_path / "sim_script.jsonl"
@@ -562,3 +631,17 @@ class TestSimulate:
     def test_no_config_defaults_to_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "c.json")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("setting, message", BAD_SIM_SETTINGS,
+                             ids=[setting for setting, _ in BAD_SIM_SETTINGS])
+    def test_bad_simulation_setting_is_config_error(self, runner, tmp_path, setting, message):
+        script = tmp_path / "sim_script.jsonl"
+        write_substring_script(script, sim_script_entries())
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n{setting}\n")
+        out = tmp_path / "corpus.json"
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert not out.exists()

@@ -1,6 +1,6 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
-entries, one thread pool, no unbounded memo table, and the block format's
-strings spelled in ``seqio`` only.
+entries, one thread pool, no unbounded memo table, the block format's
+strings spelled in ``seqio`` only, and no config key that nothing reads.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -12,7 +12,7 @@ import types
 from pathlib import Path
 
 import slotweaver
-from slotweaver import seqio
+from slotweaver import cli, seqio
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 
@@ -263,3 +263,64 @@ def test_block_format_strings_live_in_seqio():
         for line, fmt in format_literals(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def config_key_problems(source: str, namespace):
+    """Keys of ``namespace.CONFIG_KEYS`` that the module neither reads from
+    their section nor passes through, and literal keys it reads from a
+    section that the table does not list.
+
+    A read is ``<x>.<section>.get("key", ...)`` or ``<x>.<section>["key"]``;
+    ``_passed(<x>.<section>, TABLE, ...)`` passes every key of ``TABLE``.
+    """
+    table = namespace.CONFIG_KEYS
+    used = {name: set() for name in table}
+    read = {name: set() for name in table}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_passed":
+            section, keys = node.args[:2]
+            used[section.attr] |= set(getattr(namespace, keys.id))
+            continue
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get" and node.args:
+            target, key = node.func.value, node.args[0]
+        elif isinstance(node, ast.Subscript):
+            target, key = node.value, node.slice
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr in table and isinstance(key, ast.Constant):
+            read[target.attr].add(key.value)
+    return [
+        f"{name}.{key}: never read" for name in table for key in table[name]
+        if key not in used[name] | read[name]
+    ] + [
+        f"{name}.{key}: read but not in CONFIG_KEYS" for name in table for key in sorted(read[name])
+        if key not in table[name]
+    ]
+
+
+def test_config_key_checker_flags_dead_and_unlisted_keys():
+    source = (
+        "def f(cfg):\n"
+        "    kind, url = cfg.backend.get('kind', 'scripted'), cfg.backend['endpoint']\n"
+        "    n = cfg.simulation.get('scenarioz', 2)\n"
+        "    return _passed(cfg.induction, RUN_KEYS, temperature=None)\n"
+    )
+    namespace = types.SimpleNamespace(
+        RUN_KEYS={"max_output": "max_output"},
+        CONFIG_KEYS={
+            "backend": {"kind": None, "endpoint": None, "dead": None},
+            "induction": {"max_output": "max_output", "window": "window_w"},
+            "simulation": {},
+        },
+    )
+    assert config_key_problems(source, namespace) == [
+        "backend.dead: never read",
+        "induction.window: never read",
+        "simulation.scenarioz: read but not in CONFIG_KEYS",
+    ]
+
+
+def test_every_config_key_is_read():
+    """A key the config loader accepts but nothing reads would be silently
+    ignored, which is what refusing unknown keys is there to prevent."""
+    assert config_key_problems(Path(cli.__file__).read_text(encoding="utf-8"), cli) == []

@@ -1,8 +1,10 @@
 """The keyed schema, the by-domain grouping, the update-mode delta, the
 gold-turn walker, the refiners' fill table, the interned slot keys, the
-memoized catalog render and the block parsers and renderers against
-reference copies of the code they replaced, on random inputs."""
+memoized catalog render, the block parsers and renderers, and the
+simulator's prompt templates and fenced-block retry against reference
+copies of the code they replaced, on random inputs."""
 
+import logging
 import pickle
 import re
 from dataclasses import dataclass, field
@@ -12,6 +14,8 @@ from typing import Mapping, Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slotweaver import sim
+from slotweaver.backend import GenerationRequest, ScriptedBackend
 from slotweaver.core import (
     GOLD,
     Dialogue,
@@ -652,3 +656,183 @@ described_states = st.tuples(
 @given(described_states)
 def test_state_renderer_matches_old_renderer(state):
     assert render_state_block(state) == ref_render_state_block(state)
+
+
+# --- the simulator's prompt templates and fenced-block retry -----------------
+
+# The default templates of the removed ``SimPromptPack``, spelled out.
+REF_SIM_TEMPLATES = {
+    "SCENARIO_PROMPT": (
+        "Write a numbered list of {n} different scenarios in which one person is "
+        "getting help from another.\n"
+        "Each line must follow this template exactly:\n"
+        "<user> is getting help from <agent> in order to <task A>, <task B>, ...\n"
+        "Use 2 or 3 tasks per scenario and make the scenarios distinct."
+    ),
+    "SLOT_SCHEMA_PROMPT": (
+        "Scenario: {scenario}\n"
+        "Task: {task}\n"
+        "List the types of preferences or requirements the user might bring to "
+        "this task.\n"
+        "Write one line per field inside a fenced code block, each formatted as:\n"
+        "name: description"
+    ),
+    "KNOWLEDGE_SCHEMA_PROMPT": (
+        "Scenario: {scenario}\n"
+        "Task: {task}\n"
+        "The user preference fields are:\n"
+        "{slot_block}\n"
+        "List the fields that describe one of the agent's actual knowledge items "
+        "for this task. Preference fields like a maximum price should become "
+        "actual-value fields like a price.\n"
+        "Write one line per field inside a fenced code block, each formatted as:\n"
+        "name: description"
+    ),
+    "KNOWLEDGE_LIST_PROMPT": (
+        "Task: {task}\n"
+        "Knowledge item fields:\n"
+        "{schema_block}\n"
+        "Write {count} candidate knowledge items inside a fenced code block.\n"
+        "Write each item as 'name = value' lines and separate items with blank lines."
+    ),
+    "GOAL_PROMPT": (
+        "Task: {task}\n"
+        "Preference fields:\n"
+        "{slot_block}\n"
+        "An ideal solution looks like:\n"
+        "{ideal_block}\n"
+        "Fill in user preferences matching this solution inside a fenced code "
+        "block, one 'name = value' line per preference field."
+    ),
+    "RED_HERRING_PROMPT": (
+        "Task: {task}\n"
+        "Knowledge item fields:\n"
+        "{schema_block}\n"
+        "The user goal is:\n"
+        "{goal_block}\n"
+        "Write {count} additional knowledge items that are similar to the goal "
+        "without satisfying it, inside a fenced code block.\n"
+        "Write each item as 'name = value' lines and separate items with blank lines."
+    ),
+    "USER_TURN_PROMPT": (
+        "You are {role}, seeking help. Your goal preferences:\n"
+        "{goal_block}\n"
+        "Dialogue so far:\n"
+        "{dialogue}\n"
+        "Write your next message. Keep it short and do not reveal everything at once."
+    ),
+    "AGENT_TURN_PROMPT": (
+        "You are {role}, providing help. Your knowledge:\n"
+        "{knowledge_block}\n"
+        "Dialogue so far:\n"
+        "{dialogue}\n"
+        "Write your next message. Keep it short."
+    ),
+    "ANNOTATE_PROMPT": (
+        "{schema_block}\n\n# Dialogue\n\n{dialogue}\n\n"
+        "Record the preferences the user has shared so far as a "
+        "'# Key Information Values' block."
+    ),
+    "END_OF_TASK_PROMPT": (
+        "Dialogue so far:\n"
+        "{dialogue}\n"
+        "Has the task '{task}' been completed or abandoned? Answer yes or no."
+    ),
+}
+
+
+def test_sim_templates_keep_their_bytes():
+    assert {name: getattr(sim, name) for name in REF_SIM_TEMPLATES} == REF_SIM_TEMPLATES
+
+
+# The two retry loops as they were before one helper replaced them.
+def ref_generate_fields(backend, prompt, config):
+    for attempt in range(2):
+        response = backend.generate(
+            GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
+        )
+        block = sim._fenced_block(response)
+        if block is not None:
+            parsed = sim._parse_fields(block)
+            if parsed:
+                return parsed
+        if attempt == 0:
+            sim.log.warning("definition block failed to parse, retrying")
+    raise sim.SchemaDefinitionError(f"no parseable definition block for prompt: {prompt[:80]!r}")
+
+
+def ref_generate_records(backend, prompt, config):
+    for attempt in range(2):
+        response = backend.generate(
+            GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
+        )
+        block = sim._fenced_block(response)
+        if block is not None:
+            records = sim._parse_records(block)
+            if records:
+                return records
+        if attempt == 0:
+            sim.log.warning("record block failed to parse, retrying")
+    raise sim.TaskInitError(f"no parseable record block for prompt: {prompt[:80]!r}")
+
+
+NEW_RETRIES = {
+    "fields": lambda backend, prompt, config: sim._generate_block(
+        backend, prompt, config, sim._parse_fields, sim.SchemaDefinitionError, "definition"),
+    "records": lambda backend, prompt, config: sim._generate_block(
+        backend, prompt, config, sim._parse_records, sim.TaskInitError, "record"),
+}
+REF_RETRIES = {"fields": ref_generate_fields, "records": ref_generate_records}
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.levelname, record.getMessage()))
+
+
+def retry_outcome(retry, replies, prompt, config):
+    """(result or error, requests sent, log messages) of one retry loop over
+    a script of replies; a call past the script's end raises ScriptExhausted."""
+    backend = ScriptedBackend.from_responses(replies)
+    sent = []
+    generate = backend.generate
+    backend.generate = lambda request: sent.append(request) or generate(request)
+    messages = _Messages()
+    sim.log.addHandler(messages)
+    try:
+        result = "ok", retry(backend, prompt, config)
+    except Exception as exc:
+        result = type(exc), str(exc)
+    finally:
+        sim.log.removeHandler(messages)
+    return result, sent, messages.messages
+
+
+# Block bodies mix field lines, record lines, blank lines and junk, so that
+# either parser finds something, nothing, or only part of a block.
+_block_lines = st.sampled_from([
+    "name: the name", "- price: a price", "* color:", ": no name",
+    "plant = Rose", "price = 3", "= no name", "", "junk",
+])
+_block_bodies = st.lists(_block_lines, max_size=5).map("\n".join)
+_replies = st.one_of(
+    _block_bodies.map(lambda b: f"```\n{b}\n```"),
+    _block_bodies.map(lambda b: f"Sure:\n```text\n{b}\n```\nDone."),
+    _block_bodies,
+    st.just("```\n```"),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(NEW_RETRIES)), st.lists(_replies, min_size=1, max_size=3),
+       st.one_of(st.text(max_size=20), st.text(min_size=70, max_size=120)),
+       st.builds(sim.SimConfig, max_output=st.integers(1, 2048),
+                 temperature=st.sampled_from([0.0, 0.7, 1.5])))
+def test_fenced_block_retry_matches_old_loops(kind, replies, prompt, config):
+    got = retry_outcome(NEW_RETRIES[kind], replies, prompt, config)
+    assert got == retry_outcome(REF_RETRIES[kind], replies, prompt, config)

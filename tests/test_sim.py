@@ -11,7 +11,6 @@ from slotweaver.backend import AuthError, ScriptedBackend, TransportError
 from slotweaver.core import GOLD, SlotDef, SlotSchema
 from slotweaver.seqio import CorpusFile, canonical_json, corpus_to_obj
 from slotweaver.sim import (
-    DEFAULT_SIM_PACK,
     KnowledgeField,
     ScenarioGenerationError,
     ScenarioSpec,
@@ -25,8 +24,6 @@ from slotweaver.sim import (
     define_schemas,
     generate_scenarios,
     initialize_task,
-    load_sim_pack,
-    save_sim_pack,
     simulate_corpus,
     simulate_dialogue,
 )
@@ -405,18 +402,6 @@ class _RaisingFor:
         if self.marker in request.prompt:
             raise self.error
         return self.inner.generate(request)
-
-
-class TestPromptPack:
-    def test_directory_round_trip(self, tmp_path):
-        save_sim_pack(DEFAULT_SIM_PACK, tmp_path)
-        assert load_sim_pack(tmp_path) == DEFAULT_SIM_PACK
-
-    def test_partial_override(self, tmp_path):
-        (tmp_path / "scenario.txt").write_text("custom {n}")
-        pack = load_sim_pack(tmp_path)
-        assert pack.scenario == "custom {n}"
-        assert pack.agent_turn == DEFAULT_SIM_PACK.agent_turn
 
 
 # ---------------------------------------------------------------------------

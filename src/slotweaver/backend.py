@@ -7,6 +7,7 @@ is installed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
@@ -17,8 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
-
-import requests
+from urllib.parse import urlsplit
 
 __all__ = [
     "GenerationRequest",
@@ -261,6 +261,15 @@ def _retry_hint(headers) -> Optional[float]:
     return None
 
 
+def _positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+# What a kept-alive connection that the server closed while idle fails with
+# (``http.client.RemoteDisconnected`` is a ConnectionResetError).
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
 class HttpBackend:
     """Client for chat-completions style endpoints.
 
@@ -273,14 +282,14 @@ class HttpBackend:
     in [0.5, 1.5).
 
     ``generate`` may be called from several threads at once (each thread
-    gets its own ``requests.Session``); ``max_in_flight`` says how many
-    calls callers may overlap. ``audit_log``, when given, receives
-    ``(prompt, reply)`` pairs in the order the calls complete, which with
-    overlapping calls need not be the order they were made.
+    keeps its own keep-alive ``http.client`` connection); ``max_in_flight``
+    says how many calls callers may overlap. ``audit_log``, when given,
+    receives ``(prompt, reply)`` pairs in the order the calls complete,
+    which with overlapping calls need not be the order they were made.
     """
 
-    # A conservative overlap for a hosted endpoint, well under requests'
-    # pool of 10 connections per host; no endpoint's own limit was measured.
+    # A conservative overlap for a hosted endpoint; no endpoint's own limit
+    # was measured.
     max_in_flight = 4
 
     def __init__(
@@ -294,14 +303,31 @@ class HttpBackend:
         requests_per_minute: Optional[float] = None,
         audit_log: Optional[List[Tuple[str, str]]] = None,
     ):
+        try:
+            parts = urlsplit(endpoint)
+            port = parts.port
+        except (AttributeError, TypeError, ValueError):
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http or https URL with a host, got {endpoint!r}")
         if type(max_retries) is not int or max_retries < 0:
             raise ValueError(f"max_retries must be an integer >= 0, got {max_retries!r}")
+        if requests_per_minute is not None and not _positive(requests_per_minute):
+            raise ValueError("requests_per_minute must be a positive number or null, "
+                             f"got {requests_per_minute!r}")
+        if not _positive(timeout):
+            raise ValueError(f"timeout must be a positive number, got {timeout!r}")
+        if type(backoff) not in (int, float) or not 0 <= backoff < math.inf:
+            raise ValueError(f"backoff must be a number >= 0, got {backoff!r}")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise AuthError(f"no API credential: set {API_KEY_ENV} or pass api_key")
-        self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self._key = key
+        self._connection_type = (http.client.HTTPSConnection if parts.scheme == "https"
+                                 else http.client.HTTPConnection)
+        self._address = (parts.hostname, port)
+        self._path = parts.path.rstrip("/") + "/v1/chat/completions"
+        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
@@ -310,24 +336,39 @@ class HttpBackend:
         self._rng = random.Random()
         self._local = threading.local()
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+    def _session(self) -> http.client.HTTPConnection:
+        """This thread's connection; it reconnects by itself once closed."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_type(*self._address, timeout=self.timeout)
+        return conn
+
+    def _post(self, body: bytes) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """Status, headers and body of one POST. A request on a kept-alive
+        connection that the server has since closed is sent once more on a
+        fresh connection; any other failure closes the connection and raises."""
+        conn = self._session()
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._path, body, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except BaseException as exc:
+            conn.close()
+            if not (reused and isinstance(exc, _STALE)):
+                raise
+        return self._post(body)  # the closed connection opens a fresh one
 
     def _backoff(self, failed_attempt: int) -> float:
         return self.backoff * 2 ** failed_attempt * self._rng.uniform(0.5, 1.5)
 
     def generate(self, request: GenerationRequest) -> str:
-        payload = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_output,
-        }
-        url = f"{self.endpoint}/v1/chat/completions"
-        headers = {"Authorization": f"Bearer {self._key}"}
+        }).encode()
         last_error: Optional[Exception] = None
         wait = 0.0
         for attempt in range(self.max_retries + 1):
@@ -335,22 +376,26 @@ class HttpBackend:
                 time.sleep(wait)
             self._bucket.acquire()
             try:
-                resp = self._session().post(url, json=payload, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, headers, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 wait = self._backoff(attempt)
                 continue
-            if resp.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credential (HTTP {resp.status_code})")
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                hint = _retry_hint(resp.headers) if resp.status_code == 429 else None
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credential (HTTP {status})")
+            if status == 429 or status >= 500:
+                reply = data.decode("utf-8", "replace")[:200]
+                last_error = TransportError(f"HTTP {status}: {reply}")
+                hint = _retry_hint(headers) if status == 429 else None
                 wait = hint if hint is not None else self._backoff(attempt)
                 continue
+            if status >= 400:
+                raise TransportError(f"malformed completion response: HTTP {status}")
             try:
-                resp.raise_for_status()
-                text = resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                text = json.loads(data)["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise TransportError(f"malformed completion response: {exc}") from exc
             if self.audit_log is not None:
                 self.audit_log.append((request.prompt, text))

@@ -227,6 +227,10 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     out = Path(out_dir)
     kwargs = _passed(cfg.induction, RUN_KEYS)
     try:
+        induct.InductionRun(**kwargs)  # checks the run settings before any call
+    except ValueError as exc:
+        raise ConfigError(f"induction: {exc}") from exc
+    try:
         corpus = seqio.load_corpus(corpus_path)
     except seqio.CorpusFormatError as exc:
         _fail(str(exc), EXIT_CONFIG)

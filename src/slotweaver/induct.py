@@ -76,6 +76,14 @@ class InductionRun:
     dropped_discoveries: List[str] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        for name in ("context_budget", "hard_cap", "max_output"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.temperature) not in (int, float) or not self.temperature >= 0:
+            raise ValueError(f"temperature must be a number >= 0, got {self.temperature!r}")
+
 
 @dataclass(frozen=True)
 class TurnPrediction:

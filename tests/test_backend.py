@@ -1,3 +1,4 @@
+import http.client
 import json
 import random
 import sys
@@ -313,3 +314,166 @@ def test_threads_share_one_backend():
     assert sorted(log) == sorted((f"t{n} call {i}", f"T{n} CALL {i}")
                                  for n in range(4) for i in range(25))
     assert len({id(session) for session in sessions.values()}) == 4  # one per thread
+
+
+class _ReplayHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 handler that answers each POST after the next ``(body,
+    delay)`` of ``replies``: a 200 with the raw body bytes, or for None no
+    reply and a closed connection. A connection idle for ``timeout`` seconds
+    is closed. Records each connection and each request path."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 0.1
+    replies = []
+    connections = []
+    paths = []
+
+    def setup(self):
+        _ReplayHandler.connections.append(self.client_address)
+        super().setup()
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        _ReplayHandler.paths.append(self.path)
+        body, delay = _ReplayHandler.replies.pop(0)
+        threading.Event().wait(delay)  # time.sleep may be recording, not sleeping
+        if body is None:
+            self.close_connection = True
+            return
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def replay_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ReplayHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    _ReplayHandler.replies = []
+    _ReplayHandler.connections = []
+    _ReplayHandler.paths = []
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def replay_backend(replay_server):
+    """Makes backends on the replay server and closes their connections."""
+    made = []
+
+    def make(**kw):
+        made.append(HttpBackend(replay_server, "m", api_key="k", **kw))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend._session().close()
+
+
+OK_REPLY = (json.dumps(_ok_body("ok")).encode(), 0)
+
+
+class TestConnections:
+    def test_idle_connection_closed_by_server_is_replaced_without_a_retry(
+            self, replay_backend, sleeps):
+        _ReplayHandler.replies = [OK_REPLY, OK_REPLY]
+        backend = replay_backend()
+        assert backend.generate(req()) == "ok"
+        threading.Event().wait(0.5)  # the server drops the kept-alive connection
+        assert backend.generate(req()) == "ok"
+        assert len(_ReplayHandler.paths) == 2
+        assert len(_ReplayHandler.connections) == 2
+        assert sleeps == []
+
+    def test_kept_alive_connection_is_reused(self, replay_backend):
+        _ReplayHandler.replies = [OK_REPLY] * 3
+        backend = replay_backend()
+        assert [backend.generate(req()) for _ in range(3)] == ["ok"] * 3
+        assert len(_ReplayHandler.connections) == 1
+
+    def test_fresh_connection_dropped_is_retried_with_backoff(self, replay_backend, sleeps):
+        _ReplayHandler.replies = [(None, 0)] * 3
+        backend = replay_backend(max_retries=2, backoff=1.0)
+        backend._rng = random.Random(7)
+        with pytest.raises(TransportError, match="giving up after 2 retries"):
+            backend.generate(req())
+        expected_rng = random.Random(7)
+        assert sleeps == [2 ** i * expected_rng.uniform(0.5, 1.5) for i in range(2)]
+        assert len(_ReplayHandler.paths) == 3
+
+    def test_timeout_closes_the_connection_and_is_retried(self, replay_backend, sleeps):
+        _ReplayHandler.replies = [(None, 1.0), OK_REPLY]
+        backend = replay_backend(timeout=0.25)
+        assert backend.generate(req()) == "ok"
+        assert len(sleeps) == 1
+        assert len(_ReplayHandler.connections) == 2
+
+    @pytest.mark.parametrize("body", [
+        b"not json", b"[]", b'{"choices": []}', b'{"choices": [{"message": {}}]}',
+        b'{"choices": [{"message": {"content": null}}]}', b"\xff\xfe\xfa",
+    ])
+    def test_malformed_body_not_retried(self, replay_backend, sleeps, body):
+        _ReplayHandler.replies = [(body, 0)]
+        backend = replay_backend()
+        with pytest.raises(TransportError, match="malformed completion response"):
+            backend.generate(req())
+        assert len(_ReplayHandler.paths) == 1
+        assert sleeps == []
+
+    def test_404_not_retried(self, stub_server, sleeps):
+        _StubHandler.script = [(404, {})]
+        backend = HttpBackend(stub_server, "m", api_key="k")
+        with pytest.raises(TransportError, match="malformed completion response: HTTP 404"):
+            backend.generate(req())
+        assert len(_StubHandler.requests) == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("prefix", ["/api", "/api/"])
+    def test_endpoint_path_prefix_kept(self, stub_server, prefix):
+        _StubHandler.script = [(200, _ok_body("ok"))]
+        backend = HttpBackend(stub_server + prefix, "m", api_key="k")
+        assert backend.generate(req()) == "ok"
+        assert _StubHandler.requests[0][0] == "/api/v1/chat/completions"
+
+    def test_https_endpoint_gets_a_tls_connection(self):
+        backend = HttpBackend("https://llm.example:8443/base", "m", api_key="k")
+        conn = backend._session()
+        assert type(conn) is http.client.HTTPSConnection
+        assert (conn.host, conn.port, conn.sock) == ("llm.example", 8443, None)
+        assert backend._session() is conn
+
+
+class TestSettings:
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:9", "127.0.0.1:9", "ftp://host", "http://", "http:///v1", "https://h:99999",
+        "http://h:port", None, 8080,
+    ])
+    def test_endpoint_must_be_an_http_url_with_a_host(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint must be an http or https URL"):
+            HttpBackend(endpoint, "m", api_key="k")
+
+    @pytest.mark.parametrize("setting, value", [
+        ("requests_per_minute", -5), ("requests_per_minute", 0),
+        ("requests_per_minute", float("inf")), ("requests_per_minute", float("nan")),
+        ("requests_per_minute", "60"), ("requests_per_minute", True),
+        ("timeout", 0), ("timeout", -1.0), ("timeout", float("inf")), ("timeout", None),
+        ("backoff", -0.5), ("backoff", float("nan")), ("backoff", "1"),
+    ])
+    def test_bad_setting_rejected(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            HttpBackend("http://x", "m", api_key="k", **{setting: value})
+
+    @pytest.mark.parametrize("settings", [
+        {"requests_per_minute": None}, {"requests_per_minute": 0.5}, {"timeout": 1},
+        {"backoff": 0}, {"backoff": 0.0},
+    ])
+    def test_good_settings_accepted(self, settings):
+        HttpBackend("http://x", "m", api_key="k", **settings)

@@ -116,6 +116,10 @@ class TestInduce:
         ("kind: http\n  api_key: k", "backend.endpoint"),
         ("kind: http\n  endpoint: http://127.0.0.1:9\n  api_key: k\n  max_retries: -1",
          "max_retries"),
+        ("kind: http\n  endpoint: http://127.0.0.1:9\n  api_key: k\n  requests_per_minute: -5",
+         "backend: requests_per_minute must be a positive number or null, got -5"),
+        ("kind: http\n  endpoint: localhost:9\n  api_key: k",
+         "backend: endpoint must be an http or https URL with a host, got 'localhost:9'"),
     ])
     def test_bad_http_backend_is_config_error(self, runner, tmp_path, backend_yaml, message):
         cfg = tmp_path / "bad.yaml"
@@ -174,6 +178,27 @@ class TestInduce:
         )
         assert result.exit_code == 2, result.output
         assert "must all be >= 1" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("max_output: 0", "induction: max_output must be an integer >= 1, got 0"),
+        ("temperature: -1", "induction: temperature must be a number >= 0, got -1"),
+        ("hard_cap: abc", "induction: hard_cap must be an integer >= 1, got 'abc'"),
+        ("context_budget: -5", "induction: context_budget must be an integer >= 1, got -5"),
+    ])
+    def test_bad_induction_setting_is_config_error(self, runner, tmp_path, setting, message):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {DATA / 'script.jsonl'}\n"
+                       f"induction:\n  {setting}\n")
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert message in result.output
         assert not out.exists()
 
     def _induce_with_script(self, runner, tmp_path, script_lines, *flags):

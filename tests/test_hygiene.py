@@ -1,6 +1,7 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
 entries, one thread pool, no unbounded memo table, the block format's
-strings spelled in ``seqio`` only, and no config key that nothing reads.
+strings spelled in ``seqio`` only, no config key that nothing reads, and no
+third-party HTTP library.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -8,13 +9,19 @@ lists it in ``__all__``, or mentions it inside a string annotation.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import slotweaver
 from slotweaver import cli, seqio
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
 def _bound_names(node):
@@ -324,3 +331,16 @@ def test_every_config_key_is_read():
     """A key the config loader accepts but nothing reads would be silently
     ignored, which is what refusing unknown keys is there to prevent."""
     assert config_key_problems(Path(cli.__file__).read_text(encoding="utf-8"), cli) == []
+
+
+def test_cli_import_loads_no_http_library():
+    """The backend speaks HTTP through the standard library alone."""
+    code = "import sys, slotweaver.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    dependencies = " ".join(tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
+                            ["project"]["dependencies"])
+    assert "requests" not in dependencies and "urllib3" not in dependencies

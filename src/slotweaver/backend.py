@@ -283,9 +283,7 @@ class HttpBackend:
 
     ``generate`` may be called from several threads at once (each thread
     keeps its own keep-alive ``http.client`` connection); ``max_in_flight``
-    says how many calls callers may overlap. ``audit_log``, when given,
-    receives ``(prompt, reply)`` pairs in the order the calls complete,
-    which with overlapping calls need not be the order they were made.
+    says how many calls callers may overlap.
     """
 
     # A conservative overlap for a hosted endpoint; no endpoint's own limit
@@ -301,7 +299,6 @@ class HttpBackend:
         backoff: float = 0.5,
         timeout: float = 120.0,
         requests_per_minute: Optional[float] = None,
-        audit_log: Optional[List[Tuple[str, str]]] = None,
     ):
         try:
             parts = urlsplit(endpoint)
@@ -332,7 +329,6 @@ class HttpBackend:
         self.backoff = backoff
         self.timeout = timeout
         self._bucket = _TokenBucket(requests_per_minute)
-        self.audit_log = audit_log
         self._rng = random.Random()
         self._local = threading.local()
 
@@ -397,7 +393,5 @@ class HttpBackend:
                     raise TypeError(f"content is {type(text).__name__}, not a string")
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise TransportError(f"malformed completion response: {exc}") from exc
-            if self.audit_log is not None:
-                self.audit_log.append((request.prompt, text))
             return text
         raise TransportError(f"giving up after {self.max_retries} retries: {last_error}")

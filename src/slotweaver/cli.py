@@ -207,12 +207,12 @@ def _states_jsonl(state_log) -> str:
 @click.option("--cap", type=click.IntRange(min=1), default=None,
               help="FIFO/priority schema size cap.")
 @click.option("--two-pass", is_flag=True, default=False)
-@click.option("--replicates", type=click.IntRange(min=1), default=1)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None,
+              help="Stream-order seed; used only with --shuffle-seed.")
 @click.option("--shuffle-seed", "shuffle", is_flag=True, default=False,
               help="Shuffle stream order by the seed.")
 def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, cap,
-           two_pass, replicates, seed, shuffle):
+           two_pass, seed, shuffle):
     """Run streaming induction over a corpus, emitting schema + state log."""
     cfg = RunConfig.load(config_path)
     mode = StateMode(mode or cfg.induction.get("mode", "state"))
@@ -223,7 +223,7 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
         )
     except ValueError as exc:
         raise ConfigError(f"induction: {exc}") from exc
-    base_seed = seed if seed is not None else cfg.seed
+    seed = (seed if seed is not None else cfg.seed) if shuffle else None
     out = Path(out_dir)
     kwargs = _passed(cfg.induction, RUN_KEYS)
     try:
@@ -235,79 +235,50 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     except seqio.CorpusFormatError as exc:
         _fail(str(exc), EXIT_CONFIG)
 
-    index = []
-    all_failed = []
-    for rep in range(replicates):
-        rep_seed = None
-        if shuffle and base_seed is not None:
-            rep_seed = base_seed + rep
-        rep_dir = out if replicates == 1 else out / f"rep-{rep:03d}"
-        try:
-            backend = cfg.make_backend()
-            refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
-            if two_pass:
-                schema, result = induct.run_two_pass(
-                    corpus, mode, refiner, backend, seed=rep_seed, **kwargs
-                )
-            else:
-                result = induct.run_induction(
-                    corpus, mode, refiner, backend, seed=rep_seed, **kwargs
-                )
-                schema = result.final_schema
-        except AuthError as exc:
-            _fail(str(exc), EXIT_CONFIG)
-        except (BackendError, induct.SchemaOverflowError) as exc:
-            _fail(str(exc), EXIT_PIPELINE)
-        report = result.to_obj()
-        report["two_pass"] = two_pass
-        report["mode"] = mode.value
-        report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
-        _write(rep_dir / "schema.json", canonical_json(seqio.schema_to_obj(schema)))
-        _write(rep_dir / "states.jsonl", _states_jsonl(result.state_log))
-        _write(rep_dir / "report.json", canonical_json(report))
-        index.append(str(rep_dir))
-        click.echo(
-            f"[{rep_dir}] {len(schema)} slots, {result.turns_processed} turns, "
-            f"{result.parse_failures} parse failures"
-        )
-        if result.turns_processed and result.failed_turns == result.turns_processed:
-            all_failed.append(str(rep_dir))
-    if replicates > 1:
-        _write(out / "index.json", canonical_json({"replicates": index}))
-    if all_failed:
-        _fail(f"every backend call failed in {', '.join(all_failed)}", EXIT_PIPELINE)
+    try:
+        backend = cfg.make_backend()
+        refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
+        if two_pass:
+            schema, result = induct.run_two_pass(
+                corpus, mode, refiner, backend, seed=seed, **kwargs
+            )
+        else:
+            result = induct.run_induction(corpus, mode, refiner, backend, seed=seed, **kwargs)
+            schema = result.final_schema
+    except AuthError as exc:
+        _fail(str(exc), EXIT_CONFIG)
+    except (BackendError, induct.SchemaOverflowError) as exc:
+        _fail(str(exc), EXIT_PIPELINE)
+    report = result.to_obj()
+    report["two_pass"] = two_pass
+    report["mode"] = mode.value
+    report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
+    _write(out / "schema.json", canonical_json(seqio.schema_to_obj(schema)))
+    _write(out / "states.jsonl", _states_jsonl(result.state_log))
+    _write(out / "report.json", canonical_json(report))
+    click.echo(
+        f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
+        f"{result.parse_failures} parse failures"
+    )
+    if result.turns_processed and result.failed_turns == result.turns_processed:
+        _fail(f"every backend call failed in {out}", EXIT_PIPELINE)
     sys.exit(EXIT_OK)
 
 
-def _parse_json(where, text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise seqio.CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
-
-
 def _load_state_log(path: Path):
-    """Read a state log from a report.json or a states.jsonl file.
+    """Read a states.jsonl state log: one JSON object per line.
 
-    A malformed log is a CorpusFormatError naming the file and the line
-    (states.jsonl) or the entry of ``states`` (report.json).
+    A malformed log is a CorpusFormatError naming the file and the line.
     """
-    text = seqio.read_utf8(path)
-    if path.suffix == ".jsonl":
-        entries = [
-            (f"{path}:{lineno}", _parse_json(f"{path}:{lineno}", line))
-            for lineno, line in enumerate(text.splitlines(), start=1)
-            if line.strip()
-        ]
-    else:
-        report = _parse_json(path, text)
-        if not isinstance(report, dict) or not isinstance(report.get("states"), list):
-            raise seqio.CorpusFormatError(f"{path}: no 'states' list")
-        entries = [(f"{path}: states[{i}]", entry) for i, entry in enumerate(report["states"])]
     log = []
-    for where, obj in entries:
+    for lineno, line in enumerate(seqio.read_utf8(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
         try:
-            log.append(seqio.StateLogEntry.from_obj(obj))
+            log.append(seqio.StateLogEntry.from_obj(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise seqio.CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
         except seqio.CorpusFormatError as exc:
             raise seqio.CorpusFormatError(f"{where}: {exc}") from exc
     return log
@@ -315,7 +286,7 @@ def _load_state_log(path: Path):
 
 @main.command()
 @click.option("--predictions", type=click.Path(exists=True), required=True,
-              help="Run report.json or states.jsonl from induce.")
+              help="A states.jsonl state log from induce.")
 @click.option("--gold", "gold_path", type=click.Path(exists=True), required=True)
 @click.option("--mode", type=click.Choice([m.value for m in StateMode]), default="state")
 @click.option("--human-mapping", "human_path", type=click.Path(exists=True), default=None)

@@ -212,11 +212,11 @@ class DialogueState:
     def __post_init__(self) -> None:
         triples = frozenset(self.triples)
         object.__setattr__(self, "triples", triples)
-        keys = [key for key, _ in triples]
-        if len(keys) != len(set(keys)):
+        keys = {key for key, _ in triples}
+        if len(keys) != len(triples):
             raise ValueError("multiple values for one slot key in a single state")
         descriptions = dict(self.new_slot_descriptions)
-        missing = set(descriptions) - set(keys)
+        missing = descriptions.keys() - keys
         if missing:
             raise ValueError(f"described slots missing from triples: {sorted(map(str, missing))}")
         object.__setattr__(self, "new_slot_descriptions", MappingProxyType(descriptions))

@@ -32,7 +32,6 @@ __all__ = [
     "collect_valued_slots",
     "gold_valued_slots",
     "evaluate_run",
-    "mean_reports",
     "load_human_mapping",
     "mapping_agreement",
 ]
@@ -240,7 +239,6 @@ class MetricReport:
     per_scenario: Mapping[str, Tuple[float, float, float, float, float, float]] = field(
         default_factory=dict
     )
-    replicate_mean: bool = False
 
     def numbers(self) -> Tuple[float, ...]:
         return (self.slot_p, self.slot_r, self.slot_f1, self.value_p, self.value_r, self.value_f1)
@@ -256,7 +254,8 @@ class MetricReport:
                 }
                 for sid, n in sorted(self.per_scenario.items())
             },
-            "replicate_mean": self.replicate_mean,
+            # always False; kept because perfbench/reference.json hash-compares metrics.json
+            "replicate_mean": False,
         }
 
     def render_table(self) -> str:
@@ -308,14 +307,6 @@ def evaluate_run(
         raise InvalidGold("gold corpus contains no dialogues")
     means = [sum(n[i] for n in per_scenario.values()) / len(per_scenario) for i in range(6)]
     return MetricReport(*means, per_scenario=per_scenario)
-
-
-def mean_reports(reports: Sequence[MetricReport]) -> MetricReport:
-    """Element-wise mean across replicate reports."""
-    if not reports:
-        raise ValueError("no reports to average")
-    means = [sum(r.numbers()[i] for r in reports) / len(reports) for i in range(6)]
-    return MetricReport(*means, per_scenario={}, replicate_mean=True)
 
 
 def _decided_key(where: str, slot) -> SlotKey:

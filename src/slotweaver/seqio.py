@@ -120,7 +120,8 @@ def _walk_block(
     text: str, header: str, missing: type, known: Optional[SlotSchema] = None
 ) -> Tuple[Dict[SlotKey, str], Dict[SlotKey, str], List[str]]:
     """Read the block under ``header``, up to the next ``# `` block:
-    ``## Domain`` sections of ``* name: text`` bullets.
+    ``## Domain`` sections of ``* name: text`` bullets. A bare ``##`` ends
+    a section without opening another.
 
     Returns the text of each well-formed bullet by key (the last bullet of a
     duplicate key wins), the descriptions by key, and one warning per
@@ -144,8 +145,10 @@ def _walk_block(
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("## "):
-            domain = line[3:].strip()  # never empty: ``line`` is stripped
+        if line == "##" or line.startswith("## "):
+            domain = line[3:].strip() or None
+            if domain is None:
+                warnings.append(f"line {lineno}: empty domain header")
             last_key = None
             continue
         if line.startswith("# "):

@@ -203,13 +203,6 @@ class TestHttpBackend:
             backend.generate(req())
         assert len(_StubHandler.requests) == 1
 
-    def test_audit_log(self, stub_server):
-        _StubHandler.script = [(200, _ok_body("out"))]
-        log = []
-        backend = HttpBackend(stub_server, "m", api_key="k", audit_log=log)
-        backend.generate(req("in"))
-        assert log == [("in", "out")]
-
     def test_env_credential_used(self, stub_server, monkeypatch):
         monkeypatch.setenv("SLOTWEAVER_API_KEY", "env-key")
         _StubHandler.script = [(200, _ok_body("ok"))]
@@ -284,9 +277,7 @@ def test_threads_share_one_backend():
     server.daemon_threads = True
     serving = threading.Thread(target=server.serve_forever, daemon=True)
     serving.start()
-    log = []
-    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", "m", api_key="k",
-                          audit_log=log)
+    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", "m", api_key="k")
     replies, sessions = {}, {}
 
     def client(name):
@@ -311,8 +302,6 @@ def test_threads_share_one_backend():
     for name, got in replies.items():
         assert got == [f"{name} call {i}".upper() for i in range(25)]
     assert len(replies) == 4
-    assert sorted(log) == sorted((f"t{n} call {i}", f"T{n} CALL {i}")
-                                 for n in range(4) for i in range(25))
     assert len({id(session) for session in sessions.values()}) == 4  # one per thread
 
 

@@ -8,7 +8,6 @@ from slotweaver.evalx import (
     EmptyPredictedSlot,
     IncompleteMapping,
     InvalidGold,
-    MetricReport,
     SlotMapping,
     UnknownScenario,
     ValuedSlot,
@@ -18,7 +17,6 @@ from slotweaver.evalx import (
     load_human_mapping,
     mapping_agreement,
     match_slots,
-    mean_reports,
     similarity_exact,
     slot_prf,
     value_prf,
@@ -274,13 +272,6 @@ class TestEvaluateRun:
         bare = CorpusFile(dialogues=corpus.dialogues)
         with pytest.raises(InvalidGold):
             evaluate_run([], bare, StateMode.STATE)
-
-    def test_mean_reports(self):
-        a = MetricReport(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-        b = MetricReport(0.0, 0.5, 0.0, 1.0, 1.0, 1.0)
-        mean = mean_reports([a, b])
-        assert mean.numbers() == (0.5, 0.75, 0.5, 0.5, 0.5, 0.5)
-        assert mean.replicate_mean
 
     def test_render_table_contains_mean_row(self):
         corpus, k = self._corpus()

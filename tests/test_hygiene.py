@@ -1,7 +1,7 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
 entries, one thread pool, no unbounded memo table, the block format's
-strings spelled in ``seqio`` only, no config key that nothing reads, and no
-third-party HTTP library.
+strings spelled in ``seqio`` only, no config key that nothing reads, no
+third-party HTTP library, and no CLI option that the README leaves out.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -10,11 +10,13 @@ lists it in ``__all__``, or mentions it inside a string annotation.
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import click
 import pytest
 
 import slotweaver
@@ -22,6 +24,7 @@ from slotweaver import cli, seqio
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def _bound_names(node):
@@ -344,3 +347,37 @@ def test_cli_import_loads_no_http_library():
     dependencies = " ".join(tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
                             ["project"]["dependencies"])
     assert "requests" not in dependencies and "urllib3" not in dependencies
+
+
+def undocumented_options(group: click.Group, text: str):
+    """``command --option`` for every long option of ``group``'s commands
+    that ``text`` never spells as a whole word."""
+    spelled = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    return [
+        f"{name} {opt}"
+        for name, command in group.commands.items()
+        for param in command.params
+        for opt in param.opts
+        if opt.startswith("--") and opt not in spelled
+    ]
+
+
+def test_option_checker_matches_whole_options():
+    @click.group()
+    def group():
+        pass
+
+    @group.command()
+    @click.option("--out")
+    @click.option("--out-dir")
+    @click.option("--seed")
+    def run(out, out_dir, seed):
+        pass
+
+    assert undocumented_options(group, "run --out-dir x (`--seed`)") == ["run --out"]
+    assert undocumented_options(group, "run --out-dir x --out y --seed 1") == []
+
+
+def test_every_cli_option_is_in_the_readme():
+    """An option the README never names is one a reader cannot find."""
+    assert undocumented_options(cli.main, README.read_text(encoding="utf-8")) == []

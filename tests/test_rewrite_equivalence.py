@@ -462,7 +462,7 @@ def ref_parse_schema_block(text):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("## "):
+        if line == "##" or line.startswith("## "):  # stated change: a bare ``##`` is a header
             domain = line[3:].strip()
             if not domain:
                 warnings.append(f"line {lineno}: empty domain header")
@@ -506,7 +506,7 @@ def ref_parse_state_block(text, known_schema):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("## "):
+        if line == "##" or line.startswith("## "):  # stated change: a bare ``##`` is a header
             domain = line[3:].strip() or None
             if domain is None:
                 warnings.append(f"line {lineno}: empty domain header")

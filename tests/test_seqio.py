@@ -191,6 +191,7 @@ MALFORMED_CASES = [
     (H + "## Hotel\n* area north\n", 0, 0),  # missing colon
     (H + "## Hotel\n* : north\n", 0, 0),  # empty name
     (H + "##\n* area: north\n", 0, 0),  # empty domain header
+    (H + "## Hotel\n* area: north\n##\n* day: monday\n", 1, 1),  # ``##`` closes the section
     (H + "## Hotel\n* area: north\n- near the sea\n", 1, 1),
     (H + "## Hotel\n- near the sea\n", 0, 0),  # description without bullet
     (H + "## Hotel\n* area: north\n\n\n* price: low\n", 2, 2),

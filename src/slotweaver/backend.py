@@ -75,14 +75,16 @@ class ScriptMismatch(BackendError):
 
 class Backend(Protocol):
     """Callers read an optional ``max_in_flight`` attribute (default 1): how
-    many ``generate`` calls may overlap when the work allows it."""
+    many ``generate`` calls may overlap when the work allows it. A backend
+    that sets it above 1 takes ``generate`` calls from any number of threads
+    and keeps at most that many in flight itself."""
 
     def generate(self, request: GenerationRequest) -> str: ...
 
 
 @contextmanager
 def ordered_map(backend: Backend) -> Iterator[Callable]:
-    """A ``map`` that overlaps up to the backend's ``max_in_flight`` calls
+    """A ``map`` that overlaps calls up to the backend's ``max_in_flight``
     and yields the results in input order.
 
     With one call in flight (the default) this is the builtin lazy ``map``:
@@ -96,6 +98,14 @@ def ordered_map(backend: Backend) -> Iterator[Callable]:
     whole input when called. When the ``with`` body raises, the calls not
     started are cancelled and the calls already running are not waited for:
     each may sleep through its retries. Their results are discarded.
+
+    This only orders results: the backend bounds its own calls in flight,
+    so uses may nest, and the input may be a generator that makes calls of
+    its own. Each use starts at most ``n`` workers. The simulator nests one
+    level (the dialogues, and within each its knowledge lists or its
+    annotations) beside the scenario definitions on the calling thread, so
+    it runs at most ``n × (n + 2)`` workers at a time, not counting calls
+    left running by a use that raised.
     """
     in_flight = getattr(backend, "max_in_flight", 1)
     if in_flight <= 1:
@@ -281,9 +291,13 @@ class HttpBackend:
     without such a hint, its exponential backoff scaled by a random factor
     in [0.5, 1.5).
 
-    ``generate`` may be called from several threads at once (each thread
-    keeps its own keep-alive ``http.client`` connection); ``max_in_flight``
-    says how many calls callers may overlap.
+    ``generate`` may be called from any number of threads at once. At most
+    ``max_in_flight`` requests are sent at a time: a call holds one of that
+    many slots while its request is on the wire, but not while it waits for
+    a retry or for the requests-per-minute limit. Each send takes an idle
+    keep-alive ``http.client`` connection, or opens one when none is idle,
+    and returns it afterwards, so the backend never holds more than
+    ``max_in_flight`` connections. ``close`` closes the idle ones.
     """
 
     # A conservative overlap for a hosted endpoint; no endpoint's own limit
@@ -330,20 +344,37 @@ class HttpBackend:
         self.timeout = timeout
         self._bucket = _TokenBucket(requests_per_minute)
         self._rng = random.Random()
-        self._local = threading.local()
+        self._slots = threading.BoundedSemaphore(self.max_in_flight)
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
-    def _session(self) -> http.client.HTTPConnection:
-        """This thread's connection; it reconnects by itself once closed."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connection_type(*self._address, timeout=self.timeout)
-        return conn
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _post(self, body: bytes) -> Tuple[int, http.client.HTTPMessage, bytes]:
-        """Status, headers and body of one POST. A request on a kept-alive
-        connection that the server has since closed is sent once more on a
-        fresh connection; any other failure closes the connection and raises."""
-        conn = self._session()
+        """Status, headers and body of one POST, sent in one of the
+        ``max_in_flight`` slots on a pooled connection."""
+        with self._slots:
+            with self._idle_lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                conn = self._connection_type(*self._address, timeout=self.timeout)
+            try:
+                return self._send(conn, body)
+            finally:
+                with self._idle_lock:
+                    self._idle.append(conn)
+
+    def _send(self, conn: http.client.HTTPConnection,
+              body: bytes) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """A request on a kept-alive connection that the server has since
+        closed is sent once more on a fresh connection; any other failure
+        closes the connection and raises. A closed connection reconnects by
+        itself on its next request."""
         reused = conn.sock is not None
         try:
             conn.request("POST", self._path, body, self._headers)
@@ -353,7 +384,7 @@ class HttpBackend:
             conn.close()
             if not (reused and isinstance(exc, _STALE)):
                 raise
-        return self._post(body)  # the closed connection opens a fresh one
+        return self._send(conn, body)  # the closed connection opens a fresh one
 
     def _backoff(self, failed_attempt: int) -> float:
         return self.backoff * 2 ** failed_attempt * self._rng.uniform(0.5, 1.5)

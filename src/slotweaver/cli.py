@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import click
 import yaml
@@ -126,6 +127,17 @@ class RunConfig:
         raise ConfigError(f"unknown backend kind: {kind!r}")
 
 
+@contextmanager
+def _command_backend(cfg: RunConfig) -> Iterator[Backend]:
+    """The configured backend, closed when the command is done with it."""
+    backend = cfg.make_backend()
+    try:
+        yield backend
+    finally:
+        if isinstance(backend, backend_mod.HttpBackend):
+            backend.close()
+
+
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -165,11 +177,11 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
         if type(count) is not int or count < 1:
             raise ConfigError(f"simulation: {name} must be an integer >= 1, got {count!r}")
     try:
-        backend = cfg.make_backend()
-        scenarios = sim.generate_scenarios(n_scenarios, backend, sim_cfg)
-        corpus, report = sim.simulate_corpus(
-            scenarios, dialogues_per_scenario, backend, random.Random(seed), sim_cfg
-        )
+        with _command_backend(cfg) as backend:
+            scenarios = sim.generate_scenarios(n_scenarios, backend, sim_cfg)
+            corpus, report = sim.simulate_corpus(
+                scenarios, dialogues_per_scenario, backend, random.Random(seed), sim_cfg
+            )
     except AuthError as exc:
         _fail(str(exc), EXIT_CONFIG)
     except (sim.SimError, BackendError, seqio.CorpusFormatError) as exc:
@@ -223,7 +235,10 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
         )
     except ValueError as exc:
         raise ConfigError(f"induction: {exc}") from exc
-    seed = (seed if seed is not None else cfg.seed) if shuffle else None
+    seed = seed if seed is not None else cfg.seed
+    if shuffle and seed is None:
+        raise ConfigError("--shuffle-seed needs a seed: pass --seed or set seed in the config")
+    seed = seed if shuffle else None
     out = Path(out_dir)
     kwargs = _passed(cfg.induction, RUN_KEYS)
     try:
@@ -236,15 +251,15 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
         _fail(str(exc), EXIT_CONFIG)
 
     try:
-        backend = cfg.make_backend()
-        refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
-        if two_pass:
-            schema, result = induct.run_two_pass(
-                corpus, mode, refiner, backend, seed=seed, **kwargs
-            )
-        else:
-            result = induct.run_induction(corpus, mode, refiner, backend, seed=seed, **kwargs)
-            schema = result.final_schema
+        with _command_backend(cfg) as backend:
+            refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
+            if two_pass:
+                schema, result = induct.run_two_pass(
+                    corpus, mode, refiner, backend, seed=seed, **kwargs
+                )
+            else:
+                result = induct.run_induction(corpus, mode, refiner, backend, seed=seed, **kwargs)
+                schema = result.final_schema
     except AuthError as exc:
         _fail(str(exc), EXIT_CONFIG)
     except (BackendError, induct.SchemaOverflowError) as exc:

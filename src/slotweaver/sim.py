@@ -8,6 +8,11 @@ knowledge base, so the two must converse to exchange information.
 Each dialogue is a chain of dependent calls, but dialogues do not depend on
 each other: ``simulate_corpus`` overlaps them up to the backend's
 ``max_in_flight`` and assembles the corpus in scenario and dialogue order.
+Calls that nothing in the chain waits on come off it: a scenario's tasks are
+defined at once, a dialogue's knowledge lists are fetched at once, and each
+user turn's state annotation runs while the dialogue goes on. All of these
+overlaps go through ``ordered_map``, so with one call in flight the calls
+are made in the order of a serial loop.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import logging
 import random
 import re
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
 from .backend import Backend, GenerationRequest, TransportError, ordered_map
@@ -435,26 +442,42 @@ def define_schemas(
     )
 
 
+def _knowledge_fields(schemas: TaskSchemas) -> str:
+    return _definitions_block((f.name, f.description) for f in schemas.knowledge_schema)
+
+
+def _knowledge_list(schemas: TaskSchemas, backend: Backend,
+                    config: SimConfig) -> List[KnowledgeRecord]:
+    """Generate a task's candidate knowledge items; the prompt draws no
+    randomness, so the lists of a dialogue's tasks can be fetched at once."""
+    return _generate_block(
+        backend,
+        KNOWLEDGE_LIST_PROMPT.format(
+            task=schemas.task, schema_block=_knowledge_fields(schemas),
+            count=config.knowledge_size,
+        ),
+        config, _parse_records, TaskInitError, "record",
+    )
+
+
 def initialize_task(
     schemas: TaskSchemas,
     backend: Backend,
     rng: random.Random,
     config: SimConfig = SimConfig(),
+    *,
+    knowledge: Optional[List[KnowledgeRecord]] = None,
 ) -> TaskSetup:
     """Initialize knowledge, ideal, goal, and red herrings for one dialogue.
 
-    The ideal item is drawn uniformly from the generated knowledge list;
-    each goal slot is independently cleared with probability ``p_clear``;
-    the ideal is removed from the knowledge a random 50% of the time.
+    The knowledge list is generated here unless ``knowledge`` passes one
+    already generated for this task. The ideal item is drawn uniformly from
+    it; each goal slot is independently cleared with probability
+    ``p_clear``; the ideal is removed from the knowledge a random 50% of the
+    time.
     """
-    schema_block = _definitions_block((f.name, f.description) for f in schemas.knowledge_schema)
-    knowledge = _generate_block(
-        backend,
-        KNOWLEDGE_LIST_PROMPT.format(
-            task=schemas.task, schema_block=schema_block, count=config.knowledge_size
-        ),
-        config, _parse_records, TaskInitError, "record",
-    )
+    if knowledge is None:
+        knowledge = _knowledge_list(schemas, backend, config)
     ideal = rng.choice(knowledge)
 
     goal_records = _generate_block(
@@ -486,7 +509,7 @@ def initialize_task(
         backend,
         RED_HERRING_PROMPT.format(
             task=schemas.task,
-            schema_block=schema_block,
+            schema_block=_knowledge_fields(schemas),
             goal_block=_goal_block(goal),
             count=config.red_herring_count,
         ),
@@ -556,65 +579,87 @@ def simulate_dialogue(
     only the dialogue and knowledge. States are annotated after each user
     turn against the active task's schema, carrying completed tasks' final
     states forward.
+
+    No prompt reads a state, so each annotation runs through
+    ``ordered_map`` while the user, agent and end-of-task calls go on; the
+    states are merged in turn order once the dialogue ends.
     """
     if len(setups) != len(scenario.tasks):
         raise ValueError("need exactly one TaskSetup per scenario task")
     turns: List[Turn] = []
     boundaries: List[int] = []
-    carried = DialogueState()
     termination = TERMINATION_TURN_LIMIT
-    task_index = 0
-    while len(turns) < config.max_turns:
-        setup = setups[task_index]
-        user_text = _generate(
-            backend,
-            USER_TURN_PROMPT.format(
-                role=scenario.user_role,
-                goal_block=_goal_block(setup.goal),
-                dialogue=_dialogue_text(scenario, turns),
-            ),
-            config,
-        ).strip()
-        if not user_text:
-            termination = TERMINATION_STALLED
-            break
-        turns.append(Turn(USER, user_text))
-        task_state = _annotate(scenario, turns, setup, backend, config)
-        merged = _merge_states(carried, task_state)
-        turns[-1] = Turn(USER, user_text, merged)
-        if len(turns) >= config.max_turns:
-            break
+    lost = threading.Event()  # an annotation raised, so the dialogue is lost
 
-        agent_text = _generate(
-            backend,
-            AGENT_TURN_PROMPT.format(
-                role=scenario.agent_role,
-                knowledge_block=_records_block(setup.knowledge),
-                dialogue=_dialogue_text(scenario, turns),
-            ),
-            config,
-        ).strip()
-        if not agent_text:
-            termination = TERMINATION_STALLED
-            break
-        turns.append(Turn(AGENT, agent_text))
-
-        verdict = backend.generate(
-            GenerationRequest(
-                END_OF_TASK_PROMPT.format(
-                    dialogue=_dialogue_text(scenario, turns), task=setup.schemas.task
+    def chain():
+        """Run the dialogue, yielding (turns so far, setup) after each user turn."""
+        nonlocal termination
+        task_index = 0
+        while len(turns) < config.max_turns and not lost.is_set():
+            setup = setups[task_index]
+            user_text = _generate(
+                backend,
+                USER_TURN_PROMPT.format(
+                    role=scenario.user_role,
+                    goal_block=_goal_block(setup.goal),
+                    dialogue=_dialogue_text(scenario, turns),
                 ),
-                max_output=16,
-                temperature=0.0,
+                config,
+            ).strip()
+            if not user_text:
+                termination = TERMINATION_STALLED
+                return
+            turns.append(Turn(USER, user_text))
+            yield tuple(turns), setup
+            if len(turns) >= config.max_turns:
+                return
+
+            agent_text = _generate(
+                backend,
+                AGENT_TURN_PROMPT.format(
+                    role=scenario.agent_role,
+                    knowledge_block=_records_block(setup.knowledge),
+                    dialogue=_dialogue_text(scenario, turns),
+                ),
+                config,
+            ).strip()
+            if not agent_text:
+                termination = TERMINATION_STALLED
+                return
+            turns.append(Turn(AGENT, agent_text))
+
+            verdict = backend.generate(
+                GenerationRequest(
+                    END_OF_TASK_PROMPT.format(
+                        dialogue=_dialogue_text(scenario, turns), task=setup.schemas.task
+                    ),
+                    max_output=16,
+                    temperature=0.0,
+                )
             )
-        )
-        if verdict.strip().lower().startswith("yes"):
-            boundaries.append(len(turns) - 1)
-            carried = _merge_states(carried, turns[-2].gold_state or DialogueState())
-            task_index += 1
-            if task_index == len(setups):
-                termination = TERMINATION_COMPLETED
-                break
+            if verdict.strip().lower().startswith("yes"):
+                boundaries.append(len(turns) - 1)
+                task_index += 1
+                if task_index == len(setups):
+                    termination = TERMINATION_COMPLETED
+                    return
+
+    def annotate(job) -> DialogueState:
+        try:
+            return _annotate(scenario, *job, backend, config)
+        except BaseException:
+            lost.set()
+            raise
+
+    with ordered_map(backend) as overlapped:
+        states = list(overlapped(annotate, chain()))
+    carried = DialogueState()
+    user_turns = [i for i, turn in enumerate(turns) if turn.speaker == USER]
+    task_ends = {agent_turn - 1 for agent_turn in boundaries}
+    for i, task_state in zip(user_turns, states):
+        turns[i] = Turn(USER, turns[i].text, _merge_states(carried, task_state))
+        if i in task_ends:
+            carried = turns[i].gold_state
     dialogue = Dialogue(dialogue_id, scenario.id, tuple(turns))
     return SimTrace(dialogue, tuple(boundaries), termination)
 
@@ -651,13 +696,17 @@ def simulate_corpus(
     Task setups are regenerated per dialogue so each gets fresh goals and
     knowledge. The corpus gold schema is the union of all task slot schemas.
 
-    Scenarios are defined, and child seeds drawn, on the calling thread in
-    scenario order. The dialogues run through ``ordered_map``: up to the
-    backend's ``max_in_flight`` of them overlap, and their traces are folded
-    in scenario and dialogue order, so the corpus and the report are the
-    same bytes as with one call at a time when the backend's replies depend
-    only on the prompt. With one call in flight the calls are made in the
-    order of a serial loop, which strict-order scripts rely on.
+    Scenarios are defined in scenario order, each one's tasks at once, and
+    child seeds are drawn on the calling thread in that order. The dialogues
+    run through ``ordered_map`` while later scenarios are defined, and each
+    fetches its tasks' knowledge lists at once, then draws goals, red
+    herrings and every other use of its seed in task order. The backend
+    keeps at most its ``max_in_flight`` calls in flight across all of these.
+    Traces are folded in scenario and dialogue order, so the corpus and the
+    report are the same bytes as with one call at a time when the backend's
+    replies depend only on the prompt. With one call in flight the calls
+    are made in the order of a serial loop, which strict-order scripts rely
+    on.
     """
     requested = len(scenarios) * dialogues_per_scenario
     histogram: Dict[str, int] = {}
@@ -668,8 +717,10 @@ def simulate_corpus(
     def jobs():
         nonlocal lost, gold
         for scenario in scenarios:
+            define = partial(define_schemas, scenario, backend=backend, config=config)
             try:
-                schemas = [define_schemas(scenario, task, backend, config) for task in scenario.tasks]
+                with ordered_map(backend) as overlapped:
+                    schemas = list(overlapped(define, scenario.tasks))
             except (SimError, TransportError) as exc:
                 log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
                 lost += dialogues_per_scenario
@@ -682,8 +733,11 @@ def simulate_corpus(
 
     def run(job) -> Optional[SimTrace]:
         scenario, schemas, j, child = job
+        fetch = partial(_knowledge_list, backend=backend, config=config)
         try:
-            setups = [initialize_task(ts, backend, child, config) for ts in schemas]
+            with ordered_map(backend) as overlapped:
+                setups = [initialize_task(ts, backend, child, config, knowledge=knowledge)
+                          for ts, knowledge in zip(schemas, overlapped(fetch, schemas))]
             return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}", config)
         except (SimError, TransportError) as exc:
             log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)

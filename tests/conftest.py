@@ -1,4 +1,8 @@
+import json
 import random
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -89,3 +93,67 @@ def make_dialogue(
         turns.append(Turn("user", f"user message {i}", state))
         turns.append(Turn("agent", f"agent message {i}"))
     return Dialogue(dialogue_id, scenario_id, tuple(turns))
+
+
+class _CountingHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, so a client can reuse its connections
+    disable_nagle_algorithm = True  # headers and body go out at once, not 40 ms apart
+
+    def setup(self):
+        with self.server.lock:
+            self.server.connections += 1
+        super().setup()
+
+    def do_POST(self):
+        server = self.server
+        request = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        with server.lock:
+            server.requests += 1
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+        try:
+            threading.Event().wait(server.delay)  # time.sleep may be recording, not sleeping
+            text = server.reply(request["messages"][0]["content"])
+        finally:
+            with server.lock:
+                server.in_flight -= 1
+        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+class CountingServer(ThreadingHTTPServer):
+    """Loopback chat-completions endpoint answering each prompt with
+    ``reply(prompt)`` after ``delay`` seconds. It counts the connections it
+    accepted, the requests it answered and ``peak``, the most requests it
+    held at once. A request counts from its arrival until its reply is
+    ready, within the time the client holds it, so ``peak`` never reads
+    more than the client had in flight."""
+
+    daemon_threads = True
+
+    def __init__(self, reply, delay=0.002):
+        super().__init__(("127.0.0.1", 0), _CountingHandler)
+        self.reply, self.delay = reply, delay
+        self.lock = threading.Lock()
+        self.connections = self.requests = self.in_flight = self.peak = 0
+        self.url = f"http://127.0.0.1:{self.server_port}"
+
+
+@contextmanager
+def counting_server(reply, delay=0.002):
+    server = CountingServer(reply, delay)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)

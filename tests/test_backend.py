@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -18,7 +19,10 @@ from slotweaver.backend import (
     ScriptedBackend,
     TransportError,
     load_script,
+    ordered_map,
 )
+
+from conftest import counting_server
 
 
 def req(prompt="hello", **kw):
@@ -255,54 +259,30 @@ class TestRetryWait:
         assert len(sleeps) == 1 and 0.05 <= sleeps[0] < 0.15
 
 
-class _EchoHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive, so each session reuses its connection
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        prompt = json.loads(self.rfile.read(length))["messages"][0]["content"]
-        payload = json.dumps(_ok_body(prompt.upper())).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
 def test_threads_share_one_backend():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _EchoHandler)
-    server.daemon_threads = True
-    serving = threading.Thread(target=server.serve_forever, daemon=True)
-    serving.start()
-    backend = HttpBackend(f"http://127.0.0.1:{server.server_port}", "m", api_key="k")
-    replies, sessions = {}, {}
+    with counting_server(str.upper, delay=0) as server:
+        backend = HttpBackend(server.url, "m", api_key="k")
+        replies = {}
 
-    def client(name):
-        replies[name] = [backend.generate(req(f"{name} call {i}")) for i in range(25)]
-        sessions[name] = backend._session()
+        def client(name):
+            replies[name] = [backend.generate(req(f"{name} call {i}")) for i in range(25)]
 
-    threads = [threading.Thread(target=client, args=(f"t{n}",)) for n in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-        for session in sessions.values():
-            session.close()
-        server.shutdown()
-        server.server_close()
+        threads = [threading.Thread(target=client, args=(f"t{n}",)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
     assert not any(thread.is_alive() for thread in threads)
     for name, got in replies.items():
         assert got == [f"{name} call {i}".upper() for i in range(25)]
     assert len(replies) == 4
-    assert len({id(session) for session in sessions.values()}) == 4  # one per thread
+    assert 1 <= server.connections <= backend.max_in_flight  # pooled, not one per call
 
 
 class _ReplayHandler(BaseHTTPRequestHandler):
@@ -364,7 +344,7 @@ def replay_backend(replay_server):
 
     yield make
     for backend in made:
-        backend._session().close()
+        backend.close()
 
 
 OK_REPLY = (json.dumps(_ok_body("ok")).encode(), 0)
@@ -432,12 +412,87 @@ class TestConnections:
         assert backend.generate(req()) == "ok"
         assert _StubHandler.requests[0][0] == "/api/v1/chat/completions"
 
-    def test_https_endpoint_gets_a_tls_connection(self):
+    def test_https_endpoint_gets_a_tls_connection(self, monkeypatch):
+        # Each call stops where it would send, recording its connection.
+        class Unsent(Exception):
+            pass
+
+        used = []
+
+        def record(conn, *args, **kwargs):
+            used.append((conn, conn.sock))
+            raise Unsent
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", record)
         backend = HttpBackend("https://llm.example:8443/base", "m", api_key="k")
-        conn = backend._session()
+        for _ in range(2):
+            with pytest.raises(Unsent):
+                backend.generate(req())
+        backend.close()
+        (conn, sock), (again, _) = used
         assert type(conn) is http.client.HTTPSConnection
-        assert (conn.host, conn.port, conn.sock) == ("llm.example", 8443, None)
-        assert backend._session() is conn
+        assert (conn.host, conn.port, sock) == ("llm.example", 8443, None)
+        assert again is conn  # the pool hands the connection out again
+
+
+class TestInFlightBudget:
+    def test_connections_never_exceed_the_budget(self):
+        with counting_server(str.upper) as server:
+            backend = HttpBackend(server.url, "m", api_key="k")
+            try:
+                backend.generate(req("first"))
+                for run in range(3):
+                    with ordered_map(backend) as overlapped:
+                        got = list(overlapped(
+                            lambda i: backend.generate(req(f"run {run} call {i}")), range(16)))
+                    assert got == [f"RUN {run} CALL {i}" for i in range(16)]
+            finally:
+                backend.close()
+        assert server.requests == 49
+        assert server.connections <= backend.max_in_flight
+
+    def test_nested_ordered_map_keeps_the_budget(self):
+        with counting_server(str.upper, delay=0.005) as server:
+            backend = HttpBackend(server.url, "m", api_key="k")
+
+            def row(i):
+                with ordered_map(backend) as overlapped:
+                    return list(overlapped(lambda j: backend.generate(req(f"{i}.{j}")), range(8)))
+
+            try:
+                with ordered_map(backend) as overlapped:
+                    got = list(overlapped(row, range(8)))
+            finally:
+                backend.close()
+        assert got == [[f"{i}.{j}" for j in range(8)] for i in range(8)]
+        assert server.requests == 64
+        assert 2 <= server.peak <= backend.max_in_flight
+
+    def test_retry_wait_does_not_hold_a_slot(self, stub_server):
+        class OneAtATime(HttpBackend):
+            max_in_flight = 1
+
+        _StubHandler.script = [(429, {}, {"retry-after-ms": "300"}),
+                               (200, _ok_body("second")), (200, _ok_body("first"))]
+        backend = OneAtATime(stub_server, "m", api_key="k")
+        done = []
+
+        def call(name):
+            assert backend.generate(req(name)) == name
+            done.append(name)
+
+        first = threading.Thread(target=call, args=("first",))
+        first.start()
+        deadline = time.monotonic() + 10
+        while not _StubHandler.requests and time.monotonic() < deadline:
+            threading.Event().wait(0.005)
+        second = threading.Thread(target=call, args=("second",))
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=10)
+        backend.close()
+        assert not first.is_alive() and not second.is_alive()
+        assert done == ["second", "first"]  # sent while the first waited out its 429
 
 
 class TestSettings:

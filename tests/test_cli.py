@@ -64,6 +64,33 @@ class TestInduce:
                             for n in ("schema.json", "states.jsonl", "report.json")])
         assert outputs[0] == outputs[1]
 
+    def test_shuffle_seed_without_a_seed_is_usage_error(self, runner, config_path, tmp_path):
+        out = tmp_path / "run"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", config_path, "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(out), "--shuffle-seed"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output and "seed in the config" in result.output
+        assert not out.exists()
+
+    def test_shuffle_seed_takes_the_config_seed(self, runner, config_path, tmp_path):
+        seeded = tmp_path / "seeded.yaml"
+        seeded.write_text(Path(config_path).read_text() + "seed: 3\n")
+        reports = []
+        for config, flags in ((str(seeded), []), (config_path, ["--seed", "3"])):
+            out = tmp_path / f"run{len(reports)}"
+            result = runner.invoke(
+                main,
+                ["induce", "--config", config, "--corpus", str(DATA / "corpus.json"),
+                 "--out-dir", str(out), "--shuffle-seed", *flags],
+            )
+            assert result.exit_code == 0, result.output
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["seed"] == 3
+
     def test_report_carries_run_settings(self, runner, config_path, tmp_path):
         out = tmp_path / "run"
         runner.invoke(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotweaver.backend import AuthError, ScriptedBackend, TransportError
+from slotweaver.backend import AuthError, HttpBackend, ScriptedBackend, TransportError
 from slotweaver.core import GOLD, SlotDef, SlotSchema
 from slotweaver.seqio import CorpusFile, canonical_json, corpus_to_obj
 from slotweaver.sim import (
@@ -28,7 +28,7 @@ from slotweaver.sim import (
     simulate_dialogue,
 )
 
-from conftest import key
+from conftest import counting_server, key
 
 
 def fence(text):
@@ -599,6 +599,89 @@ class TestOverlappedDialogues:
             release.set()
         _settle(state)
         assert state["started"] == 4  # of 6: the 2 not started were cancelled
+
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_auth_error_in_an_annotation_aborts_the_corpus(self, in_flight):
+        backend = _FailingAnnotations(in_flight, "", AuthError("expired"))  # every annotation
+        with pytest.raises(AuthError):
+            simulate_corpus(_scenarios([["pick plants"], ["choose tools"], ["book rooms"]]), 2,
+                            backend, random.Random(0), config=_SIM_CONFIG)
+
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_transport_error_in_an_annotation_loses_only_its_dialogue(self, in_flight):
+        # One dialogue per scenario, so the task in the schema names the dialogue.
+        scenarios = _scenarios([["pick plants"], ["choose tools"], ["book rooms", "pick plants"]])
+        clean, clean_report = simulate_corpus(scenarios, 1, PromptPure(in_flight),
+                                              random.Random(1), config=_SIM_CONFIG)
+        backend = _FailingAnnotations(in_flight, "## Choose Tools\n", TransportError("reset"))
+        corpus, report = simulate_corpus(scenarios, 1, backend, random.Random(1),
+                                         config=_SIM_CONFIG)
+        kept = tuple(d for d in clean.dialogues if d.scenario_id != "scenario-001")
+        assert len(kept) == len(clean.dialogues) - 1 >= 1  # the failing dialogue was produced
+        assert corpus.dialogues == kept
+        assert report.lost == clean_report.lost + 1
+
+    @pytest.mark.parametrize("in_flight", [1, 4])
+    def test_failed_annotation_ends_its_dialogue_early(self, in_flight):
+        class NeverDone(_FailingAnnotations):
+            calls = 0
+
+            def generate(self, request):
+                with self._lock:
+                    self.calls += 1
+                if "Answer yes or no" in request.prompt:
+                    return "no"
+                if "Fill in user preferences" in request.prompt:
+                    return fence("color = Pink\nsize = large")
+                return super().generate(request)
+
+        backend = NeverDone(in_flight, "", TransportError("reset"))
+        config = SimConfig(knowledge_size=3, red_herring_count=1, max_turns=40)
+        _, report = simulate_corpus(_scenarios([["choose tools"]]), 1, backend,
+                                    random.Random(0), config=config)
+        assert report.lost == 1
+        # Definition and set-up take 5 calls, then the first user turn and its
+        # annotation; a chain run to its turn limit would make 80.
+        assert 7 <= backend.calls < 20
+
+    def test_http_backend_keeps_its_budget_across_every_overlap(self):
+        # Later scenarios are defined while dialogues run, and each dialogue
+        # fetches its knowledge lists and annotates its turns on workers of
+        # its own; the endpoint never holds more than the backend's budget.
+        def reply(prompt):  # no goal is poisoned, so every dialogue runs its whole chain
+            if "Fill in user preferences" in prompt:
+                return fence("color = Pink\nsize = large")
+            return pure_reply(prompt)
+
+        class Serial:
+            def generate(self, request):
+                return reply(request.prompt)
+
+        scenarios = _scenarios([["pick plants"], ["book rooms", "choose tools"],
+                                ["choose tools", "pick plants"], ["pick plants", "book rooms"]])
+        expected = _corpus_bytes(scenarios, 2, Serial(), 0)
+        with counting_server(reply) as server:
+            backend = HttpBackend(server.url, "m", api_key="k")
+            try:
+                got = _corpus_bytes(scenarios, 2, backend, 0)
+            finally:
+                backend.close()
+        assert got == expected
+        assert '"produced": 8' in got[1]
+        assert 2 <= server.peak <= backend.max_in_flight == 4
+
+
+class _FailingAnnotations(PromptPure):
+    """Raises ``error`` for every annotation prompt containing ``marker``."""
+
+    def __init__(self, max_in_flight, marker, error):
+        super().__init__(max_in_flight)
+        self.marker, self.error = marker, error
+
+    def generate(self, request):
+        if "Record the preferences" in request.prompt and self.marker in request.prompt:
+            raise self.error
+        return super().generate(request)
 
 
 def _settle(state):

@@ -297,7 +297,8 @@ class HttpBackend:
     a retry or for the requests-per-minute limit. Each send takes an idle
     keep-alive ``http.client`` connection, or opens one when none is idle,
     and returns it afterwards, so the backend never holds more than
-    ``max_in_flight`` connections. ``close`` closes the idle ones.
+    ``max_in_flight`` connections. ``close`` closes the idle ones and ends
+    the backend: no request is sent after it.
     """
 
     # A conservative overlap for a hosted endpoint; no endpoint's own limit
@@ -347,10 +348,14 @@ class HttpBackend:
         self._slots = threading.BoundedSemaphore(self.max_in_flight)
         self._idle: List[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
+        self._closed = False
 
     def close(self) -> None:
-        """Close the idle connections; a later call opens a new one."""
+        """Close the idle connections and refuse new sends: a later send,
+        a retry included, raises TransportError, and a request already on
+        the wire closes its connection when it ends."""
         with self._idle_lock:
+            self._closed = True
             idle, self._idle = self._idle, []
         for conn in idle:
             conn.close()
@@ -360,6 +365,8 @@ class HttpBackend:
         ``max_in_flight`` slots on a pooled connection."""
         with self._slots:
             with self._idle_lock:
+                if self._closed:
+                    raise TransportError("backend is closed")
                 conn = self._idle.pop() if self._idle else None
             if conn is None:
                 conn = self._connection_type(*self._address, timeout=self.timeout)
@@ -367,7 +374,10 @@ class HttpBackend:
                 return self._send(conn, body)
             finally:
                 with self._idle_lock:
-                    self._idle.append(conn)
+                    if self._closed:
+                        conn.close()
+                    else:
+                        self._idle.append(conn)
 
     def _send(self, conn: http.client.HTTPConnection,
               body: bytes) -> Tuple[int, http.client.HTTPMessage, bytes]:

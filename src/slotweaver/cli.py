@@ -242,7 +242,7 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     out = Path(out_dir)
     kwargs = _passed(cfg.induction, RUN_KEYS)
     try:
-        induct.InductionRun(**kwargs)  # checks the run settings before any call
+        induct.check_settings(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"induction: {exc}") from exc
     try:

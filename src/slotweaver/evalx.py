@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Dialogue, InvalidSlotName, SlotKey, SlotSchema, canonical_slot_key
+from .core import Dialogue, InvalidSlotName, SlotKey, canonical_slot_key
 from .seqio import CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns, read_utf8
 
 __all__ = [
@@ -111,7 +111,6 @@ class SlotMapping:
 
     pairs: Tuple[Tuple[SlotKey, SlotKey], ...] = ()
     unmatched_predicted: frozenset = frozenset()
-    similarity_threshold: float = MATCH_THRESHOLD
     slot_index: Mapping[str, Mapping[SlotKey, ValuedSlot]] = field(
         default_factory=dict, compare=False
     )
@@ -136,15 +135,11 @@ class SlotMapping:
         return [(pred_index[p], gold_index[g]) for p, g in self.pairs]
 
 
-def match_slots(
-    P: Sequence[ValuedSlot],
-    G: Sequence[ValuedSlot],
-    threshold: float = MATCH_THRESHOLD,
-) -> SlotMapping:
+def match_slots(P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> SlotMapping:
     """Map each predicted slot to its argmax-similarity gold slot.
 
-    A predicted slot is unmatched when its best similarity falls below the
-    threshold (strictly; similarity equal to the threshold matches). Argmax
+    A predicted slot is unmatched when its best similarity falls below
+    MATCH_THRESHOLD (strictly; similarity equal to it matches). Argmax
     ties break by larger fill overlap, then lexicographic gold key.
     """
     gold_keys = [g.key for g in G]
@@ -162,14 +157,13 @@ def match_slots(
         # tie-break is the min over (-overlap, key)
         folded = p.folded_fills()
         neg_overlap, best_key = min((-len(folded & fills), key) for key, fills in gold_folded)
-        if -neg_overlap / len(p.fills) < threshold:
+        if -neg_overlap / len(p.fills) < MATCH_THRESHOLD:
             unmatched.append(p.key)
         else:
             pairs.append((p.key, best_key))
     return SlotMapping(
         tuple(pairs),
         frozenset(unmatched),
-        threshold,
         {"predicted": {s.key: s for s in P}, "gold": {s.key: s for s in G}},
     )
 
@@ -199,31 +193,22 @@ def value_prf(mapping: SlotMapping) -> PRF:
     return PRF(precision, recall, _f1(precision, recall))
 
 
-def collect_valued_slots(
-    state_log: Iterable[StateLogEntry], schema: Optional[SlotSchema] = None
-) -> List[ValuedSlot]:
-    """Group a run's per-turn states into per-slot fill sets.
-
-    When a schema is given, fills on keys outside it are ignored.
-    """
+def collect_valued_slots(state_log: Iterable[StateLogEntry]) -> List[ValuedSlot]:
+    """Group a run's per-turn states into per-slot fill sets."""
     fills: Dict[SlotKey, set] = {}
     for entry in state_log:
         for key, value in entry.state.triples:
-            if schema is not None and key not in schema:
-                continue
             fills.setdefault(key, set()).add((entry.dialogue_id, entry.turn_index, value))
     return [ValuedSlot(key, frozenset(events)) for key, events in sorted(fills.items())]
 
 
-def gold_valued_slots(
-    dialogues: Sequence[Dialogue], mode: StateMode, schema: Optional[SlotSchema] = None
-) -> List[ValuedSlot]:
+def gold_valued_slots(dialogues: Sequence[Dialogue], mode: StateMode) -> List[ValuedSlot]:
     entries = [
         StateLogEntry(dialogue.id, turn_index, target)
         for dialogue in dialogues
         for turn_index, _, target in gold_turns(dialogue, mode)
     ]
-    return collect_valued_slots(entries, schema)
+    return collect_valued_slots(entries)
 
 
 @dataclass(frozen=True)
@@ -276,8 +261,6 @@ def evaluate_run(
     state_log: Iterable[StateLogEntry],
     gold_corpus: CorpusFile,
     mode: StateMode,
-    predicted_schema: Optional[SlotSchema] = None,
-    threshold: float = MATCH_THRESHOLD,
 ) -> MetricReport:
     """Score a run's state log against a gold corpus, macro-averaged across
     scenarios."""
@@ -296,8 +279,8 @@ def evaluate_run(
         G = gold_valued_slots(dialogues, mode)
         if not G:
             raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
-        P = collect_valued_slots(entries, predicted_schema)
-        mapping = match_slots(P, G, threshold)
+        P = collect_valued_slots(entries)
+        mapping = match_slots(P, G)
         s = slot_prf(mapping, P, G)
         v = value_prf(mapping)
         per_scenario[scenario_id] = (

@@ -75,8 +75,11 @@ class FilterConfig:
     cap: int = 100
 
     def __post_init__(self) -> None:
-        if self.window_w < 1 or self.threshold_tau < 1 or self.cap < 1:
-            raise ValueError("window_w, threshold_tau, and cap must all be >= 1")
+        for name in ("window_w", "threshold_tau", "cap"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError("window_w, threshold_tau, and cap must all be >= 1 and "
+                                 f"integers, got {name}={value!r}")
 
 
 def _eviction_order(schema: SlotSchema, stats: SlotStats, primary) -> List[SlotDef]:
@@ -181,11 +184,13 @@ def make_revision_example(
     return SlotSchema(tuple(slots)), gold
 
 
+REVISION_MAX_OUTPUT = 2048  # output limit of a revision call
+
+
 def revise_schema(
     schema: SlotSchema,
     backend: Backend,
     position=None,
-    max_output: int = 2048,
 ) -> SlotSchema:
     """Ask the backend to rewrite the schema; parse the reply as the new one.
 
@@ -194,7 +199,7 @@ def revise_schema(
     leaves the schema unchanged with a logged warning.
     """
     prompt = render_revision_prompt(schema)
-    response = backend.generate(GenerationRequest(prompt, max_output=max_output))
+    response = backend.generate(GenerationRequest(prompt, max_output=REVISION_MAX_OUTPUT))
     try:
         revised, warnings = parse_schema_block(response)
     except MissingTypesHeader:

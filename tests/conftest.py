@@ -117,8 +117,11 @@ class _CountingHandler(BaseHTTPRequestHandler):
         finally:
             with server.lock:
                 server.in_flight -= 1
-        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
-        self.send_response(200)
+        if isinstance(text, int):  # a bare status, such as 401
+            status, payload = text, b""
+        else:
+            status, payload = 200, json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -130,7 +133,8 @@ class _CountingHandler(BaseHTTPRequestHandler):
 
 class CountingServer(ThreadingHTTPServer):
     """Loopback chat-completions endpoint answering each prompt with
-    ``reply(prompt)`` after ``delay`` seconds. It counts the connections it
+    ``reply(prompt)`` after ``delay`` seconds; a reply that is an int is
+    sent as that HTTP status with an empty body. It counts the connections it
     accepted, the requests it answered and ``peak``, the most requests it
     held at once. A request counts from its arrival until its reply is
     ready, within the time the client holds it, so ``peak`` never reads

@@ -468,6 +468,15 @@ class TestInFlightBudget:
         assert server.requests == 64
         assert 2 <= server.peak <= backend.max_in_flight
 
+    def test_closed_backend_sends_nothing(self):
+        with counting_server(str.upper) as server:
+            backend = HttpBackend(server.url, "m", api_key="k")
+            assert backend.generate(req("before")) == "BEFORE"
+            backend.close()
+            with pytest.raises(TransportError, match="backend is closed"):
+                backend.generate(req("after"))
+        assert server.requests == 1
+
     def test_retry_wait_does_not_hold_a_slot(self, stub_server):
         class OneAtATime(HttpBackend):
             max_in_flight = 1

@@ -178,11 +178,15 @@ class TestInduce:
         assert result.exit_code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("setting", ["window", "tau", "cap"])
-    def test_zero_filter_setting_in_config_is_config_error(self, runner, tmp_path, setting):
+    @pytest.mark.parametrize("setting, value", [
+        *(pytest.param(s, "0", id=s) for s in ("window", "tau", "cap")),
+        *(pytest.param(s, v, id=f"{s}-{kind}") for s in ("window", "tau", "cap")
+          for kind, v in (("string", '"10"'), ("float", "2.5"), ("bool", "true"))),
+    ])
+    def test_zero_filter_setting_in_config_is_config_error(self, runner, tmp_path, setting, value):
         cfg = tmp_path / "config.yaml"
         cfg.write_text(f"backend:\n  kind: scripted\n  script: {DATA / 'script.jsonl'}\n"
-                       f"induction:\n  {setting}: 0\n")
+                       f"induction:\n  {setting}: {value}\n")
         out = tmp_path / "out"
         result = runner.invoke(
             main,

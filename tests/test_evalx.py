@@ -207,13 +207,6 @@ class TestCollection:
         assert slots[k1].fills == frozenset([("d1", 0, "x"), ("d1", 2, "x")])
         assert slots[k2].fills == frozenset([("d1", 2, "y")])
 
-    def test_schema_filter_drops_outside_keys(self):
-        k1, k2 = key("d", "a"), key("d", "b")
-        schema = SlotSchema((SlotDef(k1),))
-        log = [StateLogEntry("d1", 0, DialogueState.from_pairs([(k1, "x"), (k2, "y")]))]
-        slots = collect_valued_slots(log, schema)
-        assert [s.key for s in slots] == [k1]
-
     def _gold_dialogue(self):
         k1, k2 = key("d", "a"), key("d", "b")
         states = [

@@ -1,21 +1,31 @@
 """The keyed schema, the by-domain grouping, the update-mode delta, the
 gold-turn walker, the refiners' fill table, the interned slot keys, the
-memoized catalog render, the block parsers and renderers, and the
-simulator's prompt templates and fenced-block retry against reference
-copies of the code they replaced, on random inputs."""
+memoized catalog render, the block parsers and renderers, the
+simulator's prompt templates and fenced-block retry, and the induction
+engine against reference copies of the code they replaced, on random
+inputs."""
 
 import logging
 import pickle
+import random
 import re
+import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotweaver import sim
-from slotweaver.backend import GenerationRequest, ScriptedBackend
+from slotweaver import induct, sim
+from slotweaver.backend import (
+    AuthError,
+    BackendError,
+    GenerationRequest,
+    ScriptedBackend,
+    TransportError,
+    ordered_map,
+)
 from slotweaver.core import (
     GOLD,
     Dialogue,
@@ -30,14 +40,19 @@ from slotweaver.core import (
 )
 from slotweaver.refine import FilterConfig, SlotStats, make_refiner, record_state
 from slotweaver.seqio import (
+    CorpusFile,
     MissingTypesHeader,
     MissingValuesHeader,
+    StateLogEntry,
     StateMode,
+    canonical_json,
     gold_turns,
     parse_schema_block,
     parse_state_block,
+    render_prompt,
     render_schema_block,
     render_state_block,
+    schema_to_obj,
 )
 
 from conftest import key
@@ -836,3 +851,249 @@ _replies = st.one_of(
 def test_fenced_block_retry_matches_old_loops(kind, replies, prompt, config):
     got = retry_outcome(NEW_RETRIES[kind], replies, prompt, config)
     assert got == retry_outcome(REF_RETRIES[kind], replies, prompt, config)
+
+
+# --- the induction engine ----------------------------------------------------
+# The engine as it was before ``run_induction`` held the two loops itself: a
+# mutable run, a predict step that only reads it, and a fold step that
+# records each outcome in it in stream order.
+
+
+@dataclass
+class RefInductionRun:
+    schema: SlotSchema = field(default_factory=SlotSchema)
+    mode: StateMode = StateMode.STATE
+    refiner: Optional[object] = None
+    dst_only: bool = False
+    context_budget: int = induct.DEFAULT_CONTEXT_BUDGET
+    hard_cap: int = induct.DEFAULT_HARD_CAP
+    max_output: int = induct.DEFAULT_MAX_OUTPUT
+    temperature: float = induct.DEFAULT_TEMPERATURE
+    stream_position: Tuple[int, int] = (0, 0)
+    per_turn_states: List[StateLogEntry] = field(default_factory=list)
+    parse_failures: int = 0
+    failed_turns: int = 0
+    dropped_discoveries: List[str] = field(default_factory=list)
+    errors: List[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class RefTurnPrediction:
+    state: Optional[DialogueState]
+    error: Optional[BackendError] = None
+
+
+def ref_predict_turn(run, dialogue, turn, backend):
+    if dialogue.turns[turn].speaker != "user":
+        raise ValueError(f"turn {turn} of dialogue {dialogue.id} is not a user turn")
+    prompt = render_prompt(run.schema, dialogue, turn, run.mode, char_budget=run.context_budget)
+    try:
+        response = backend.generate(
+            GenerationRequest(prompt, max_output=run.max_output, temperature=run.temperature)
+        )
+    except AuthError:
+        raise
+    except BackendError as exc:
+        return RefTurnPrediction(None, exc)
+    try:
+        return RefTurnPrediction(parse_state_block(response, run.schema).state)
+    except MissingValuesHeader:
+        return RefTurnPrediction(None)
+
+
+def ref_fold_turn(run, dialogue, turn, prediction):
+    state = prediction.state
+    if prediction.error is not None:
+        run.errors.append(f"{dialogue.id}:{turn}: {prediction.error}")
+        run.failed_turns += 1
+        state = DialogueState()
+    elif state is None:
+        run.parse_failures += 1
+        state = DialogueState()
+
+    if run.dst_only:
+        dropped = [key for key in state.keys() if key not in run.schema]
+        if dropped:
+            run.dropped_discoveries.extend(
+                f"{dialogue.id}:{turn}:{key}" for key in sorted(map(str, dropped))
+            )
+            kept = frozenset((k, v) for k, v in state.triples if k in run.schema)
+            state = DialogueState(kept)
+    else:
+        run.schema = schema_update(run.schema, state, discovered_at=run.stream_position)
+        if len(run.schema) > run.hard_cap:
+            raise induct.SchemaOverflowError(
+                f"schema reached {len(run.schema)} slots (hard cap {run.hard_cap}) "
+                f"at dialogue {dialogue.id} turn {turn}"
+            )
+    return state, run.schema
+
+
+def ref_tracked_turns(dialogue, mode):
+    user_turns = dialogue.user_turn_indices()
+    return user_turns[-1:] if mode is StateMode.FINAL else user_turns
+
+
+def ref_record(run, dialogue, turn, d_index, state):
+    run.per_turn_states.append(StateLogEntry(dialogue.id, turn, state, d_index))
+    if run.refiner is not None:
+        run.refiner.observe_state(state, d_index)
+
+
+def ref_retrack(run, order, backend):
+    frozen_version = run.schema.version
+    stream = [
+        (d_index, dialogue, turn)
+        for d_index, dialogue in enumerate(order)
+        for turn in ref_tracked_turns(dialogue, run.mode)
+    ]
+    with ordered_map(backend) as overlapped:
+        predictions = overlapped(lambda item: ref_predict_turn(run, item[1], item[2], backend),
+                                 stream)
+        for (d_index, dialogue, turn), prediction in zip(stream, predictions):
+            state, _ = ref_fold_turn(run, dialogue, turn, prediction)
+            ref_record(run, dialogue, turn, d_index, state)
+    assert run.schema.version == frozen_version, "schema mutated in DST mode"
+
+
+def ref_run_induction(corpus, mode, refiner, backend, seed=None, initial_schema=None,
+                      dst_only=False, **settings):
+    """(report object, failed turns, final schema) of one run."""
+    run = RefInductionRun(schema=initial_schema if initial_schema is not None else SlotSchema(),
+                          mode=mode, refiner=refiner, dst_only=dst_only, **settings)
+    order = list(corpus.dialogues)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    if dst_only:
+        ref_retrack(run, order, backend)
+    else:
+        for d_index, dialogue in enumerate(order):
+            for turn_index in ref_tracked_turns(dialogue, mode):
+                run.stream_position = (d_index, turn_index)
+                prediction = ref_predict_turn(run, dialogue, turn_index, backend)
+                state, _ = ref_fold_turn(run, dialogue, turn_index, prediction)
+                ref_record(run, dialogue, turn_index, d_index, state)
+            if refiner is not None:
+                try:
+                    run.schema = refiner.end_dialogue(run.schema, d_index)
+                except AuthError:
+                    raise
+                except BackendError as exc:
+                    run.errors.append(f"{dialogue.id}:refine: {exc}")
+    report = {
+        "final_schema": schema_to_obj(run.schema),
+        "states": [entry.to_obj() for entry in run.per_turn_states],
+        "parse_failures": run.parse_failures,
+        "turns_processed": len(run.per_turn_states),
+        "seed": seed,
+        "errors": list(run.errors),
+    }
+    return report, run.failed_turns, run.schema
+
+
+TRANSPORT_FAILURE = "<transport failure>"
+
+
+class SchemaKeyedScript(ScriptedBackend):
+    """Keyed script whose reply to a turn depends on the schema in its
+    prompt. With more than one call in flight the call of each turn sleeps
+    0-6 ms, drawn from the turn's tag and ``seed``, so overlapping calls
+    complete out of order. The reply TRANSPORT_FAILURE raises TransportError
+    instead of being returned."""
+
+    def generate(self, request):
+        if self.max_in_flight > 1:
+            tag = re.findall(r"<\d+:\d+>", request.prompt)[-1]
+            time.sleep(random.Random(f"{tag}{self.seed}").randrange(4) * 0.002)
+        reply = super().generate(request)
+        if reply == TRANSPORT_FAILURE:
+            raise TransportError("connection reset")
+        return reply
+
+
+def catalog_parity(prompt):
+    return prompt.split("# Dialogue")[0].count("\n* ") % 2
+
+
+def schema_keyed_script(replies, max_in_flight, seed):
+    """``replies[d][k]`` is the pair of replies to user turn k of dialogue d,
+    the first for a prompt whose catalog holds an even number of slots. A
+    turn's prompt holds the tags of the turns before it, so later turns are
+    matched first."""
+    entries = [
+        ((lambda tag, parity: lambda p: tag in p and catalog_parity(p) == parity)(
+            f"<{d}:{k}>", parity), pair[parity])
+        for d, turns in enumerate(replies)
+        for k, pair in reversed(list(enumerate(turns)))
+        for parity in (0, 1)
+    ]
+    backend = SchemaKeyedScript(entries, mode="keyed")
+    backend.max_in_flight, backend.seed = max_in_flight, seed
+    return backend
+
+
+def tagged_corpus(replies):
+    dialogues = []
+    for d, turns in enumerate(replies):
+        body = []
+        for k in range(len(turns)):
+            body += [Turn("user", f"<{d}:{k}> I need a room"), Turn("agent", "Anything else?")]
+        dialogues.append(Dialogue(f"d{d}", "scn", tuple(body)))
+    return CorpusFile(dialogues=tuple(dialogues))
+
+
+def values_reply(sections):
+    lines = ["# Key Information Values", ""]
+    for domain, names in sections:
+        lines += [f"## {domain}"] + [f"* {n}: v-{n}\n- the {n}" for n in names] + [""]
+    return "\n".join(lines)
+
+
+_slot_names = st.lists(st.sampled_from(["area", "price", "day", "food"]), unique=True,
+                       max_size=3)
+_engine_replies = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["Hotel", "Train"]), _slot_names),
+             min_size=1, max_size=2).map(values_reply),
+    st.just("I cannot answer that."),
+    st.just(TRANSPORT_FAILURE),
+)
+_engine_streams = st.lists(
+    st.lists(st.tuples(_engine_replies, _engine_replies), min_size=1, max_size=3),
+    min_size=1, max_size=5,
+)
+
+
+def engine_outcome(run, two_pass, replies, mode, window, in_flight, seed, hard_cap):
+    """What a one-pass or two-pass run of ``run`` over the tagged stream gives:
+    the overflow message, or the bytes of the result and its failed turns
+    (and for two passes, the bytes of the pass-1 schema)."""
+    refiner = None
+    if window is not None:
+        refiner = make_refiner("slot-conf", FilterConfig(window_w=window, threshold_tau=1))
+    backend = schema_keyed_script(replies, in_flight, seed)
+    corpus = tagged_corpus(replies)
+    seed = seed if seed % 2 else None  # half the streams are shuffled
+    try:
+        outcome = run(corpus, mode, refiner, backend, seed=seed, hard_cap=hard_cap)
+        if two_pass:
+            outcome = run(corpus, mode, None, backend, seed=seed, hard_cap=hard_cap,
+                          initial_schema=outcome[2], dst_only=True) + (outcome[2],)
+    except induct.SchemaOverflowError as exc:
+        return "overflow", str(exc)
+    return (canonical_json(outcome[0]), outcome[1],
+            *(canonical_json(schema_to_obj(s)) for s in outcome[2:]))
+
+
+def new_run_induction(*args, **kwargs):
+    result = induct.run_induction(*args, **kwargs)
+    return result.to_obj(), result.failed_turns, result.final_schema
+
+
+@given(_engine_streams, st.sampled_from(list(StateMode)), st.sampled_from([None, 1, 2]),
+       st.booleans(), st.sampled_from([1, 4]), st.integers(0, 3), st.sampled_from([3, 300]))
+@settings(max_examples=80, deadline=None)
+def test_induction_engine_matches_old_engine(replies, mode, window, two_pass, in_flight, seed,
+                                             hard_cap):
+    args = (two_pass, replies, mode, window, in_flight, seed, hard_cap)
+    got = engine_outcome(new_run_induction, *args)
+    assert got == engine_outcome(ref_run_induction, *args)

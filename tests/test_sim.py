@@ -4,10 +4,12 @@ import threading
 import time
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slotweaver.backend import AuthError, HttpBackend, ScriptedBackend, TransportError
+from slotweaver.cli import main
 from slotweaver.core import GOLD, SlotDef, SlotSchema
 from slotweaver.seqio import CorpusFile, canonical_json, corpus_to_obj
 from slotweaver.sim import (
@@ -669,6 +671,40 @@ class TestOverlappedDialogues:
         assert got == expected
         assert '"produced": 8' in got[1]
         assert 2 <= server.peak <= backend.max_in_flight == 4
+
+    def test_simulate_sends_nothing_after_an_auth_error_ends_it(self, tmp_path):
+        # Four one-task scenarios whose dialogues never end by themselves; the
+        # first dialogue's knowledge list is refused. The dialogues still
+        # running may finish the requests they have sent, but send no more.
+        tasks = ["pick plants", "choose tools", "book rooms", "plan meals"]
+
+        def reply(prompt):
+            if "numbered list" in prompt:
+                return "\n".join(f"{i + 1}. A Visitor is getting help from a Guide "
+                                 f"in order to {task}" for i, task in enumerate(tasks))
+            if "candidate knowledge items" in prompt and "Task: pick plants\n" in prompt:
+                return 401
+            if "Answer yes or no" in prompt:
+                return "no"
+            if "Fill in user preferences" in prompt:
+                return fence("color = Pink\nsize = large")
+            return pure_reply(prompt)
+
+        with counting_server(reply) as server:
+            cfg = tmp_path / "sim.yaml"
+            cfg.write_text(f"backend:\n  kind: http\n  endpoint: {server.url}\n  model: m\n"
+                           "  api_key: k\nsimulation:\n  max_turns: 40\nseed: 0\n")
+            result = CliRunner().invoke(main, ["simulate", "--config", str(cfg),
+                                               "--out", str(tmp_path / "c.json"),
+                                               "--scenarios", "4", "--dialogues-per-scenario", "1"])
+            returned = server.requests
+            deadline, seen = time.monotonic() + 10, -1
+            while seen != server.requests and time.monotonic() < deadline:
+                seen = server.requests
+                time.sleep(0.3)
+        assert result.exit_code == 2, result.output
+        assert "rejected credential" in result.output
+        assert server.requests - returned <= HttpBackend.max_in_flight
 
 
 class _FailingAnnotations(PromptPure):

@@ -197,10 +197,9 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
     sys.exit(EXIT_OK if loss_fraction < cfg.loss_limit else EXIT_PIPELINE)
 
 
-def _states_jsonl(state_log) -> str:
+def _states_jsonl(entry_objs) -> str:
     return "".join(
-        json.dumps(entry.to_obj(), ensure_ascii=False, sort_keys=True) + "\n"
-        for entry in state_log
+        json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n" for obj in entry_objs
     )
 
 
@@ -269,8 +268,9 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     report["mode"] = mode.value
     report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
     _write(out / "schema.json", canonical_json(seqio.schema_to_obj(schema)))
-    _write(out / "states.jsonl", _states_jsonl(result.state_log))
-    _write(out / "report.json", canonical_json(report))
+    # each entry's to_obj() serves both files
+    _write(out / "states.jsonl", _states_jsonl(report["states"]))
+    _write(out / "report.json", seqio.canonical_json_fast(report))
     click.echo(
         f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
         f"{result.parse_failures} parse failures"

@@ -4,8 +4,11 @@ All types are immutable values; operations produce new versions instead of
 mutating in place, so they are safe to share across threads. ``SlotKey``
 values are interned: ``canonical_slot_key`` returns one shared key per
 canonical pair from a bounded table, and each key hashes once.
-``SlotSchema`` memoizes, in private attributes, its key index and its
-rendered catalog (filled by ``seqio``); neither takes part in equality.
+``SlotSchema`` keeps, in private attributes, its key index, its by-domain
+grouping and its rendered catalog and ``## Domain`` sections (filled by
+``seqio``); none takes part in equality. A schema derived by ``with_slots``,
+``without_keys`` or ``restricted_to`` copies them from its parent and
+recomputes only the domains whose slots changed.
 """
 
 from __future__ import annotations
@@ -133,16 +136,35 @@ class SlotSchema:
     version: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        # key -> SlotDef index; not a dataclass field, so equality and repr
-        # see only the slot tuple
+        # key -> SlotDef index and domain -> slots grouping; not dataclass
+        # fields, so equality and repr see only the slot tuple
         index: Dict[SlotKey, SlotDef] = {}
+        groups: Dict[str, List[SlotDef]] = {}
         for slot in self.slots:
             if slot.key in index:
                 raise ValueError(f"duplicate slot key in schema: {slot.key}")
             index[slot.key] = slot
+            groups.setdefault(slot.key.domain, []).append(slot)
+        self._memo(index, {domain: tuple(group) for domain, group in groups.items()}, {})
+
+    def _memo(self, index, groups, sections) -> None:
         object.__setattr__(self, "_index", index)
-        # the rendered catalog, filled by seqio.render_schema_block
+        object.__setattr__(self, "_groups", groups)
+        # the rendered ``## Domain`` sections by domain and the whole
+        # catalog, filled by seqio.render_schema_block
+        object.__setattr__(self, "_sections", sections)
         object.__setattr__(self, "_rendered", None)
+
+    def _derived(self, slots, version, index, groups, changed) -> "SlotSchema":
+        """A schema of ``slots`` whose index and grouping are given, skipping
+        the rebuild; it keeps this schema's rendered sections of the domains
+        not in ``changed``."""
+        schema = object.__new__(SlotSchema)
+        object.__setattr__(schema, "slots", slots)
+        object.__setattr__(schema, "version", version)
+        sections = {d: s for d, s in self._sections.items() if d not in changed}
+        schema._memo(index, groups, sections)
+        return schema
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -160,15 +182,12 @@ class SlotSchema:
         return tuple(slot.key for slot in self.slots)
 
     def by_domain(self) -> Dict[str, List[SlotDef]]:
-        """Slots grouped by domain, domains in order of first appearance."""
-        groups: Dict[str, List[SlotDef]] = {}
-        for slot in self.slots:
-            groups.setdefault(slot.key.domain, []).append(slot)
-        return groups
+        """Slots grouped by domain, domains in the order of their first slot."""
+        return {domain: list(group) for domain, group in self._groups.items()}
 
     def domains(self) -> Tuple[str, ...]:
-        """Domains in order of first appearance."""
-        return tuple(self.by_domain())
+        """Domains in the order of their first slot."""
+        return tuple(self._groups)
 
     def with_slots(self, new_slots: Iterable[SlotDef]) -> "SlotSchema":
         """Append definitions whose keys are absent; no-op keys are skipped.
@@ -181,21 +200,49 @@ class SlotSchema:
                 added.setdefault(slot.key, slot)
         if not added:
             return self
-        return SlotSchema(self.slots + tuple(added.values()), self.version + 1)
+        groups = dict(self._groups)
+        for slot in added.values():
+            groups[slot.key.domain] = groups.get(slot.key.domain, ()) + (slot,)
+        return self._derived(
+            self.slots + tuple(added.values()),
+            self.version + 1,
+            {**self._index, **added},
+            groups,
+            {key.domain for key in added},
+        )
 
     def without_keys(self, keys: Iterable[SlotKey]) -> "SlotSchema":
         """Remove the given keys; returns self unchanged if none are present."""
-        drop = set(keys)
-        kept = tuple(slot for slot in self.slots if slot.key not in drop)
-        if len(kept) == len(self.slots):
-            return self
-        return SlotSchema(kept, self.version + 1)
+        drop = {key for key in keys if key in self._index}
+        return self._dropping(drop, self.version + 1) if drop else self
 
     def restricted_to(self, keys: Iterable[SlotKey]) -> "SlotSchema":
-        keep = set(keys)
-        return SlotSchema(
-            tuple(slot for slot in self.slots if slot.key in keep), self.version
-        )
+        """Keep only the given keys, at the same version."""
+        drop = self._index.keys() - set(keys)
+        return self._dropping(drop, self.version) if drop else self
+
+    def _dropping(self, drop, version: int) -> "SlotSchema":
+        index = dict(self._index)
+        for key in drop:
+            del index[key]
+        changed = {key.domain for key in drop}
+        groups: Dict[str, Tuple[SlotDef, ...]] = {}
+        moved = False
+        for domain, group in self._groups.items():
+            if domain in changed:
+                kept = tuple(slot for slot in group if slot.key not in drop)
+                if not kept:
+                    continue
+                moved = moved or kept[0] is not group[0]
+                group = kept
+            groups[domain] = group
+        if moved:
+            # a domain stands at its first slot, so losing that slot can
+            # move the domain later
+            rank = {slot.key: i for i, slot in enumerate(self.slots)}
+            groups = dict(sorted(groups.items(), key=lambda item: rank[item[1][0].key]))
+        slots = tuple(slot for slot in self.slots if slot.key not in drop)
+        return self._derived(slots, version, index, groups, changed)
 
 
 @dataclass(frozen=True)
@@ -318,7 +365,6 @@ def schema_update(
     """
     discovered = [
         SlotDef(key, state.new_slot_descriptions.get(key, ""), discovered_at)
-        for key, _ in sorted(state.triples, key=lambda kv: (kv[0], kv[1]))
-        if key not in prev
+        for key, _ in sorted(kv for kv in state.triples if kv[0] not in prev)
     ]
     return prev.with_slots(discovered)

@@ -116,18 +116,18 @@ class SlotMapping:
     )
 
     def __post_init__(self) -> None:
-        predicted = [p for p, _ in self.pairs]
-        if len(predicted) != len(set(predicted)):
+        # predicted -> gold index; not a dataclass field, so it takes no
+        # part in equality or repr
+        decisions = dict(self.pairs)
+        if len(decisions) != len(self.pairs):
             raise ValueError("a predicted key appears in multiple mapping pairs")
+        object.__setattr__(self, "_decisions", decisions)
 
     def predicted_keys(self) -> frozenset:
-        return frozenset(p for p, _ in self.pairs) | self.unmatched_predicted
+        return frozenset(self._decisions) | self.unmatched_predicted
 
     def decision(self, predicted: SlotKey) -> Optional[SlotKey]:
-        for p, g in self.pairs:
-            if p == predicted:
-                return g
-        return None
+        return self._decisions.get(predicted)
 
     def matched_valued_pairs(self) -> List[Tuple[ValuedSlot, ValuedSlot]]:
         pred_index = self.slot_index.get("predicted", {})

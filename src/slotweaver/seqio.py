@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import groupby
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -60,6 +62,7 @@ __all__ = [
     "state_from_obj",
     "StateLogEntry",
     "canonical_json",
+    "canonical_json_fast",
     "gold_turns",
     "build_training_sequences",
     "save_training_pairs",
@@ -100,17 +103,13 @@ REVISION_INSTRUCTION = "Revise the Key Information Types to remove redundant or 
 SPEAKER_LABELS = {USER: "User", AGENT: "Agent"}
 
 
-def _render_block(header: str, bullets: Iterable[Tuple[SlotKey, str, Optional[str]]]) -> str:
-    """Render ``header`` and one ``## Domain`` section per run of bullets of
-    one domain. A bullet is a ``* name: text`` line, followed by a
-    ``- <description>`` line when its description is not None."""
-    lines = [header]
-    domain = None
-    for key, text, description in bullets:
-        if key.domain != domain:
-            domain = key.domain
-            lines += ("", f"## {domain.title()}")
-        lines.append(f"* {key.name}: {text}")
+def _section(domain: str, bullets: Iterable[Tuple[str, str, Optional[str]]]) -> str:
+    """One ``## Domain`` section, led by a blank line: a bullet is a
+    ``* name: text`` line, followed by a ``- <description>`` line when its
+    description is not None."""
+    lines = ["", f"## {domain.title()}"]
+    for name, text, description in bullets:
+        lines.append(f"* {name}: {text}")
         if description is not None:
             lines.append(f"- {description}")
     return "\n".join(lines)
@@ -192,14 +191,24 @@ def _walk_block(
 def render_schema_block(schema: SlotSchema) -> str:
     """Render the typed-slot catalog: one ``##`` section per domain.
 
-    The block is kept on the (immutable) schema, so a schema is rendered
-    once however many prompts carry it. Threads racing to fill the memo
-    render the same string.
+    The block and each section are kept on the (immutable) schema, so a
+    schema is rendered once however many prompts carry it, and a schema
+    derived from a rendered one renders only the sections of the domains
+    whose slots changed. Threads racing to fill the memo render the same
+    strings.
     """
     block = schema._rendered
     if block is None:
-        slots = (slot for group in schema.by_domain().values() for slot in group)
-        block = _render_block(TYPES_HEADER, ((s.key, s.description, None) for s in slots))
+        sections = schema._sections
+        parts = [TYPES_HEADER]
+        for domain, group in schema._groups.items():
+            section = sections.get(domain)
+            if section is None:
+                section = sections[domain] = _section(
+                    domain, ((s.key.name, s.description, None) for s in group)
+                )
+            parts.append(section)
+        block = "\n".join(parts)
         object.__setattr__(schema, "_rendered", block)
     return block
 
@@ -222,10 +231,11 @@ def render_state_block(state: DialogueState) -> str:
     determinism.
     """
     descriptions = state.new_slot_descriptions
-    return _render_block(
-        VALUES_HEADER,
-        ((key, value, descriptions.get(key)) for key, value in sorted(state.triples)),
+    sections = (
+        _section(domain, ((key.name, value, descriptions.get(key)) for key, value in triples))
+        for domain, triples in groupby(sorted(state.triples), key=lambda kv: kv[0].domain)
     )
+    return "\n".join([VALUES_HEADER, *sections])
 
 
 def render_prompt(
@@ -248,8 +258,12 @@ def render_prompt(
         raise ValueError("final mode renders only at the last user turn")
     turn_lines = [f"{SPEAKER_LABELS[t.speaker]}: {t.text}" for t in dialogue.turns[: upto_turn + 1]]
     if char_budget is not None:
-        while len(turn_lines) > 1 and sum(len(ln) + 1 for ln in turn_lines) > char_budget:
-            turn_lines.pop(0)
+        size = sum(len(ln) + 1 for ln in turn_lines)
+        first = 0
+        while first < len(turn_lines) - 1 and size > char_budget:
+            size -= len(turn_lines[first]) + 1
+            first += 1
+        del turn_lines[:first]
     dialogue_block = "\n".join([DIALOGUE_HEADER, ""] + turn_lines)
     return "\n\n".join([render_schema_block(schema), dialogue_block, INSTRUCTION])
 
@@ -469,6 +483,45 @@ def corpus_from_obj(obj: dict) -> CorpusFile:
 def canonical_json(obj) -> str:
     """The one serialization used for all artifacts, so outputs byte-compare."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _indented(value, pad: str) -> str:
+    """``value`` as canonical_json writes it nested at indentation ``pad``.
+
+    The same bytes for any tree of dicts with string keys, lists, tuples,
+    strings and scalars (a scalar other than a string, an int or None goes
+    to ``json.dumps``), without the pure-Python encoder that ``indent``
+    selects: strings go through the C string encoder.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            encode_basestring(k) + ": "
+            + (encode_basestring(v) if type(v) is str else _indented(v, inner))
+            for k, v in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_indented(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
+def canonical_json_fast(obj) -> str:
+    """``canonical_json(obj)``, byte for byte, for the JSON types
+    ``_indented`` handles; for large artifacts such as ``report.json``."""
+    return _indented(obj, "") + "\n"
 
 
 def read_utf8(path) -> str:

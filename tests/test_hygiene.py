@@ -1,7 +1,8 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
 entries, one thread pool, no unbounded memo table, the block format's
-strings spelled in ``seqio`` only, no config key that nothing reads, no
-third-party HTTP library, and no CLI option that the README leaves out.
+strings spelled in ``seqio`` only, one home for the indented JSON format,
+no config key that nothing reads, no third-party HTTP library, and no CLI
+option that the README leaves out.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -161,6 +162,47 @@ def test_one_thread_pool_in_the_package():
         for _, name in pool_constructions(path.read_text(encoding="utf-8"))
     ]
     assert found == ["backend.py:ordered_map"]
+
+
+def indented_dumps(source: str):
+    """(line, enclosing top-level function or None) of every ``dumps(...)``
+    or ``dump(...)`` call, by bare name or as an attribute, that passes
+    ``indent``."""
+    tree = ast.parse(source)
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and {"dumps", "dump"} & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+    return [
+        (call.lineno, next((f.name for f in functions if f.lineno <= call.lineno <= f.end_lineno), None))
+        for call in calls
+    ]
+
+
+def test_indent_checker_finds_every_indented_dump():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "A = json.dumps({}, indent=2)\n"
+        "def f(fh):\n"
+        "    json.dump({}, fh, indent=4)\n"
+        "    return dumps({}, sort_keys=True) + dumps([], indent=None)\n"
+    )
+    assert indented_dumps(source) == [(3, None), (5, "f"), (6, "f")]
+
+
+def test_indented_json_lives_in_canonical_json():
+    """``seqio.canonical_json`` is the one spelling of the artifact format;
+    ``canonical_json_fast`` is held to its bytes by a property test."""
+    found = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for _, name in indented_dumps(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["seqio.py:canonical_json"]
 
 
 def _functools_cache_names(tree):

@@ -1,9 +1,10 @@
 """The keyed schema, the by-domain grouping, the update-mode delta, the
 gold-turn walker, the refiners' fill table, the interned slot keys, the
-memoized catalog render, the block parsers and renderers, the
-simulator's prompt templates and fenced-block retry, and the induction
-engine against reference copies of the code they replaced, on random
-inputs."""
+memoized catalog render and derived schemas, the block parsers and
+renderers, the simulator's prompt templates and fenced-block retry, the
+induction engine, the prompt's context budget and the mapping agreement
+against reference copies of the code they replaced, and the report.json
+writer against ``canonical_json``, on random inputs."""
 
 import logging
 import pickle
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slotweaver import induct, sim
@@ -38,6 +39,7 @@ from slotweaver.core import (
     canonical_slot_key,
     schema_update,
 )
+from slotweaver.evalx import SlotMapping, mapping_agreement
 from slotweaver.refine import FilterConfig, SlotStats, make_refiner, record_state
 from slotweaver.seqio import (
     CorpusFile,
@@ -46,6 +48,7 @@ from slotweaver.seqio import (
     StateLogEntry,
     StateMode,
     canonical_json,
+    canonical_json_fast,
     gold_turns,
     parse_schema_block,
     parse_state_block,
@@ -58,8 +61,9 @@ from slotweaver.seqio import (
 from conftest import key
 
 # A small vocabulary, so that random keys collide and domains repeat.
-keys = st.builds(key, st.sampled_from(["hotel", "train", "garden"]),
-                 st.sampled_from(["area", "price", "day", "style"]))
+VOCABULARY = [key(d, n) for d in ("hotel", "train", "garden")
+              for n in ("area", "price", "day", "style")]
+keys = st.sampled_from(VOCABULARY)
 slot_defs = st.builds(SlotDef, keys, st.sampled_from(["", "a thing", "the price"]))
 values = st.sampled_from(["north", "cheap", "Cheap", "monday", "2"])
 states = st.dictionaries(keys, values, max_size=6).map(
@@ -368,7 +372,7 @@ REF_VALUES_HEADER = "# Key Information Values"
 
 def ref_render_schema_block(schema):
     lines = [REF_TYPES_HEADER]
-    for domain, slots in schema.by_domain().items():
+    for domain, slots in ref_grouping(schema):
         lines.append("")
         lines.append(f"## {domain.title()}")
         lines.extend(f"* {slot.key.name}: {slot.description}" for slot in slots)
@@ -435,22 +439,59 @@ def test_pickled_key_round_trips(domain, name, protocol):
     assert {k: 1}[back] == 1
 
 
+# discoveries with descriptions, as a reply's values block gives them
+discovering_states = st.builds(
+    lambda pairs, described: DialogueState.from_pairs(
+        pairs.items(), {k: d for k, d in described.items() if k in pairs}),
+    st.dictionaries(keys, values, max_size=4),
+    st.dictionaries(keys, st.sampled_from(["", "a thing"]), max_size=4),
+)
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("with_slots"), st.lists(slot_defs, max_size=4)),
         st.tuples(st.just("without_keys"), st.lists(keys, max_size=4)),
         st.tuples(st.just("restricted_to"), st.lists(keys, max_size=8)),
+        st.tuples(st.just("schema_update"), discovering_states),
     ),
     max_size=8,
 )
 
 
+def apply_op(schema, op, arg):
+    if op == "schema_update":
+        return schema_update(schema, arg, discovered_at=(0, 0))
+    return getattr(schema, op)(arg)
+
+
+# hotel's first slot is evicted while hotel/price stays, so hotel moves
+# behind train; garden is evicted whole, then rediscovered by an update
+_evictions = [
+    ("without_keys", [key("hotel", "area")]),
+    ("without_keys", [key("garden", "style")]),
+    ("schema_update", DialogueState.from_pairs([(key("garden", "day"), "monday")],
+                                               {key("garden", "day"): "a thing"})),
+    ("with_slots", [SlotDef(key("hotel", "area"), "the price")]),
+    ("restricted_to", [key("hotel", "area"), key("garden", "day"), key("train", "day")]),
+]
+_four_domains = schema_of([SlotDef(key("hotel", "area")), SlotDef(key("train", "day"), "a thing"),
+                           SlotDef(key("hotel", "price")), SlotDef(key("garden", "style"))])
+
+
 @settings(max_examples=200, deadline=None)
 @given(schemas, _ops, st.lists(st.booleans(), min_size=9, max_size=9))
+@example(_four_domains, _evictions, [True] * 9)
+@example(_four_domains, _evictions, [False, True] * 4 + [False])
 def test_cached_render_matches_old_render(schema, ops, early):
     chain = [schema]
     for op, arg in ops:
-        chain.append(getattr(chain[-1], op)(arg))
+        chain.append(apply_op(chain[-1], op, arg))
+    # a derived schema's own index and grouping are those of its slots
+    for s in chain:
+        assert list(s.by_domain().items()) == ref_grouping(s)
+        assert s.domains() == ref_domains(s)
+        for k in VOCABULARY:
+            assert (k in s) == ref_contains(s, k)
+            assert s.get(k) == ref_get(s, k)
     # render some schemas of the chain first, then every schema, twice: no
     # memo goes stale or leaks from one schema to another
     for s, first in zip(chain, early):
@@ -1097,3 +1138,133 @@ def test_induction_engine_matches_old_engine(replies, mode, window, two_pass, in
     args = (two_pass, replies, mode, window, in_flight, seed, hard_cap)
     got = engine_outcome(new_run_induction, *args)
     assert got == engine_outcome(ref_run_induction, *args)
+
+
+# --- the prompt's context budget ---------------------------------------------
+
+
+REF_SPEAKER_LABELS = {"user": "User", "agent": "Agent"}
+
+
+def ref_render_prompt(schema, dialogue, upto_turn, char_budget):
+    turn_lines = [f"{REF_SPEAKER_LABELS[t.speaker]}: {t.text}"
+                  for t in dialogue.turns[: upto_turn + 1]]
+    if char_budget is not None:
+        # re-sums every kept line after each drop
+        while len(turn_lines) > 1 and sum(len(ln) + 1 for ln in turn_lines) > char_budget:
+            turn_lines.pop(0)
+    dialogue_block = "\n".join(["# Dialogue", ""] + turn_lines)
+    return "\n\n".join([ref_render_schema_block(schema), dialogue_block,
+                        "Identify Key Information Values from the Dialogue"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(schemas, st.lists(st.tuples(st.text(max_size=30), st.text(max_size=30)), min_size=1,
+                         max_size=8),
+       st.data(), st.none() | st.integers(0, 8) | st.integers(0, 300))
+def test_budgeted_prompt_matches_old_loop(schema, exchanges, data, budget):
+    # budgets 0..6 are below even an empty "User: " line
+    turns = [Turn(speaker, text) for u, a in exchanges for speaker, text in (("user", u),
+                                                                            ("agent", a))]
+    dialogue = Dialogue("d1", "s1", tuple(turns))
+    upto = data.draw(st.integers(0, len(turns) - 1))
+    for mode in (StateMode.STATE, StateMode.UPDATE):
+        got = render_prompt(schema, dialogue, upto, mode, char_budget=budget)
+        assert got == ref_render_prompt(schema, dialogue, upto, budget)
+
+
+# --- mapping agreement ---------------------------------------------------------
+
+
+def ref_decision(mapping, predicted):
+    for p, g in mapping.pairs:
+        if p == predicted:
+            return g
+    return None
+
+
+def ref_mapping_agreement(auto, human):
+    predicted = auto.predicted_keys()
+    if not predicted:
+        return 1.0
+    agree = sum(1 for k in predicted if ref_decision(auto, k) == ref_decision(human, k))
+    return agree / len(predicted)
+
+
+def mapping_of(decisions):
+    """A SlotMapping of predicted -> gold decisions, None for unmatched."""
+    return SlotMapping(tuple((p, g) for p, g in decisions.items() if g is not None),
+                       frozenset(p for p, g in decisions.items() if g is None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(keys, st.none() | keys), st.data())
+def test_mapping_agreement_matches_pair_scan(auto_decisions, data):
+    # the human decides every auto-predicted slot, and maybe some others
+    human_decisions = {p: data.draw(st.none() | keys) for p in auto_decisions}
+    human_decisions.update(data.draw(st.dictionaries(keys, st.none() | keys)))
+    auto, human = mapping_of(auto_decisions), mapping_of(human_decisions)
+    for k in VOCABULARY:
+        assert auto.decision(k) == ref_decision(auto, k)
+        assert human.decision(k) == ref_decision(human, k)
+    assert mapping_agreement(auto, human) == ref_mapping_agreement(auto, human)
+
+
+# --- the report.json writer ----------------------------------------------------
+
+
+# text with non-ASCII letters, quotes, backslashes and control characters
+awkward = st.text(st.sampled_from(list('aZé ß"\\/\n\t\r\x00\x1f\x7f 😀')), max_size=6) | st.text(
+    max_size=6)
+
+
+def key_or_none(domain, name):
+    try:
+        return canonical_slot_key(domain, name)
+    except InvalidSlotName:
+        return None
+
+
+awkward_keys = st.builds(key_or_none, awkward, awkward).filter(lambda k: k is not None)
+awkward_states = st.builds(
+    lambda pairs, described: DialogueState.from_pairs(
+        pairs.items(), {k: d for k, d in described.items() if k in pairs}),
+    st.dictionaries(awkward_keys, awkward, max_size=4),  # may be empty
+    st.dictionaries(awkward_keys, awkward, max_size=3),  # may describe none
+)
+awkward_entries = st.builds(StateLogEntry, awkward, st.integers(0, 40), awkward_states,
+                            st.none() | st.integers(0, 40))
+awkward_results = st.builds(
+    induct.RunResult,
+    st.lists(st.builds(SlotDef, awkward_keys, awkward), max_size=5).map(schema_of),
+    st.lists(awkward_entries, max_size=6).map(tuple),  # may be an empty log
+    st.integers(0, 9),
+    st.none() | st.integers(-5, 10**12),
+    st.lists(awkward, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_results, st.booleans(), st.sampled_from(list(StateMode)),
+       st.fixed_dictionaries({"name": awkward, "params": st.dictionaries(awkward, st.integers())}))
+def test_fast_report_writer_matches_canonical_json(result, two_pass, mode, refiner):
+    # the report as cli.induce builds it
+    report = result.to_obj()
+    report["two_pass"] = two_pass
+    report["mode"] = mode.value
+    report["refiner"] = refiner
+    assert canonical_json_fast(report) == canonical_json(report)
+
+
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | awkward,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(awkward, children,
+                                                                      max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_fast_writer_matches_canonical_json_on_any_tree(tree):
+    assert canonical_json_fast(tree) == canonical_json(tree)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from slotweaver import seqio
 from slotweaver.core import (
     Dialogue,
     DialogueState,
@@ -13,6 +14,7 @@ from slotweaver.core import (
     SlotSchema,
     Turn,
     canonical_slot_key,
+    schema_update,
 )
 from slotweaver.seqio import (
     CorpusFile,
@@ -120,6 +122,29 @@ class TestRenderPrompt:
         assert not any(thread.is_alive() for thread in threads)
         assert len(blocks) == 400 and set(blocks) == {want}
         assert set(keys) == {SlotKey(f"race {t}", f"slot {i}") for t in range(2) for i in range(5)}
+
+    def test_one_new_slot_renders_one_section(self, monkeypatch):
+        six = SlotSchema(tuple(SlotDef(key(f"domain {d}", f"slot {i}"), f"desc {d}.{i}")
+                               for i in range(3) for d in range(6)))
+        render_schema_block(six)
+        rendered = []
+        real_section = seqio._section
+
+        def counting_section(domain, bullets):
+            rendered.append(domain)
+            return real_section(domain, bullets)
+
+        monkeypatch.setattr(seqio, "_section", counting_section)
+        grown = six.with_slots([SlotDef(key("domain 3", "slot new"), "added")])
+        assert render_schema_block(grown) == render_schema_block(SlotSchema(grown.slots))
+        # the fresh copy rendered all six; the derived schema only its change
+        assert rendered == ["domain 3"] + [f"domain {d}" for d in range(6)]
+        rendered.clear()
+        shrunk = grown.without_keys([key("domain 5", "slot 1")])
+        updated = schema_update(grown, DialogueState.from_pairs([(key("domain 6", "x"), "v")]))
+        render_schema_block(shrunk)
+        render_schema_block(updated)
+        assert rendered == ["domain 5", "domain 6"]
 
 
 class TestParseStateBlock:

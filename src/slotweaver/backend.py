@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
 from urllib.parse import urlsplit
 
+from .seqio import load_json_lines
+
 __all__ = [
     "GenerationRequest",
     "Backend",
@@ -139,7 +141,6 @@ class ScriptedBackend:
 
     script: List[Tuple[Optional[Matcher], str]] = field(default_factory=list)
     mode: str = "strict-order"  # or "keyed"
-    audit_log: List[Tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.mode not in ("strict-order", "keyed"):
@@ -174,7 +175,6 @@ class ScriptedBackend:
                     raise ScriptMismatch(
                         f"no matcher fired for prompt: {request.prompt[:120]!r}"
                     )
-            self.audit_log.append((request.prompt, response))
             return response
 
     @property
@@ -186,12 +186,8 @@ _SCRIPT_ENTRY = '{"match": {"substring": str} or {"index": int}, "response": str
 _MATCH_TYPES = {"substring": str, "index": int}
 
 
-def _script_entry(line: str) -> Tuple[str, object, str]:
-    """(match kind, matcher value, response) of one script line."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:
-        raise ValueError(f"not JSON: {exc}") from None
+def _script_entry(obj) -> Tuple[str, object, str]:
+    """(match kind, matcher value, response) of one script line's value."""
     try:
         response = obj["response"]
         ((kind, value),) = obj["match"].items()
@@ -207,21 +203,19 @@ def load_script(path) -> ScriptedBackend:
 
     ``match`` is either {"substring": str} (keyed mode) or {"index": n}
     (strict-order mode, entries sorted by index). A file must use one match
-    kind throughout. A malformed file raises ValueError naming the file and
-    the line.
+    kind throughout. A malformed file raises a CorpusFormatError (a
+    ValueError) naming the file and the line.
     """
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                kind, value, response = _script_entry(line)
-                if entries and kind != entries[0][0]:
-                    raise ValueError("script file mixes substring and index matchers")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            entries.append((kind, value, response))
+    kinds = set()
+
+    def entry(obj) -> Tuple[str, object, str]:
+        kind, value, response = _script_entry(obj)
+        kinds.add(kind)
+        if len(kinds) > 1:
+            raise ValueError("script file mixes substring and index matchers")
+        return kind, value, response
+
+    entries = load_json_lines(path, entry)
     if entries and entries[0][0] == "substring":
         return ScriptedBackend.keyed([(value, r) for _, value, r in entries])
     ordered = sorted(entries, key=lambda e: e[1])

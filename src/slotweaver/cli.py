@@ -7,7 +7,6 @@ codes: 0 success, 1 pipeline error, 2 configuration/auth error.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from contextlib import contextmanager
@@ -21,7 +20,7 @@ import yaml
 from . import backend as backend_mod
 from . import evalx, induct, refine, seqio, sim
 from .backend import AuthError, Backend, BackendError
-from .seqio import StateMode, canonical_json
+from .seqio import StateMode
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -80,9 +79,11 @@ class RunConfig:
         if not path:
             return cfg
         try:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raw = yaml.safe_load(seqio.read_utf8(path)) or {}
+        except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+        except seqio.CorpusFormatError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping, got {type(raw).__name__}")
         unknown = [str(key) for key in raw if key not in TOP_LEVEL_KEYS]
@@ -143,11 +144,6 @@ def _fail(message: str, code: int) -> None:
     sys.exit(code)
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
 @click.group()
 def main() -> None:
     """Slot schema induction, simulation, and evaluation pipeline."""
@@ -188,19 +184,13 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
         _fail(str(exc), EXIT_PIPELINE)
     seqio.save_corpus(corpus, out_path)
     if report_path:
-        _write(Path(report_path), canonical_json(report.to_obj()))
+        seqio.save_json(report.to_obj(), report_path)
     click.echo(
         f"simulated {report.produced}/{report.dialogues_requested} dialogues "
         f"({report.lost} lost) -> {out_path}"
     )
     loss_fraction = report.lost / report.dialogues_requested if report.dialogues_requested else 0.0
     sys.exit(EXIT_OK if loss_fraction < cfg.loss_limit else EXIT_PIPELINE)
-
-
-def _states_jsonl(entry_objs) -> str:
-    return "".join(
-        json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n" for obj in entry_objs
-    )
 
 
 @main.command()
@@ -267,10 +257,10 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     report["two_pass"] = two_pass
     report["mode"] = mode.value
     report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
-    _write(out / "schema.json", canonical_json(seqio.schema_to_obj(schema)))
+    seqio.save_json(seqio.schema_to_obj(schema), out / "schema.json")
     # each entry's to_obj() serves both files
-    _write(out / "states.jsonl", _states_jsonl(report["states"]))
-    _write(out / "report.json", seqio.canonical_json_fast(report))
+    seqio.save_json_lines(report["states"], out / "states.jsonl")
+    seqio.save_json(report, out / "report.json")
     click.echo(
         f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
         f"{result.parse_failures} parse failures"
@@ -278,25 +268,6 @@ def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, c
     if result.turns_processed and result.failed_turns == result.turns_processed:
         _fail(f"every backend call failed in {out}", EXIT_PIPELINE)
     sys.exit(EXIT_OK)
-
-
-def _load_state_log(path: Path):
-    """Read a states.jsonl state log: one JSON object per line.
-
-    A malformed log is a CorpusFormatError naming the file and the line.
-    """
-    log = []
-    for lineno, line in enumerate(seqio.read_utf8(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            log.append(seqio.StateLogEntry.from_obj(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise seqio.CorpusFormatError(f"{where}: invalid JSON: {exc}") from exc
-        except seqio.CorpusFormatError as exc:
-            raise seqio.CorpusFormatError(f"{where}: {exc}") from exc
-    return log
 
 
 @main.command()
@@ -310,7 +281,7 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
     """Score a run's states against a gold corpus; print the metric table."""
     try:
         gold = seqio.load_corpus(gold_path)
-        log = _load_state_log(Path(predictions))
+        log = seqio.load_state_log(predictions)
         human = evalx.load_human_mapping(human_path) if human_path else None
         report = evalx.evaluate_run(log, gold, StateMode(mode))
     except seqio.CorpusFormatError as exc:
@@ -328,7 +299,7 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
             _fail(str(exc), EXIT_PIPELINE)
         click.echo(f"mapping agreement with human decisions: {agreement:.3f}")
     if out_path:
-        _write(Path(out_path), canonical_json(report.to_obj()))
+        seqio.save_json(report.to_obj(), out_path)
     sys.exit(EXIT_OK)
 
 
@@ -347,7 +318,7 @@ def make_train_data(corpus_path, mode, out_path, revision, noisy_path, seed):
         if revision:
             if not noisy_path:
                 _fail("--revision requires --noisy-log", EXIT_CONFIG)
-            noisy = _load_state_log(Path(noisy_path))
+            noisy = seqio.load_state_log(noisy_path)
             pairs = refine.build_revision_pairs(corpus, noisy, seed)
         else:
             pairs = seqio.build_training_sequences(corpus, StateMode(mode))

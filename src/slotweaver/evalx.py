@@ -8,12 +8,11 @@ gold slot count as precision errors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Dialogue, InvalidSlotName, SlotKey, canonical_slot_key
-from .seqio import CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns, read_utf8
+from .seqio import CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns, load_json
 
 __all__ = [
     "ValuedSlot",
@@ -104,16 +103,14 @@ class SlotMapping:
     """An assignment of predicted slot keys to gold slot keys.
 
     Each predicted key appears at most once; several predicted keys may map
-    to one gold key (the slot precision formula penalizes this). The slot
-    index retains the underlying fills for value metrics and is excluded
-    from equality.
+    to one gold key (the slot precision formula penalizes this).
+    ``valued_pairs`` holds the (predicted, gold) ValuedSlot of each pair,
+    with the fills the value metrics read; it is excluded from equality.
     """
 
     pairs: Tuple[Tuple[SlotKey, SlotKey], ...] = ()
     unmatched_predicted: frozenset = frozenset()
-    slot_index: Mapping[str, Mapping[SlotKey, ValuedSlot]] = field(
-        default_factory=dict, compare=False
-    )
+    valued_pairs: Tuple[Tuple[ValuedSlot, ValuedSlot], ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         # predicted -> gold index; not a dataclass field, so it takes no
@@ -129,11 +126,6 @@ class SlotMapping:
     def decision(self, predicted: SlotKey) -> Optional[SlotKey]:
         return self._decisions.get(predicted)
 
-    def matched_valued_pairs(self) -> List[Tuple[ValuedSlot, ValuedSlot]]:
-        pred_index = self.slot_index.get("predicted", {})
-        gold_index = self.slot_index.get("gold", {})
-        return [(pred_index[p], gold_index[g]) for p, g in self.pairs]
-
 
 def match_slots(P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> SlotMapping:
     """Map each predicted slot to its argmax-similarity gold slot.
@@ -145,8 +137,8 @@ def match_slots(P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> SlotMapping
     gold_keys = [g.key for g in G]
     if len(gold_keys) != len(set(gold_keys)):
         raise InvalidGold("gold slot keys must be unique")
-    gold_folded = [(g.key, g.folded_fills()) for g in G]
-    pairs: List[Tuple[SlotKey, SlotKey]] = []
+    gold_folded = [(g, g.folded_fills()) for g in G]
+    pairs: List[Tuple[ValuedSlot, ValuedSlot]] = []
     unmatched: List[SlotKey] = []
     for p in sorted(P, key=lambda s: s.key):
         if not p.fills or not G:
@@ -156,16 +148,12 @@ def match_slots(P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> SlotMapping
         # overlap: the argmax over (similarity, overlap) with the smallest-key
         # tie-break is the min over (-overlap, key)
         folded = p.folded_fills()
-        neg_overlap, best_key = min((-len(folded & fills), key) for key, fills in gold_folded)
+        neg_overlap, _, best = min((-len(folded & fills), g.key, g) for g, fills in gold_folded)
         if -neg_overlap / len(p.fills) < MATCH_THRESHOLD:
             unmatched.append(p.key)
         else:
-            pairs.append((p.key, best_key))
-    return SlotMapping(
-        tuple(pairs),
-        frozenset(unmatched),
-        {"predicted": {s.key: s for s in P}, "gold": {s.key: s for s in G}},
-    )
+            pairs.append((p, best))
+    return SlotMapping(tuple((p.key, g.key) for p, g in pairs), frozenset(unmatched), tuple(pairs))
 
 
 def slot_prf(mapping: SlotMapping, P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> PRF:
@@ -182,7 +170,7 @@ def slot_prf(mapping: SlotMapping, P: Sequence[ValuedSlot], G: Sequence[ValuedSl
 
 def value_prf(mapping: SlotMapping) -> PRF:
     """Value precision/recall summed over matched pairs only."""
-    matched = mapping.matched_valued_pairs()
+    matched = mapping.valued_pairs
     if not matched:
         return PRF(0.0, 0.0, 0.0, degenerate=True)
     overlap = sum(_overlap(p, g) for p, g in matched)
@@ -267,7 +255,10 @@ def evaluate_run(
     if gold_corpus.gold_schema is None:
         raise InvalidGold("gold corpus has no gold schema")
     dialogue_scenario = {d.id: d.scenario_id for d in gold_corpus.dialogues}
-    entries_by_scenario: Dict[str, list] = {d.scenario_id: [] for d in gold_corpus.dialogues}
+    dialogues_by_scenario: Dict[str, list] = {}
+    for d in gold_corpus.dialogues:
+        dialogues_by_scenario.setdefault(d.scenario_id, []).append(d)
+    entries_by_scenario: Dict[str, list] = {sid: [] for sid in dialogues_by_scenario}
     for entry in state_log:
         if entry.dialogue_id not in dialogue_scenario:
             raise UnknownScenario(f"dialogue {entry.dialogue_id!r} not present in gold corpus")
@@ -275,8 +266,7 @@ def evaluate_run(
 
     per_scenario = {}
     for scenario_id, entries in sorted(entries_by_scenario.items()):
-        dialogues = [d for d in gold_corpus.dialogues if d.scenario_id == scenario_id]
-        G = gold_valued_slots(dialogues, mode)
+        G = gold_valued_slots(dialogues_by_scenario[scenario_id], mode)
         if not G:
             raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
         P = collect_valued_slots(entries)
@@ -307,10 +297,7 @@ def load_human_mapping(path) -> SlotMapping:
     or an explicit null for "no match". A file that is not a JSON object
     with a ``decisions`` list of such entries is a CorpusFormatError naming
     the file and, for a bad entry, its index."""
-    try:
-        obj = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("decisions"), list):
         raise CorpusFormatError(f"{path}: no 'decisions' list")
     pairs = []

@@ -1,10 +1,12 @@
-"""Token-sequence rendering and parsing, corpus file I/O, and training pairs.
+"""Token-sequence rendering and parsing, artifact file I/O, and training pairs.
 
 The block format puts a typed-slot catalog, the dialogue so far, and an
 instruction line into one prompt; model output is parsed back into a
 dialogue state with fault tolerance (malformed lines warn, never abort).
 This module owns the format: its headers and instructions are the
 constants below, and one walker reads both the types and the values block.
+It also owns the files: every file a command reads or writes goes through
+the one writer and the one reader of its format below.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
     AGENT,
@@ -51,9 +53,15 @@ __all__ = [
     "render_prompt",
     "render_revision_prompt",
     "parse_state_block",
+    "canonical_json",
+    "save_json",
+    "save_json_lines",
     "read_utf8",
+    "load_json",
+    "load_json_lines",
     "load_corpus",
     "save_corpus",
+    "load_state_log",
     "corpus_to_obj",
     "corpus_from_obj",
     "schema_to_obj",
@@ -61,8 +69,6 @@ __all__ = [
     "state_to_obj",
     "state_from_obj",
     "StateLogEntry",
-    "canonical_json",
-    "canonical_json_fast",
     "gold_turns",
     "build_training_sequences",
     "save_training_pairs",
@@ -299,7 +305,7 @@ def parse_state_block(text: str, known_schema: SlotSchema) -> ParsedPrediction:
 
 
 # ---------------------------------------------------------------------------
-# Corpus file I/O
+# Artifact files: corpus, schema, state log, reports
 # ---------------------------------------------------------------------------
 
 
@@ -480,19 +486,16 @@ def corpus_from_obj(obj: dict) -> CorpusFile:
     return CorpusFile(tuple(dialogues), gold_schema, int(obj["format_version"]))
 
 
-def canonical_json(obj) -> str:
-    """The one serialization used for all artifacts, so outputs byte-compare."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+def _json_key(key) -> str:
+    """A dict key that is not a ``str``, encoded (or refused) as ``json.dumps`` does."""
+    return json.dumps({key: None}, ensure_ascii=False)[1 : -len(": null}")]
 
 
 def _indented(value, pad: str) -> str:
-    """``value`` as canonical_json writes it nested at indentation ``pad``.
-
-    The same bytes for any tree of dicts with string keys, lists, tuples,
-    strings and scalars (a scalar other than a string, an int or None goes
-    to ``json.dumps``), without the pure-Python encoder that ``indent``
-    selects: strings go through the C string encoder.
-    """
+    """``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)``
+    writes it nested at indentation ``pad``, without the pure-Python encoder
+    that ``indent`` selects: strings go through the C string encoder, and a
+    scalar other than a string, an int or None through ``json.dumps``."""
     if isinstance(value, str):
         return encode_basestring(value)
     if value is None:
@@ -504,7 +507,7 @@ def _indented(value, pad: str) -> str:
             return "{}"
         inner = pad + "  "
         items = [
-            encode_basestring(k) + ": "
+            (encode_basestring(k) if type(k) is str else _json_key(k)) + ": "
             + (encode_basestring(v) if type(v) is str else _indented(v, inner))
             for k, v in value.items()
         ]
@@ -518,10 +521,29 @@ def _indented(value, pad: str) -> str:
     return json.dumps(value)
 
 
-def canonical_json_fast(obj) -> str:
-    """``canonical_json(obj)``, byte for byte, for the JSON types
-    ``_indented`` handles; for large artifacts such as ``report.json``."""
+def canonical_json(obj) -> str:
+    """The one serialization of JSON documents (corpus, ``schema.json``,
+    ``report.json``, reports), so outputs byte-compare: two-space indent,
+    keys in insertion order, non-ASCII kept."""
     return _indented(obj, "") + "\n"
+
+
+def _write(path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` as UTF-8, creating its parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+
+
+def save_json(obj, path) -> None:
+    _write(path, [canonical_json(obj)])
+
+
+def save_json_lines(objs: Iterable, path) -> None:
+    """One JSON value per line, keys sorted, non-ASCII kept; each line is
+    written as it is made, so a long file is never one string in memory."""
+    _write(path, (json.dumps(o, ensure_ascii=False, sort_keys=True) + "\n" for o in objs))
 
 
 def read_utf8(path) -> str:
@@ -533,16 +555,44 @@ def read_utf8(path) -> str:
         raise CorpusFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def load_corpus(path) -> CorpusFile:
+def load_json(path):
+    """The JSON document in a UTF-8 file; a file that is not one is a
+    CorpusFormatError naming the file and, for bad JSON, the line."""
     try:
-        obj = json.loads(read_utf8(path))
+        return json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return corpus_from_obj(obj)
+
+
+def load_json_lines(path, parse: Callable[[object], object]) -> list:
+    """``parse`` of the JSON value on each non-blank line of a UTF-8 file.
+    A line that is not JSON, or whose value ``parse`` rejects with a
+    ValueError, is a CorpusFormatError ``<path>:<line>: <reason>``. Only a
+    newline ends a line: a JSON string may hold other line separators."""
+    out = []
+    for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def load_corpus(path) -> CorpusFile:
+    return corpus_from_obj(load_json(path))
 
 
 def save_corpus(corpus: CorpusFile, path) -> None:
-    Path(path).write_text(canonical_json(corpus_to_obj(corpus)), encoding="utf-8")
+    save_json(corpus_to_obj(corpus), path)
+
+
+def load_state_log(path) -> List[StateLogEntry]:
+    """A ``states.jsonl`` state log: one StateLogEntry object per line."""
+    return load_json_lines(path, StateLogEntry.from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +669,14 @@ def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[
 
 
 def save_training_pairs(pairs: Iterable[Tuple[str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for prompt, target in pairs:
-            fh.write(json.dumps({"prompt": prompt, "target": target}, ensure_ascii=False))
-            fh.write("\n")
+    save_json_lines(({"prompt": prompt, "target": target} for prompt, target in pairs), path)
+
+
+def _training_pair(obj) -> Tuple[str, str]:
+    if not isinstance(obj, dict) or "prompt" not in obj or "target" not in obj:
+        raise CorpusFormatError("training pair must be an object with 'prompt' and 'target'")
+    return obj["prompt"], obj["target"]
 
 
 def load_training_pairs(path) -> List[Tuple[str, str]]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                pairs.append((obj["prompt"], obj["target"]))
-    return pairs
+    return load_json_lines(path, _training_pair)

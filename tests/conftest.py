@@ -95,6 +95,18 @@ def make_dialogue(
     return Dialogue(dialogue_id, scenario_id, tuple(turns))
 
 
+class Recorder:
+    """Wraps a backend; keeps the (prompt, reply) of every call that returned."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def generate(self, request):
+        reply = self.inner.generate(request)
+        self.calls.append((request.prompt, reply))
+        return reply
+
+
 class _CountingHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive, so a client can reuse its connections
     disable_nagle_algorithm = True  # headers and body go out at once, not 40 ms apart

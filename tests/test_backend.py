@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -62,11 +63,6 @@ class TestScriptedBackend:
             runs.append([backend.generate(req(f"p{i}")) for i in range(3)])
         assert runs[0] == runs[1]
 
-    def test_audit_log_records_pairs(self):
-        backend = ScriptedBackend.from_responses(["x"])
-        backend.generate(req("the prompt"))
-        assert backend.audit_log == [("the prompt", "x")]
-
 
 class TestScriptFile:
     def test_substring_script(self, tmp_path):
@@ -100,7 +96,7 @@ class TestScriptFile:
     def test_line_that_is_not_json_names_file_and_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text(json.dumps({"match": {"index": 0}, "response": "a"}) + "\n\nnot json\n")
-        with pytest.raises(ValueError, match=r"s\.jsonl:3: not JSON"):
+        with pytest.raises(ValueError, match=r"s\.jsonl:3: invalid JSON: "):
             load_script(path)
 
     @pytest.mark.parametrize("line", [
@@ -502,6 +498,29 @@ class TestInFlightBudget:
         backend.close()
         assert not first.is_alive() and not second.is_alive()
         assert done == ["second", "first"]  # sent while the first waited out its 429
+
+
+class TestRateLimit:
+    def test_bucket_starts_full_then_paces_one_call_per_interval(self, monkeypatch):
+        clock = [1000.0]
+
+        def sleep(seconds):
+            clock[0] += seconds
+
+        monkeypatch.setattr(backend_mod, "time",
+                            types.SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep))
+        bucket = backend_mod._TokenBucket(6)  # one token per 10 s, at most 6 held
+
+        def granted(calls):
+            times = []
+            for _ in range(calls):
+                bucket.acquire()
+                times.append(clock[0])
+            return times
+
+        assert granted(9) == pytest.approx([1000.0] * 6 + [1010.0, 1020.0, 1030.0])
+        clock[0] += 3600.0  # a long idle refills the bucket only up to 6 tokens
+        assert granted(8) == pytest.approx([4630.0] * 6 + [4640.0, 4650.0])
 
 
 class TestSettings:

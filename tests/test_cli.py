@@ -148,7 +148,7 @@ class TestInduce:
     @pytest.mark.parametrize("lines, message", [
         (['{"match": {"index": 0}, "response": "a"}', '{"match": {"substring": "x"}, "response": "b"}'],
          "bad.jsonl:2: script file mixes substring and index matchers"),
-        (['{"match": {"index": 0}, "response": "a"}', "not json"], "bad.jsonl:2: not JSON"),
+        (['{"match": {"index": 0}, "response": "a"}', "not json"], "bad.jsonl:2: invalid JSON"),
         (['{"match": {"index": 0}}'], "bad.jsonl:1: not of the form"),
         (None, "No such file or directory"),
     ])
@@ -166,6 +166,22 @@ class TestInduce:
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert "bad.jsonl" in result.output
+
+    @pytest.mark.parametrize("bad", ["script", "config"])
+    def test_non_utf8_script_or_config_is_config_error(self, runner, tmp_path, bad):
+        script, cfg = tmp_path / "script.jsonl", tmp_path / "config.yaml"
+        script.write_bytes((DATA / "script.jsonl").read_bytes())
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
+        broken = script if bad == "script" else cfg
+        broken.write_bytes(b"\xff\xfe" + broken.read_bytes())
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{broken}: not UTF-8 text" in result.output
 
     @pytest.mark.parametrize("flag", ["--window", "--tau", "--cap"])
     def test_zero_count_flag_is_usage_error(self, runner, config_path, tmp_path, flag):
@@ -502,6 +518,14 @@ class TestMakeTrainData:
         assert result.exit_code == 0
         assert "wrote 40 pairs" in result.output
 
+    def test_creates_the_output_directory(self, runner, tmp_path):
+        out = tmp_path / "new" / "dir" / "pairs.jsonl"
+        result = runner.invoke(
+            main, ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(out.read_text().splitlines()) == 40
+
     def test_revision_pairs(self, runner, tmp_path):
         out = tmp_path / "revision.jsonl"
         result = runner.invoke(
@@ -627,6 +651,18 @@ class TestSimulate:
         assert corpus["gold_schema"] is not None
         rep = json.loads(report.read_text())
         assert rep["produced"] == 2 and rep["lost"] == 0
+
+    def test_creates_the_output_directories(self, runner, tmp_path):
+        out = tmp_path / "new" / "dir" / "corpus.json"
+        report = tmp_path / "other" / "r.json"
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", self._config(tmp_path), "--out", str(out),
+             "--report", str(report), "--scenarios", "2", "--dialogues-per-scenario", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(out.read_text())["dialogues"]) == 2
+        assert json.loads(report.read_text())["produced"] == 2
 
     def test_loss_limit_reached_exits_nonzero(self, runner, tmp_path):
         out = tmp_path / "corpus.json"

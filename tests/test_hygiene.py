@@ -1,8 +1,8 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
 entries, one thread pool, no unbounded memo table, the block format's
-strings spelled in ``seqio`` only, one home for the indented JSON format,
-no config key that nothing reads, no third-party HTTP library, and no CLI
-option that the README leaves out.
+strings spelled in ``seqio`` only, no indented ``json.dumps``, no file
+written outside ``seqio``, no config key that nothing reads, no third-party
+HTTP library, and no CLI option that the README leaves out.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -195,14 +195,70 @@ def test_indent_checker_finds_every_indented_dump():
 
 
 def test_indented_json_lives_in_canonical_json():
-    """``seqio.canonical_json`` is the one spelling of the artifact format;
-    ``canonical_json_fast`` is held to its bytes by a property test."""
+    """``seqio.canonical_json`` is the one spelling of the indented artifact
+    format, and it writes it without the pure-Python encoder that
+    ``indent`` selects; a property test holds it to ``json.dumps``'s bytes."""
     found = [
-        f"{path.name}:{name}"
+        f"{path.name}:{line}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for _, name in indented_dumps(path.read_text(encoding="utf-8"))
+        for line, _ in indented_dumps(path.read_text(encoding="utf-8"))
     ]
-    assert found == ["seqio.py:canonical_json"]
+    assert found == []
+
+
+_WRITE_MODE = re.compile(r"[rbt]*[wax+][rwxabt+]*")
+
+
+def file_writes(source: str):
+    """Line of every call that writes a file: ``open`` or ``.open`` with a
+    mode that writes, creates or appends (or a mode that is not a literal),
+    ``write_text``, ``write_bytes``, ``dump``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + [
+                a for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)
+            ]
+            writes = any(
+                not isinstance(m, ast.Constant) or _WRITE_MODE.fullmatch(str(m.value))
+                for m in modes
+            )
+        else:
+            writes = name in ("write_text", "write_bytes", "dump")
+        if writes:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_write_checker_finds_every_file_write():
+    source = (
+        "import json\n"
+        "from pathlib import Path\n"
+        "open('log.txt', 'a').write('x')\n"
+        "with open(PATH, mode='wb') as fh:\n"
+        "    json.dump({}, fh)\n"
+        "Path('p').write_text('x')\n"
+        "Path('p').open('w+')\n"
+        "open(PATH, mode=m)\n"
+        "Path('q').write_bytes(b'')\n"
+        "A = open('in.txt', encoding='utf-8').read() + open(PATH, 'rb').read()\n"
+        "B = Path('in.txt').read_text() + json.dumps({}) + json.load(open('x.json'))\n"
+    )
+    assert file_writes(source) == [3, 4, 5, 6, 7, 8, 9]
+
+
+def test_only_seqio_writes_files():
+    """Every artifact goes through ``seqio``'s one write, which creates the
+    parent directory; no other module writes a file of its own."""
+    writers = {
+        path.name
+        for path in PACKAGE_DIR.glob("*.py")
+        if file_writes(path.read_text(encoding="utf-8"))
+    }
+    assert writers == {"seqio.py"}
 
 
 def _functools_cache_names(tree):

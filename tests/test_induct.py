@@ -18,7 +18,7 @@ from slotweaver.induct import SchemaOverflowError, run_induction, run_two_pass
 from slotweaver.refine import FilterConfig, SlotConfidenceRefiner, make_refiner
 from slotweaver.seqio import REVISION_INSTRUCTION, CorpusFile, StateMode, canonical_json, schema_to_obj
 
-from conftest import GARDEN_GREEN_BLOCK, key, make_dialogue
+from conftest import GARDEN_GREEN_BLOCK, Recorder, key, make_dialogue
 
 
 def vblock(sections, discoveries=None):
@@ -83,10 +83,10 @@ class TestInduceTurn:
     def test_agent_turn_rejected(self):
         # only user turns are predicted: two calls for two user turns, each
         # prompt ending its dialogue block at a user line
-        backend = ScriptedBackend.from_responses([EMPTY_BLOCK] * 2)
+        backend = Recorder(ScriptedBackend.from_responses([EMPTY_BLOCK] * 2))
         result = run_induction(corpus_of(make_dialogue("d1", 2)), StateMode.STATE, None, backend)
         assert [e.turn_index for e in result.state_log] == [0, 2]
-        assert [prompt.split("\n\n")[-2].splitlines()[-1] for prompt, _ in backend.audit_log] \
+        assert [prompt.split("\n\n")[-2].splitlines()[-1] for prompt, _ in backend.calls] \
             == ["User: user message 0", "User: user message 1"]
 
     def test_unparseable_reply_counts_failure(self, garden_schema):

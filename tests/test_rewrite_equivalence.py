@@ -3,9 +3,10 @@ gold-turn walker, the refiners' fill table, the interned slot keys, the
 memoized catalog render and derived schemas, the block parsers and
 renderers, the simulator's prompt templates and fenced-block retry, the
 induction engine, the prompt's context budget and the mapping agreement
-against reference copies of the code they replaced, and the report.json
-writer against ``canonical_json``, on random inputs."""
+against reference copies of the code they replaced, and the JSON writer
+``canonical_json`` against ``json.dumps``, on random inputs."""
 
+import json
 import logging
 import pickle
 import random
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +50,6 @@ from slotweaver.seqio import (
     StateLogEntry,
     StateMode,
     canonical_json,
-    canonical_json_fast,
     gold_turns,
     parse_schema_block,
     parse_state_block,
@@ -1210,7 +1211,12 @@ def test_mapping_agreement_matches_pair_scan(auto_decisions, data):
     assert mapping_agreement(auto, human) == ref_mapping_agreement(auto, human)
 
 
-# --- the report.json writer ----------------------------------------------------
+# --- the JSON writer -----------------------------------------------------------
+
+
+def ref_canonical_json(obj):
+    """The artifact format as the pure-Python encoder writes it."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 # text with non-ASCII letters, quotes, backslashes and control characters
@@ -1253,18 +1259,29 @@ def test_fast_report_writer_matches_canonical_json(result, two_pass, mode, refin
     report["two_pass"] = two_pass
     report["mode"] = mode.value
     report["refiner"] = refiner
-    assert canonical_json_fast(report) == canonical_json(report)
+    assert canonical_json(report) == ref_canonical_json(report)
 
 
+# json.dumps writes an int, float, bool or None key as its JSON text
+json_keys = awkward | st.integers() | st.floats() | st.booleans() | st.none()
 json_trees = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | awkward,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(awkward, children,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_keys, children,
                                                                       max_size=4),
     max_leaves=20,
 )
 
 
 @settings(max_examples=200, deadline=None)
+@example({1: 0, 2.5: 1, float("nan"): 2, float("-inf"): 3, True: 4, False: 5, None: 6})
 @given(json_trees)
 def test_fast_writer_matches_canonical_json_on_any_tree(tree):
-    assert canonical_json_fast(tree) == canonical_json(tree)
+    assert canonical_json(tree) == ref_canonical_json(tree)
+
+
+@pytest.mark.parametrize("tree", [{(1, 2): 0}, [{"a": {frozenset(): 0}}], {"a": {1, 2}}])
+def test_writer_refuses_what_json_dumps_refuses(tree):
+    with pytest.raises(TypeError):
+        ref_canonical_json(tree)
+    with pytest.raises(TypeError):
+        canonical_json(tree)

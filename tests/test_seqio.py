@@ -363,6 +363,18 @@ class TestStateLogEntry:
         with pytest.raises(CorpusFormatError):
             StateLogEntry.from_obj(obj)
 
+    def test_log_file_keeps_line_separators_inside_strings(self, tmp_path):
+        # ensure_ascii=False leaves U+2028, U+2029 and U+0085 unescaped, and
+        # str.splitlines() splits at each; only a newline ends a log line
+        entries = [
+            StateLogEntry(f"d{sep}1", 0,
+                          DialogueState.from_pairs([(key("hotel", "area"), f"a{sep}b")]), i)
+            for i, sep in enumerate("\u2028\u2029\x85")
+        ]
+        path = tmp_path / "states.jsonl"
+        seqio.save_json_lines([e.to_obj() for e in entries], path)
+        assert seqio.load_state_log(path) == entries
+
 
 class TestTrainingSequences:
     def test_final_mode_one_pair_per_dialogue(self):
@@ -416,3 +428,16 @@ class TestTrainingSequences:
         path = tmp_path / "pairs.jsonl"
         save_training_pairs(pairs, path)
         assert load_training_pairs(path) == pairs
+
+    @pytest.mark.parametrize("line, reason", [
+        ("not json", "invalid JSON: "),
+        ('{"prompt": "p"}', "must be an object with 'prompt' and 'target'"),
+        ('["p", "t"]', "must be an object with 'prompt' and 'target'"),
+    ])
+    def test_bad_pair_line_names_file_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"prompt": "p", "target": "t"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            load_training_pairs(path)
+        assert str(caught.value).startswith(f"{path}:3: ")
+        assert reason in str(caught.value)

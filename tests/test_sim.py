@@ -30,7 +30,7 @@ from slotweaver.sim import (
     simulate_dialogue,
 )
 
-from conftest import counting_server, key
+from conftest import Recorder, counting_server, key
 
 
 def fence(text):
@@ -70,9 +70,9 @@ class TestGenerateScenarios:
             generate_scenarios(3, backend)
 
     def test_prompt_carries_requested_count(self):
-        backend = ScriptedBackend.from_responses([SCENARIO_REPLY])
+        backend = Recorder(ScriptedBackend.from_responses([SCENARIO_REPLY]))
         generate_scenarios(4, backend)
-        assert "numbered list of 4 different scenarios" in backend.audit_log[0][0]
+        assert "numbered list of 4 different scenarios" in backend.calls[0][0]
 
 
 GARDEN_SCENARIO = ScenarioSpec(
@@ -291,9 +291,9 @@ class TestSimulateDialogue:
         assert trace.dialogue.turns == ()
 
     def test_information_asymmetry(self):
-        backend = _dialogue_backend()
+        backend = Recorder(_dialogue_backend())
         simulate_dialogue(GARDEN_SCENARIO, _dual_setups(), backend)
-        for prompt, _ in backend.audit_log:
+        for prompt, _ in backend.calls:
             if "seeking help" in prompt:
                 assert "KNOWVALUE" not in prompt  # user never sees knowledge
             if "providing help" in prompt:
@@ -522,14 +522,15 @@ class TestOverlappedDialogues:
 
     def test_strict_order_script_sees_the_serial_call_order(self):
         scenarios = _scenarios([["pick plants"], [BROKEN], ["choose tools", "book rooms"]])
-        recorder = _Recorder(PromptPure(1))
+        recorder = Recorder(PromptPure(1))
         expected = _serial_reference(scenarios, 3, recorder, random.Random(5))
         script = ScriptedBackend.from_responses([reply for _, reply in recorder.calls])
+        replayed = Recorder(script)
         got = simulate_corpus(
-            scenarios, 3, _RaisingFor(script, POISON_GOAL, TransportError("reset")),
+            scenarios, 3, _RaisingFor(replayed, POISON_GOAL, TransportError("reset")),
             random.Random(5), config=_SIM_CONFIG,
         )
-        assert [prompt for prompt, _ in script.audit_log] == [p for p, _ in recorder.calls]
+        assert [prompt for prompt, _ in replayed.calls] == [p for p, _ in recorder.calls]
         assert script.remaining == 0
         assert corpus_to_obj(got[0]) == corpus_to_obj(expected[0])
         assert got[1] == expected[1]
@@ -727,18 +728,6 @@ def _settle(state):
     while state["in_flight"] and time.monotonic() < deadline:
         time.sleep(0.01)
     time.sleep(0.3)
-
-
-class _Recorder:
-    """Wraps a backend; keeps the (prompt, reply) of every call that returned."""
-
-    def __init__(self, inner):
-        self.inner, self.calls = inner, []
-
-    def generate(self, request):
-        reply = self.inner.generate(request)
-        self.calls.append((request.prompt, reply))
-        return reply
 
 
 def _serial_reference(scenarios, dialogues_per_scenario, backend, rng):

@@ -54,18 +54,15 @@ CONFIG_KEYS = {
 TOP_LEVEL_KEYS = {*CONFIG_KEYS, "seed", "loss_limit"}
 
 
-def _passed(section: dict, keys: dict, **flags) -> dict:
-    """The settings of ``section`` that ``keys`` names, under their parameter
-    names, overridden by every flag that is set."""
-    settings = {param: section[key] for key, param in keys.items() if key in section}
-    settings.update((param, value) for param, value in flags.items() if value is not None)
-    return settings
+def _passed(section: dict, keys: dict) -> dict:
+    """The settings of ``section`` that ``keys`` names, under their parameter names."""
+    return {param: section[key] for key, param in keys.items() if key in section}
 
 
 @dataclass
 class RunConfig:
-    """Merged view of the config file; a key it does not set is left to the
-    default of the code that reads it."""
+    """Merged view of the config file and the flags that override it; a key
+    that neither sets is left to the default of the code that reads it."""
 
     backend: dict = field(default_factory=dict)
     induction: dict = field(default_factory=dict)
@@ -104,12 +101,21 @@ class RunConfig:
                               f"got {cfg.loss_limit!r}")
         return cfg
 
+    def override(self, seed: Optional[int], **sections: dict) -> "RunConfig":
+        """Put each flag that is set over its key: ``seed`` at the top level,
+        the others in the section that ``sections`` names them under."""
+        self.seed = self.seed if seed is None else seed
+        for name, flags in sections.items():
+            getattr(self, name).update((k, v) for k, v in flags.items() if v is not None)
+        return self
+
     def make_backend(self) -> Backend:
         kind = self.backend.get("kind", "scripted")
         if kind == "scripted":
             script = self.backend.get("script")
-            if not script:
-                raise ConfigError("scripted backend needs backend.script in the config")
+            if not script or not isinstance(script, str):
+                raise ConfigError("scripted backend needs backend.script, a script file path, "
+                                  f"in the config; got {script!r}")
             try:
                 return backend_mod.load_script(script)
             except (OSError, ValueError) as exc:
@@ -153,30 +159,28 @@ def main() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True, help="Corpus output path.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
-@click.option("--scenarios", "n_scenarios", type=click.IntRange(min=1), default=None)
-@click.option("--dialogues-per-scenario", type=click.IntRange(min=1), default=None)
+@click.option("--scenarios", "n_scenarios", type=int, default=None)
+@click.option("--dialogues-per-scenario", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scenario, seed):
     """Simulate a state-annotated corpus and write it to disk."""
-    cfg = RunConfig.load(config_path)
-    seed = seed if seed is not None else cfg.seed
+    cfg = RunConfig.load(config_path).override(seed, simulation=dict(
+        scenarios=n_scenarios, dialogues_per_scenario=dialogues_per_scenario))
     try:
         sim_cfg = sim.SimConfig(**_passed(cfg.simulation, SIM_KEYS))
+        n_scenarios = cfg.simulation.get("scenarios", 2)
+        dialogues_per_scenario = cfg.simulation.get("dialogues_per_scenario", 2)
+        for name, count in (("scenarios", n_scenarios),
+                            ("dialogues_per_scenario", dialogues_per_scenario)):
+            if type(count) is not int or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     except ValueError as exc:
         raise ConfigError(f"simulation: {exc}") from exc
-    # the flags are checked by click; only a count from the file can be bad
-    n_scenarios = n_scenarios or cfg.simulation.get("scenarios", 2)
-    dialogues_per_scenario = (dialogues_per_scenario
-                              or cfg.simulation.get("dialogues_per_scenario", 2))
-    for name, count in (("scenarios", n_scenarios),
-                        ("dialogues_per_scenario", dialogues_per_scenario)):
-        if type(count) is not int or count < 1:
-            raise ConfigError(f"simulation: {name} must be an integer >= 1, got {count!r}")
     try:
         with _command_backend(cfg) as backend:
             scenarios = sim.generate_scenarios(n_scenarios, backend, sim_cfg)
             corpus, report = sim.simulate_corpus(
-                scenarios, dialogues_per_scenario, backend, random.Random(seed), sim_cfg
+                scenarios, dialogues_per_scenario, backend, random.Random(cfg.seed), sim_cfg
             )
     except AuthError as exc:
         _fail(str(exc), EXIT_CONFIG)
@@ -198,42 +202,33 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 @click.option("--mode", type=click.Choice([m.value for m in StateMode]), default=None)
-@click.option("--refiner", "refiner_name",
-              type=click.Choice(["none", "slot-conf", "fifo", "priority", "revision"]),
-              default=None)
-@click.option("--window", type=click.IntRange(min=1), default=None,
-              help="Confidence window in dialogues.")
-@click.option("--tau", type=click.IntRange(min=1), default=None,
-              help="Confidence threshold in updates.")
-@click.option("--cap", type=click.IntRange(min=1), default=None,
-              help="FIFO/priority schema size cap.")
+@click.option("--refiner", type=click.Choice(list(refine.REFINERS)), default=None)
+@click.option("--window", type=int, default=None, help="Confidence window in dialogues.")
+@click.option("--tau", type=int, default=None, help="Confidence threshold in updates.")
+@click.option("--cap", type=int, default=None, help="FIFO/priority schema size cap.")
 @click.option("--two-pass", is_flag=True, default=False)
 @click.option("--seed", type=int, default=None,
               help="Stream-order seed; used only with --shuffle-seed.")
 @click.option("--shuffle-seed", "shuffle", is_flag=True, default=False,
               help="Shuffle stream order by the seed.")
-def induce(config_path, corpus_path, out_dir, mode, refiner_name, window, tau, cap,
+def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
            two_pass, seed, shuffle):
     """Run streaming induction over a corpus, emitting schema + state log."""
-    cfg = RunConfig.load(config_path)
-    mode = StateMode(mode or cfg.induction.get("mode", "state"))
-    refiner_name = refiner_name if refiner_name is not None else cfg.induction.get("refiner", "none")
+    cfg = RunConfig.load(config_path).override(seed, induction=dict(
+        mode=mode, refiner=refiner, window=window, tau=tau, cap=cap))
     try:
-        filter_cfg = refine.FilterConfig(
-            **_passed(cfg.induction, FILTER_KEYS, window_w=window, threshold_tau=tau, cap=cap)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"induction: {exc}") from exc
-    seed = seed if seed is not None else cfg.seed
-    if shuffle and seed is None:
-        raise ConfigError("--shuffle-seed needs a seed: pass --seed or set seed in the config")
-    seed = seed if shuffle else None
-    out = Path(out_dir)
-    kwargs = _passed(cfg.induction, RUN_KEYS)
-    try:
+        mode = StateMode(cfg.induction.get("mode", "state"))
+        refiner_name = cfg.induction.get("refiner", "none")
+        refine.refiner_class(refiner_name)
+        filter_cfg = refine.FilterConfig(**_passed(cfg.induction, FILTER_KEYS))
+        kwargs = _passed(cfg.induction, RUN_KEYS)
         induct.check_settings(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"induction: {exc}") from exc
+    if shuffle and cfg.seed is None:
+        raise ConfigError("--shuffle-seed needs a seed: pass --seed or set seed in the config")
+    seed = cfg.seed if shuffle else None
+    out = Path(out_dir)
     try:
         corpus = seqio.load_corpus(corpus_path)
     except seqio.CorpusFormatError as exc:

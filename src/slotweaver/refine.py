@@ -44,6 +44,8 @@ __all__ = [
     "FifoRefiner",
     "PriorityRefiner",
     "RevisionRefiner",
+    "REFINERS",
+    "refiner_class",
     "make_refiner",
 ]
 
@@ -262,7 +264,7 @@ class Refiner:
     """Per-run refinement strategy: observes states, edits the schema at
     dialogue boundaries."""
 
-    name = "none"
+    name: str
 
     def observe_state(self, state: DialogueState, dialogue_index: int) -> None:
         pass
@@ -275,6 +277,8 @@ class Refiner:
 
 
 class _StatsRefiner(Refiner):
+    fields: Tuple[str, ...] = ()  # the FilterConfig fields its filter reads
+
     def __init__(self, cfg: FilterConfig):
         self.cfg = cfg
         self.stats = SlotStats()
@@ -282,35 +286,32 @@ class _StatsRefiner(Refiner):
     def observe_state(self, state: DialogueState, dialogue_index: int) -> None:
         record_state(self.stats, state, dialogue_index)
 
+    def params(self) -> dict:
+        return {name: getattr(self.cfg, name) for name in self.fields}
+
 
 class SlotConfidenceRefiner(_StatsRefiner):
     name = "slot-conf"
+    fields = ("window_w", "threshold_tau")
 
     def end_dialogue(self, schema: SlotSchema, dialogue_index: int) -> SlotSchema:
         return confidence_filter(schema, self.stats, self.cfg, dialogue_index)
 
-    def params(self) -> dict:
-        return {"window_w": self.cfg.window_w, "threshold_tau": self.cfg.threshold_tau}
-
 
 class FifoRefiner(_StatsRefiner):
     name = "fifo"
+    fields = ("cap",)
 
     def end_dialogue(self, schema: SlotSchema, dialogue_index: int) -> SlotSchema:
         return fifo_filter(schema, self.stats, self.cfg)
 
-    def params(self) -> dict:
-        return {"cap": self.cfg.cap}
-
 
 class PriorityRefiner(_StatsRefiner):
     name = "priority"
+    fields = ("cap",)
 
     def end_dialogue(self, schema: SlotSchema, dialogue_index: int) -> SlotSchema:
         return priority_filter(schema, self.stats, self.cfg)
-
-    def params(self) -> dict:
-        return {"cap": self.cfg.cap}
 
 
 class RevisionRefiner(Refiner):
@@ -323,22 +324,26 @@ class RevisionRefiner(Refiner):
         return revise_schema(schema, self.backend, position=(dialogue_index, -1))
 
 
+# Every refiner by the name a run selects it with; "none" runs without one.
+REFINERS = {"none": None, **{cls.name: cls for cls in (
+    SlotConfidenceRefiner, FifoRefiner, PriorityRefiner, RevisionRefiner)}}
+
+
+def refiner_class(name: str) -> Optional[type]:
+    """The class REFINERS holds under ``name``; a ValueError for any other name."""
+    if isinstance(name, str) and name in REFINERS:
+        return REFINERS[name]
+    raise ValueError(f"refiner must be one of {', '.join(REFINERS)}, got {name!r}")
+
+
 def make_refiner(
     name: Optional[str],
     cfg: Optional[FilterConfig] = None,
     backend: Optional[Backend] = None,
 ) -> Optional[Refiner]:
-    if name in (None, "none"):
-        return None
-    cfg = cfg or FilterConfig()
-    if name == "slot-conf":
-        return SlotConfidenceRefiner(cfg)
-    if name == "fifo":
-        return FifoRefiner(cfg)
-    if name == "priority":
-        return PriorityRefiner(cfg)
-    if name == "revision":
+    cls = refiner_class("none" if name is None else name)
+    if cls is RevisionRefiner:
         if backend is None:
             raise ValueError("revision refiner requires a backend")
         return RevisionRefiner(backend)
-    raise ValueError(f"unknown refiner: {name!r}")
+    return cls(cfg or FilterConfig()) if cls else None

@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
     AGENT,
-    GOLD,
     USER,
     Dialogue,
     DialogueState,
@@ -333,6 +332,39 @@ class CorpusFile:
                         )
 
 
+# The JSON type each field of an artifact's objects must hold, by field; a
+# field that may be null may also be left out.
+_NULL = type(None)
+_CORPUS_FIELDS = {"format_version": (int,), "dialogues": (list,), "gold_schema": (dict, _NULL)}
+_DIALOGUE_FIELDS = {"id": (str,), "scenario_id": (str,), "turns": (list,)}
+_TURN_FIELDS = {"speaker": (str,), "text": (str,), "state": (dict, _NULL)}
+_SCHEMA_FIELDS = {"domains": (list,)}
+_DOMAIN_FIELDS = {"name": (str,), "slots": (list,)}
+_SLOT_FIELDS = {"name": (str,), "description": (str, _NULL)}
+_LOG_ENTRY_FIELDS = {"dialogue_id": (str,), "turn": (int,), "state": (dict,),
+                     "dialogue_index": (int, _NULL), "new_slot_descriptions": (dict, _NULL)}
+_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object", _NULL: "null"}
+
+
+def _check_fields(obj, fields: Dict[str, tuple], where: Optional[str] = None) -> None:
+    """Raise a CorpusFormatError, led by ``where`` when it is given, unless
+    ``obj`` is a JSON object whose every field in ``fields`` holds one of
+    the JSON types listed for it. A ``bool`` is not an integer."""
+    if type(obj) is not dict:
+        reason = f"must be an object, got {type(obj).__name__}"
+    else:
+        for name, types in fields.items():
+            value = obj.get(name)
+            if type(value) not in types:
+                got = "null" if value is None else type(value).__name__
+                reason = (f"missing {name!r}" if name not in obj else f"{name!r} must be "
+                          f"{' or '.join(_JSON_TYPES[t] for t in types)}, got {got}")
+                break
+        else:
+            return
+    raise CorpusFormatError(reason if where is None else f"{where}: {reason}")
+
+
 def schema_to_obj(schema: SlotSchema) -> dict:
     return {
         "domains": [
@@ -348,27 +380,18 @@ def schema_to_obj(schema: SlotSchema) -> dict:
     }
 
 
-def schema_from_obj(obj: dict, discovered_at=GOLD) -> SlotSchema:
-    if not isinstance(obj, dict) or not isinstance(obj.get("domains"), list):
-        raise CorpusFormatError("schema object must have a 'domains' list")
+def schema_from_obj(obj: dict) -> SlotSchema:
+    _check_fields(obj, _SCHEMA_FIELDS, "schema")
     slots: List[SlotDef] = []
-    for dom in obj["domains"]:
-        try:
-            name = dom["name"]
-            entries = dom["slots"]
-        except (TypeError, KeyError) as exc:
-            raise CorpusFormatError(f"malformed schema domain entry: {dom!r}") from exc
-        for entry in entries:
+    for i, dom in enumerate(obj["domains"]):
+        _check_fields(dom, _DOMAIN_FIELDS, f"schema domains[{i}]")
+        for j, entry in enumerate(dom["slots"]):
             try:
-                slots.append(
-                    SlotDef(
-                        canonical_slot_key(name, entry["name"]),
-                        entry.get("description", ""),
-                        discovered_at,
-                    )
-                )
-            except (TypeError, KeyError, InvalidSlotName) as exc:
-                raise CorpusFormatError(f"malformed slot entry: {entry!r}") from exc
+                _check_fields(entry, _SLOT_FIELDS)
+                key = canonical_slot_key(dom["name"], entry["name"])
+            except ValueError as exc:
+                raise CorpusFormatError(f"schema domain {dom['name']!r} slot {j}: {exc}") from exc
+            slots.append(SlotDef(key, entry.get("description") or ""))
     try:
         return SlotSchema(tuple(slots))
     except ValueError as exc:
@@ -425,15 +448,9 @@ class StateLogEntry:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "StateLogEntry":
-        if not isinstance(obj, dict):
-            raise CorpusFormatError(f"state-log entry must be an object, got {type(obj).__name__}")
-        missing = [name for name in ("dialogue_id", "turn", "state") if name not in obj]
-        if missing:
-            raise CorpusFormatError(f"state-log entry missing {', '.join(map(repr, missing))}")
+        _check_fields(obj, _LOG_ENTRY_FIELDS, "state-log entry")
         state = state_from_obj(obj["state"])
         logged = obj.get("new_slot_descriptions") or {}
-        if not isinstance(logged, dict):
-            raise CorpusFormatError("new_slot_descriptions must map slot keys to descriptions")
         descriptions = {key: str(logged[str(key)]) for key in state.keys() if str(key) in logged}
         if descriptions:
             state = DialogueState(state.triples, descriptions)
@@ -463,27 +480,25 @@ def corpus_to_obj(corpus: CorpusFile) -> dict:
 
 
 def corpus_from_obj(obj: dict) -> CorpusFile:
-    if not isinstance(obj, dict):
-        raise CorpusFormatError("corpus file must contain a JSON object")
-    for field_name in ("format_version", "dialogues"):
-        if field_name not in obj:
-            raise CorpusFormatError(f"corpus file missing {field_name!r}")
-    gold_schema = None
-    if obj.get("gold_schema") is not None:
-        gold_schema = schema_from_obj(obj["gold_schema"])
+    _check_fields(obj, _CORPUS_FIELDS, "corpus file")
+    gold = obj.get("gold_schema")
+    gold_schema = None if gold is None else schema_from_obj(gold)
     dialogues = []
-    for d in obj["dialogues"]:
-        try:
-            turns = []
-            for t in d["turns"]:
-                state = state_from_obj(t["state"]) if t.get("state") is not None else None
+    for i, d in enumerate(obj["dialogues"]):
+        _check_fields(d, _DIALOGUE_FIELDS, f"dialogues[{i}]")
+        turns = []
+        for j, t in enumerate(d["turns"]):
+            try:
+                _check_fields(t, _TURN_FIELDS)
+                state = None if t.get("state") is None else state_from_obj(t["state"])
                 turns.append(Turn(t["speaker"], t["text"], state))
+            except ValueError as exc:
+                raise CorpusFormatError(f"dialogue {d['id']!r} turn {j}: {exc}") from exc
+        try:
             dialogues.append(Dialogue(d["id"], d["scenario_id"], tuple(turns)))
-        except (TypeError, KeyError, ValueError) as exc:
-            if isinstance(exc, CorpusFormatError):
-                raise
-            raise CorpusFormatError(f"malformed dialogue entry: {exc}") from exc
-    return CorpusFile(tuple(dialogues), gold_schema, int(obj["format_version"]))
+        except ValueError as exc:
+            raise CorpusFormatError(str(exc)) from exc
+    return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
 
 
 def _json_key(key) -> str:
@@ -583,7 +598,12 @@ def load_json_lines(path, parse: Callable[[object], object]) -> list:
 
 
 def load_corpus(path) -> CorpusFile:
-    return corpus_from_obj(load_json(path))
+    """The corpus in a UTF-8 JSON file; a CorpusFormatError names the file."""
+    obj = load_json(path)
+    try:
+        return corpus_from_obj(obj)
+    except CorpusFormatError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def save_corpus(corpus: CorpusFile, path) -> None:

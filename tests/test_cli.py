@@ -115,6 +115,19 @@ class TestInduce:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("script", ["5", "[a.jsonl]"])
+    def test_script_that_is_not_a_path_is_config_error(self, runner, tmp_path, script):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
+        result = runner.invoke(
+            main,
+            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+             "--out-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "backend.script" in result.output
+
     def test_unknown_backend_kind_is_config_error(self, runner, tmp_path):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("backend:\n  kind: quantum\n")
@@ -341,6 +354,35 @@ class TestInduce:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["gold_schema"]["domains"][0]["slots"][0].update(description=5),
+         "schema domain 'garden layouts' slot 0: 'description' must be a string or null, got int"),
+        (lambda c: c["dialogues"][1]["turns"].__setitem__(2, [1]),
+         "dialogue 'd01' turn 2: must be an object, got list"),
+        (lambda c: c.update(format_version="x"),
+         "corpus file: 'format_version' must be an integer, got str"),
+        (lambda c: c["dialogues"][0]["turns"][1].update(text=5),
+         "dialogue 'd00' turn 1: 'text' must be a string, got int"),
+        (lambda c: c["dialogues"][0].update(id=["x"]),
+         "dialogues[0]: 'id' must be a string, got list"),
+    ], ids=["slot-description", "turn-list", "format-version", "turn-text", "dialogue-id"])
+    def test_corpus_field_of_the_wrong_type_is_config_error(
+        self, runner, config_path, tmp_path, edit, message
+    ):
+        corpus = json.loads((DATA / "corpus.json").read_text())
+        edit(corpus)
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(corpus))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", config_path, "--corpus", str(bad), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{bad}: {message}" in result.output
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_prints_table_and_writes_report(self, runner, tmp_path):
@@ -467,6 +509,12 @@ class TestEvaluate:
         ('{"dialogue_id": "d00", "state": {}}', "missing 'turn'"),
         ("not json at all", "invalid JSON"),
         ("[1,2]", "must be an object, got list"),
+        ('{"dialogue_id": ["d0000"], "turn": 0, "state": {}}',
+         "'dialogue_id' must be a string, got list"),
+        ('{"dialogue_id": "d00", "turn": [1], "state": {}}', "'turn' must be an integer, got list"),
+        ('{"dialogue_id": "d00", "turn": true, "state": {}}', "'turn' must be an integer, got bool"),
+        ('{"dialogue_id": "d00", "turn": 0, "state": {}, "dialogue_index": "0"}',
+         "'dialogue_index' must be an integer or null, got str"),
     ])
     def test_malformed_state_log_line_names_file_and_line(
         self, runner, tmp_path, bad_line, message
@@ -560,6 +608,24 @@ class TestMakeTrainData:
         prompts = [json.loads(line)["prompt"] for line in out.read_text().splitlines()]
         assert any("* sunlight: the plant's sun requirements\n" in p for p in prompts)
         assert not any("* sunlight: \n" in p for p in prompts)
+
+    @pytest.mark.parametrize("bad_line", [
+        '{"dialogue_id": ["d0000"], "turn": 0, "state": {}}',
+        '{"dialogue_id": "d00", "turn": [1], "state": {}}',
+    ])
+    def test_noisy_log_entry_of_the_wrong_type_is_config_error(self, runner, tmp_path, bad_line):
+        noisy = tmp_path / "states.jsonl"
+        noisy.write_text(bad_line + "\n")
+        out = tmp_path / "revision.jsonl"
+        result = runner.invoke(
+            main,
+            ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--revision",
+             "--noisy-log", str(noisy), "--out", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"{noisy}:1: state-log entry: " in result.output
+        assert not out.exists()
 
     def test_revision_without_noisy_log_is_config_error(self, runner, tmp_path):
         result = runner.invoke(
@@ -701,3 +767,71 @@ class TestSimulate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert message in result.output
         assert not out.exists()
+
+
+# Every flag that has a config key: the command, the flag, the key's section
+# (None for the top level) and name, flags the row needs besides, a value
+# that differs from the default, and a bad value.
+FLAG_TWINS = [
+    ("induce", "--mode", "induction", "mode", (), "update", "bogus"),
+    ("induce", "--refiner", "induction", "refiner", (), "fifo", "bogus"),
+    ("induce", "--window", "induction", "window", ("--refiner", "slot-conf"), 3, 0),
+    ("induce", "--tau", "induction", "tau", ("--refiner", "slot-conf"), 2, 0),
+    ("induce", "--cap", "induction", "cap", ("--refiner", "fifo"), 4, 0),
+    ("induce", "--seed", None, "seed", ("--shuffle-seed",), 3, "abc"),
+    ("simulate", "--scenarios", "simulation", "scenarios", ("--dialogues-per-scenario", "1"), 1, 0),
+    ("simulate", "--dialogues-per-scenario", "simulation", "dialogues_per_scenario",
+     ("--scenarios", "1"), 1, 0),
+]
+
+
+@pytest.mark.parametrize("command, flag, section, key, fixed, good, bad", FLAG_TWINS,
+                         ids=[row[1] for row in FLAG_TWINS])
+class TestFlagOverridesItsConfigKey:
+    """A flag is its config key set from the command line: the same value
+    either way writes the same bytes, and a bad value either way is a
+    configuration error before any output is written."""
+
+    def _run(self, runner, tmp_path, row, by_flag=None, by_key=None):
+        """The result of one run of ``row``'s command, and the bytes of each
+        file it wrote (None when it wrote nothing)."""
+        command, flag, section, key, fixed = row
+        out = tmp_path / f"run{len(list(tmp_path.glob('*.yaml')))}"
+        if command == "induce":
+            config = {"backend": {"kind": "scripted", "script": str(DATA / "script.jsonl")}}
+            args = ["--corpus", str(DATA / "corpus.json"), "--out-dir", str(out)]
+        else:
+            script = tmp_path / "sim_script.jsonl"
+            write_substring_script(script, sim_script_entries())
+            config = {"backend": {"kind": "scripted", "script": str(script)}, "seed": 7}
+            args = ["--out", str(out / "corpus.json"), "--report", str(out / "report.json")]
+        if by_key is not None:
+            (config if section is None else config.setdefault(section, {}))[key] = by_key
+        if by_flag is not None:
+            args += [flag, str(by_flag)]
+        cfg = out.with_suffix(".yaml")
+        cfg.write_text(yaml.safe_dump(config))
+        result = runner.invoke(main, [command, "--config", str(cfg), *fixed, *args])
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+        return result, written
+
+    def test_same_value_by_flag_or_key_writes_the_same_bytes(
+        self, runner, tmp_path, command, flag, section, key, fixed, good, bad
+    ):
+        row = (command, flag, section, key, fixed)
+        by_flag, flag_out = self._run(runner, tmp_path, row, by_flag=good)
+        by_key, key_out = self._run(runner, tmp_path, row, by_key=good)
+        assert by_flag.exit_code == 0, by_flag.output
+        assert by_key.exit_code == 0, by_key.output
+        assert flag_out == key_out
+        assert flag_out != self._run(runner, tmp_path, row)[1]  # the value took effect
+
+    @pytest.mark.parametrize("way", ["by_flag", "by_key"])
+    def test_bad_value_by_flag_or_key_is_config_error(
+        self, runner, tmp_path, command, flag, section, key, fixed, good, bad, way
+    ):
+        row = (command, flag, section, key, fixed)
+        result, written = self._run(runner, tmp_path, row, **{way: bad})
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert written is None

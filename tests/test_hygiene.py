@@ -1,8 +1,9 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
 entries, one thread pool, no unbounded memo table, the block format's
 strings spelled in ``seqio`` only, no indented ``json.dumps``, no file
-written outside ``seqio``, no config key that nothing reads, no third-party
-HTTP library, and no CLI option that the README leaves out.
+written outside ``seqio``, no config key that nothing reads, no value check
+that a CLI flag makes and its config key does not, no third-party HTTP
+library, and no CLI option that the README leaves out.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -432,6 +433,46 @@ def test_every_config_key_is_read():
     """A key the config loader accepts but nothing reads would be silently
     ignored, which is what refusing unknown keys is there to prevent."""
     assert config_key_problems(Path(cli.__file__).read_text(encoding="utf-8"), cli) == []
+
+
+def flag_only_checks(source: str):
+    """(line, type) of every ``IntRange`` or ``FloatRange``, and of every
+    ``Choice`` whose choices do not come from ``StateMode`` or ``REFINERS``:
+    a check that click would make of a flag's value and not of its key's."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        sources = {getattr(n, "id", None) or getattr(n, "attr", None)
+                   for arg in node.args[:1] for n in ast.walk(arg)}
+        if name in ("IntRange", "FloatRange") or (
+                name == "Choice" and not sources & {"StateMode", "REFINERS"}):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_flag_check_checker_finds_checks_on_the_flag_alone():
+    source = (
+        "import click\n"
+        "from click import Choice, IntRange\n"
+        "a = click.option('--n', type=click.IntRange(min=1))\n"
+        "b = click.option('--refiner', type=click.Choice(['none', 'fifo']))\n"
+        "c = click.option('--mode', type=click.Choice([m.value for m in StateMode]))\n"
+        "d = click.option('--refiner', type=click.Choice(list(refine.REFINERS)))\n"
+        "e = click.option('--p', type=click.FloatRange(0, 1))\n"
+        "f = click.option('--k', type=IntRange(1), help='Choice')\n"
+        "g = click.option('--m', type=Choice(('a', 'b')))\n"
+    )
+    assert flag_only_checks(source) == [(3, "IntRange"), (4, "Choice"), (7, "FloatRange"),
+                                        (8, "IntRange"), (9, "Choice")]
+
+
+def test_cli_flags_are_checked_by_the_code_that_reads_their_keys():
+    """A flag overrides its config key, and the code that reads the key
+    checks the value whichever way it came; a click range or literal choice
+    would check the flag alone, with a message of its own."""
+    assert flag_only_checks(Path(cli.__file__).read_text(encoding="utf-8")) == []
 
 
 def test_cli_import_loads_no_http_library():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 
@@ -320,6 +321,28 @@ class TestCorpusIO:
             obj = corpus_to_obj(corpus)
             # identity on the documented fields (domain-grouped schema layout)
             assert corpus_to_obj(corpus_from_obj(json.loads(canonical_json(obj)))) == obj
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"domains": {"hotel": []}}, "schema: 'domains' must be a list, got dict"),
+        ({"domains": [{"name": 5, "slots": []}]},
+         "schema domains[0]: 'name' must be a string, got int"),
+        ({"domains": [{"name": "hotel", "slots": 5}]},
+         "schema domains[0]: 'slots' must be a list, got int"),
+        ({"domains": [{"name": "hotel", "slots": [{"name": "area"}, {"name": 5}]}]},
+         "schema domain 'hotel' slot 1: 'name' must be a string, got int"),
+        ({"domains": [{"name": "hotel", "slots": [{"name": "area", "description": ["x"]}]}]},
+         "schema domain 'hotel' slot 0: 'description' must be a string or null, got list"),
+        ({"domains": [{"name": "hotel", "slots": [{"name": " "}]}]},
+         "schema domain 'hotel' slot 0: empty slot name: ' '"),
+    ])
+    def test_schema_field_of_the_wrong_type_rejected(self, obj, message):
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            schema_from_obj(obj)
+
+    def test_schema_slot_description_may_be_null_or_left_out(self):
+        obj = {"domains": [{"name": "hotel", "slots": [{"name": "area", "description": None},
+                                                       {"name": "stars"}]}]}
+        assert [s.description for s in schema_from_obj(obj)] == ["", ""]
 
     def test_schema_obj_round_trip(self):
         rng = random.Random(17)

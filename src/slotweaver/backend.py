@@ -177,10 +177,6 @@ class ScriptedBackend:
                     )
             return response
 
-    @property
-    def remaining(self) -> int:
-        return len(self.script) - self._cursor if self.mode == "strict-order" else len(self.script)
-
 
 _SCRIPT_ENTRY = '{"match": {"substring": str} or {"index": int}, "response": str}'
 _MATCH_TYPES = {"substring": str, "index": int}
@@ -222,33 +218,6 @@ def load_script(path) -> ScriptedBackend:
     return ScriptedBackend.from_responses([r for _, _, r in ordered])
 
 
-class _TokenBucket:
-    """Requests-per-minute limiter shared across threads."""
-
-    def __init__(self, per_minute: Optional[float]):
-        self.per_minute = per_minute
-        self._lock = threading.Lock()
-        self._tokens = float(per_minute) if per_minute else 0.0
-        self._stamp = time.monotonic()
-
-    def acquire(self) -> None:
-        if not self.per_minute:
-            return
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(
-                    float(self.per_minute),
-                    self._tokens + (now - self._stamp) * self.per_minute / 60.0,
-                )
-                self._stamp = now
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) * 60.0 / self.per_minute
-            time.sleep(wait)
-
-
 def _retry_hint(headers) -> Optional[float]:
     """The wait a 429 reply asks for, in seconds, capped at RETRY_WAIT_CAP.
 
@@ -265,10 +234,6 @@ def _retry_hint(headers) -> Optional[float]:
     return None
 
 
-def _positive(value) -> bool:
-    return type(value) in (int, float) and 0 < value < math.inf
-
-
 # What a kept-alive connection that the server closed while idle fails with
 # (``http.client.RemoteDisconnected`` is a ConnectionResetError).
 _STALE = (ConnectionResetError, BrokenPipeError)
@@ -283,31 +248,29 @@ class HttpBackend:
     AuthError immediately. Before a retry the client waits what a 429 reply
     asks for (``retry-after-ms``, else ``Retry-After``, capped at 60 s) or,
     without such a hint, its exponential backoff scaled by a random factor
-    in [0.5, 1.5).
+    in [0.5, 1.5). That wait and ``max_in_flight`` are its only pacing.
 
     ``generate`` may be called from any number of threads at once. At most
     ``max_in_flight`` requests are sent at a time: a call holds one of that
     many slots while its request is on the wire, but not while it waits for
-    a retry or for the requests-per-minute limit. Each send takes an idle
-    keep-alive ``http.client`` connection, or opens one when none is idle,
-    and returns it afterwards, so the backend never holds more than
-    ``max_in_flight`` connections. ``close`` closes the idle ones and ends
-    the backend: no request is sent after it.
+    a retry. Each send takes an idle keep-alive ``http.client`` connection,
+    or opens one when none is idle, and returns it afterwards, so the
+    backend never holds more than ``max_in_flight`` connections. ``close``
+    closes the idle ones and ends the backend: no request is sent after it.
     """
 
     # A conservative overlap for a hosted endpoint; no endpoint's own limit
     # was measured.
     max_in_flight = 4
+    backoff = 0.5  # seconds before the first retry without a hint; doubles per retry
+    timeout = 120.0  # seconds a connection waits on the server
 
     def __init__(
         self,
         endpoint: str,
-        model: str,
+        model: str = "default",
         api_key: Optional[str] = None,
         max_retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 120.0,
-        requests_per_minute: Optional[float] = None,
     ):
         try:
             parts = urlsplit(endpoint)
@@ -316,15 +279,12 @@ class HttpBackend:
             parts = None
         if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"endpoint must be an http or https URL with a host, got {endpoint!r}")
+        if type(model) is not str or not model:
+            raise ValueError(f"model must be a non-empty string, got {model!r}")
+        if api_key is not None and type(api_key) is not str:
+            raise ValueError(f"api_key must be a string or null, got {type(api_key).__name__}")
         if type(max_retries) is not int or max_retries < 0:
             raise ValueError(f"max_retries must be an integer >= 0, got {max_retries!r}")
-        if requests_per_minute is not None and not _positive(requests_per_minute):
-            raise ValueError("requests_per_minute must be a positive number or null, "
-                             f"got {requests_per_minute!r}")
-        if not _positive(timeout):
-            raise ValueError(f"timeout must be a positive number, got {timeout!r}")
-        if type(backoff) not in (int, float) or not 0 <= backoff < math.inf:
-            raise ValueError(f"backoff must be a number >= 0, got {backoff!r}")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if not key:
             raise AuthError(f"no API credential: set {API_KEY_ENV} or pass api_key")
@@ -335,9 +295,6 @@ class HttpBackend:
         self._path = parts.path.rstrip("/") + "/v1/chat/completions"
         self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
-        self._bucket = _TokenBucket(requests_per_minute)
         self._rng = random.Random()
         self._slots = threading.BoundedSemaphore(self.max_in_flight)
         self._idle: List[http.client.HTTPConnection] = []
@@ -405,7 +362,6 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(wait)
-            self._bucket.acquire()
             try:
                 status, headers, data = self._post(body)
             except (OSError, http.client.HTTPException) as exc:

@@ -36,8 +36,7 @@ class ConfigError(click.ClickException):
 # Config keys passed on to the code that receives them, each with the name of
 # the parameter it sets. Only the keys a file sets are passed, so the
 # receiver's own default applies to the others.
-HTTP_KEYS = {"api_key": "api_key", "max_retries": "max_retries",
-             "requests_per_minute": "requests_per_minute"}
+HTTP_KEYS = {"model": "model", "api_key": "api_key", "max_retries": "max_retries"}
 FILTER_KEYS = {"window": "window_w", "tau": "threshold_tau", "cap": "cap"}
 RUN_KEYS = {"context_budget": "context_budget", "hard_cap": "hard_cap",
             "max_output": "max_output", "temperature": "temperature"}
@@ -47,7 +46,7 @@ SIM_KEYS = {"knowledge_size": "knowledge_size", "red_herrings": "red_herring_cou
 # Every key a config file may set, by section; None marks a key that the
 # commands read themselves.
 CONFIG_KEYS = {
-    "backend": {"kind": None, "script": None, "endpoint": None, "model": None, **HTTP_KEYS},
+    "backend": {"kind": None, "script": None, "endpoint": None, **HTTP_KEYS},
     "induction": {"mode": None, "refiner": None, **FILTER_KEYS, **RUN_KEYS},
     "simulation": {"scenarios": None, "dialogues_per_scenario": None, **SIM_KEYS},
 }
@@ -125,9 +124,7 @@ class RunConfig:
                 raise ConfigError("http backend needs backend.endpoint in the config")
             try:
                 return backend_mod.HttpBackend(
-                    endpoint=self.backend["endpoint"],
-                    model=self.backend.get("model", "default"),
-                    **_passed(self.backend, HTTP_KEYS),
+                    endpoint=self.backend["endpoint"], **_passed(self.backend, HTTP_KEYS)
                 )
             except ValueError as exc:
                 raise ConfigError(f"backend: {exc}") from exc

@@ -281,12 +281,6 @@ class DialogueState:
     def keys(self) -> frozenset:
         return frozenset(key for key, _ in self.triples)
 
-    def value_of(self, key: SlotKey) -> Optional[str]:
-        for k, v in self.triples:
-            if k == key:
-                return v
-        return None
-
     def as_dict(self) -> dict:
         return {key: value for key, value in self.triples}
 

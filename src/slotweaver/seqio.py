@@ -346,6 +346,10 @@ _LOG_ENTRY_FIELDS = {"dialogue_id": (str,), "turn": (int,), "state": (dict,),
 _JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object", _NULL: "null"}
 
 
+def _type_name(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
 def _check_fields(obj, fields: Dict[str, tuple], where: Optional[str] = None) -> None:
     """Raise a CorpusFormatError, led by ``where`` when it is given, unless
     ``obj`` is a JSON object whose every field in ``fields`` holds one of
@@ -356,9 +360,8 @@ def _check_fields(obj, fields: Dict[str, tuple], where: Optional[str] = None) ->
         for name, types in fields.items():
             value = obj.get(name)
             if type(value) not in types:
-                got = "null" if value is None else type(value).__name__
                 reason = (f"missing {name!r}" if name not in obj else f"{name!r} must be "
-                          f"{' or '.join(_JSON_TYPES[t] for t in types)}, got {got}")
+                          f"{' or '.join(_JSON_TYPES[t] for t in types)}, got {_type_name(value)}")
                 break
         else:
             return
@@ -413,8 +416,11 @@ def state_from_obj(obj: dict) -> DialogueState:
         if not isinstance(slots, dict):
             raise CorpusFormatError(f"state domain {domain!r} must map slots to values")
         for name, value in slots.items():
+            if type(value) is not str:
+                raise CorpusFormatError(f"state domain {domain!r} slot {name!r} must be a string, "
+                                        f"got {_type_name(value)}")
             try:
-                pairs.append((canonical_slot_key(domain, name), str(value)))
+                pairs.append((canonical_slot_key(domain, name), value))
             except InvalidSlotName as exc:
                 raise CorpusFormatError(str(exc)) from exc
     return DialogueState.from_pairs(pairs)

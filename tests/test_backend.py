@@ -4,7 +4,6 @@ import random
 import sys
 import threading
 import time
-import types
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -173,7 +172,7 @@ class TestHttpBackend:
 
     def test_returns_completion_and_posts_wire_format(self, stub_server):
         _StubHandler.script = [(200, _ok_body("fixed text"))]
-        backend = HttpBackend(stub_server, "test-model", api_key="k", backoff=0.01)
+        backend = HttpBackend(stub_server, "test-model", api_key="k")
         out = backend.generate(req("the prompt", max_output=64, temperature=0.5))
         assert out == "fixed text"
         path, payload, auth = _StubHandler.requests[0]
@@ -184,21 +183,28 @@ class TestHttpBackend:
         assert payload["temperature"] == 0.5
         assert auth == "Bearer k"
 
+    def test_model_defaults_to_default(self, stub_server):
+        _StubHandler.script = [(200, _ok_body("ok"))]
+        HttpBackend(stub_server, api_key="k").generate(req())
+        assert _StubHandler.requests[0][1]["model"] == "default"
+
     def test_retries_after_transient_500(self, stub_server):
         _StubHandler.script = [(500, {"error": "boom"}), (200, _ok_body("recovered"))]
-        backend = HttpBackend(stub_server, "m", api_key="k", backoff=0.01)
+        backend = HttpBackend(stub_server, "m", api_key="k")
+        backend.backoff = 0.01
         assert backend.generate(req()) == "recovered"
         assert len(_StubHandler.requests) == 2
 
     def test_gives_up_after_retries(self, stub_server):
         _StubHandler.script = [(503, {})] * 4
-        backend = HttpBackend(stub_server, "m", api_key="k", max_retries=3, backoff=0.001)
+        backend = HttpBackend(stub_server, "m", api_key="k", max_retries=3)
+        backend.backoff = 0.001
         with pytest.raises(TransportError):
             backend.generate(req())
 
     def test_auth_rejection_not_retried(self, stub_server):
         _StubHandler.script = [(401, {})]
-        backend = HttpBackend(stub_server, "m", api_key="bad", backoff=0.01)
+        backend = HttpBackend(stub_server, "m", api_key="bad")
         with pytest.raises(AuthError):
             backend.generate(req())
         assert len(_StubHandler.requests) == 1
@@ -219,10 +225,17 @@ def sleeps(monkeypatch):
     return waits
 
 
+def _with(backend, **attrs):
+    """``backend`` with each of ``attrs`` set on the instance."""
+    for name, value in attrs.items():
+        setattr(backend, name, value)
+    return backend
+
+
 class TestRetryWait:
-    def _run(self, stub_server, script, **kw):
+    def _run(self, stub_server, script, **attrs):
         _StubHandler.script = script + [(200, _ok_body("ok"))]
-        backend = HttpBackend(stub_server, "m", api_key="k", **kw)
+        backend = _with(HttpBackend(stub_server, "m", api_key="k"), **attrs)
         assert backend.generate(req()) == "ok"
         return backend
 
@@ -242,8 +255,8 @@ class TestRetryWait:
     def test_backoff_without_hint_is_jittered(self, stub_server, sleeps):
         no_hint = [(503, {}), (429, {}), (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"})]
         _StubHandler.script = no_hint + [(200, _ok_body("ok"))]
-        backend = HttpBackend(stub_server, "m", api_key="k", backoff=1.0)
-        backend._rng = random.Random(7)
+        backend = _with(HttpBackend(stub_server, "m", api_key="k"), backoff=1.0,
+                        _rng=random.Random(7))
         assert backend.generate(req()) == "ok"
         expected_rng = random.Random(7)
         assert sleeps == [2 ** i * expected_rng.uniform(0.5, 1.5) for i in range(3)]
@@ -331,11 +344,12 @@ def replay_server():
 
 @pytest.fixture
 def replay_backend(replay_server):
-    """Makes backends on the replay server and closes their connections."""
+    """Makes backends on the replay server, each with the given attributes set,
+    and closes their connections."""
     made = []
 
-    def make(**kw):
-        made.append(HttpBackend(replay_server, "m", api_key="k", **kw))
+    def make(**attrs):
+        made.append(_with(HttpBackend(replay_server, "m", api_key="k"), **attrs))
         return made[-1]
 
     yield make
@@ -366,8 +380,7 @@ class TestConnections:
 
     def test_fresh_connection_dropped_is_retried_with_backoff(self, replay_backend, sleeps):
         _ReplayHandler.replies = [(None, 0)] * 3
-        backend = replay_backend(max_retries=2, backoff=1.0)
-        backend._rng = random.Random(7)
+        backend = replay_backend(max_retries=2, backoff=1.0, _rng=random.Random(7))
         with pytest.raises(TransportError, match="giving up after 2 retries"):
             backend.generate(req())
         expected_rng = random.Random(7)
@@ -500,29 +513,6 @@ class TestInFlightBudget:
         assert done == ["second", "first"]  # sent while the first waited out its 429
 
 
-class TestRateLimit:
-    def test_bucket_starts_full_then_paces_one_call_per_interval(self, monkeypatch):
-        clock = [1000.0]
-
-        def sleep(seconds):
-            clock[0] += seconds
-
-        monkeypatch.setattr(backend_mod, "time",
-                            types.SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep))
-        bucket = backend_mod._TokenBucket(6)  # one token per 10 s, at most 6 held
-
-        def granted(calls):
-            times = []
-            for _ in range(calls):
-                bucket.acquire()
-                times.append(clock[0])
-            return times
-
-        assert granted(9) == pytest.approx([1000.0] * 6 + [1010.0, 1020.0, 1030.0])
-        clock[0] += 3600.0  # a long idle refills the bucket only up to 6 tokens
-        assert granted(8) == pytest.approx([4630.0] * 6 + [4640.0, 4650.0])
-
-
 class TestSettings:
     @pytest.mark.parametrize("endpoint", [
         "localhost:9", "127.0.0.1:9", "ftp://host", "http://", "http:///v1", "https://h:99999",
@@ -533,19 +523,16 @@ class TestSettings:
             HttpBackend(endpoint, "m", api_key="k")
 
     @pytest.mark.parametrize("setting, value", [
-        ("requests_per_minute", -5), ("requests_per_minute", 0),
-        ("requests_per_minute", float("inf")), ("requests_per_minute", float("nan")),
-        ("requests_per_minute", "60"), ("requests_per_minute", True),
-        ("timeout", 0), ("timeout", -1.0), ("timeout", float("inf")), ("timeout", None),
-        ("backoff", -0.5), ("backoff", float("nan")), ("backoff", "1"),
+        ("model", [1]), ("model", ""), ("model", None), ("model", 5),
+        ("api_key", 5), ("api_key", ["k"]), ("api_key", True),
     ])
     def test_bad_setting_rejected(self, setting, value):
         with pytest.raises(ValueError, match=setting):
-            HttpBackend("http://x", "m", api_key="k", **{setting: value})
+            HttpBackend("http://x", **{"model": "m", "api_key": "k", setting: value})
 
     @pytest.mark.parametrize("settings", [
-        {"requests_per_minute": None}, {"requests_per_minute": 0.5}, {"timeout": 1},
-        {"backoff": 0}, {"backoff": 0.0},
+        {}, {"model": "gpt-4o-mini"}, {"api_key": None}, {"max_retries": 0},
     ])
-    def test_good_settings_accepted(self, settings):
-        HttpBackend("http://x", "m", api_key="k", **settings)
+    def test_good_settings_accepted(self, settings, monkeypatch):
+        monkeypatch.setenv("SLOTWEAVER_API_KEY", "env-key")
+        HttpBackend("http://x", **settings)

@@ -8,8 +8,14 @@ from click.testing import CliRunner
 from slotweaver.cli import main
 from slotweaver.seqio import canonical_json
 
+from conftest import counting_server
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+
+# A slot value of each JSON type but string, and the type its error names.
+NON_STRING_VALUES = [(None, "null"), ([1], "list"), ({"a": "b"}, "dict"), (3, "int"),
+                     (2.5, "float"), (True, "bool")]
 
 
 @pytest.fixture
@@ -140,23 +146,26 @@ class TestInduce:
 
     @pytest.mark.parametrize("backend_yaml, message", [
         ("kind: http\n  api_key: k", "backend.endpoint"),
-        ("kind: http\n  endpoint: http://127.0.0.1:9\n  api_key: k\n  max_retries: -1",
-         "max_retries"),
-        ("kind: http\n  endpoint: http://127.0.0.1:9\n  api_key: k\n  requests_per_minute: -5",
-         "backend: requests_per_minute must be a positive number or null, got -5"),
+        ("kind: http\n  endpoint: {url}\n  api_key: k\n  max_retries: -1", "max_retries"),
+        ("kind: http\n  endpoint: {url}\n  api_key: k\n  model: [1]",
+         "backend: model must be a non-empty string, got [1]"),
+        ("kind: http\n  endpoint: {url}\n  api_key: 5",
+         "backend: api_key must be a string or null, got int"),
         ("kind: http\n  endpoint: localhost:9\n  api_key: k",
          "backend: endpoint must be an http or https URL with a host, got 'localhost:9'"),
     ])
     def test_bad_http_backend_is_config_error(self, runner, tmp_path, backend_yaml, message):
         cfg = tmp_path / "bad.yaml"
-        cfg.write_text(f"backend:\n  {backend_yaml}\n")
-        result = runner.invoke(
-            main,
-            ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
-             "--out-dir", str(tmp_path / "out")],
-        )
+        with counting_server(str.upper) as server:
+            cfg.write_text(f"backend:\n  {backend_yaml.format(url=server.url)}\n")
+            result = runner.invoke(
+                main,
+                ["induce", "--config", str(cfg), "--corpus", str(DATA / "corpus.json"),
+                 "--out-dir", str(tmp_path / "out")],
+            )
         assert result.exit_code == 2, result.output
         assert message in result.output
+        assert server.connections == server.requests == 0
 
     @pytest.mark.parametrize("lines, message", [
         (['{"match": {"index": 0}, "response": "a"}', '{"match": {"substring": "x"}, "response": "b"}'],
@@ -311,6 +320,7 @@ class TestInduce:
     @pytest.mark.parametrize("section, keys", [
         (None, ["sed"]),
         ("backend", ["endpont"]),
+        ("backend", ["requests_per_minute"]),
         ("induction", ["windw", "refinr"]),
         ("simulation", ["prompt_pack"]),
     ])
@@ -381,6 +391,25 @@ class TestInduce:
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{bad}: {message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, got", NON_STRING_VALUES)
+    def test_gold_slot_value_that_is_not_a_string_is_config_error(
+        self, runner, config_path, tmp_path, value, got
+    ):
+        corpus = json.loads((DATA / "corpus.json").read_text())
+        corpus["dialogues"][0]["turns"][2]["state"]["plant selections"]["color"] = value
+        bad = tmp_path / "corpus.json"
+        bad.write_text(json.dumps(corpus))
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["induce", "--config", config_path, "--corpus", str(bad), "--out-dir", str(out)],
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (f"{bad}: dialogue 'd00' turn 2: state domain 'plant selections' slot 'color' "
+                f"must be a string, got {got}") in result.output
         assert not out.exists()
 
 
@@ -529,6 +558,23 @@ class TestEvaluate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{states}:4: " in result.output  # the blank line 3 still counts
         assert message in result.output
+
+    @pytest.mark.parametrize("value, got", NON_STRING_VALUES)
+    def test_logged_slot_value_that_is_not_a_string_names_file_and_line(
+        self, runner, tmp_path, value, got
+    ):
+        states = tmp_path / "states.jsonl"
+        good = (GOLDEN / "states.jsonl").read_text().splitlines()[:2]
+        bad = json.dumps({"dialogue_id": "d00", "turn": 0,
+                          "state": {"garden layouts": {"style": value}}})
+        states.write_text("\n".join(good + [bad]) + "\n")
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(states), "--gold", str(DATA / "corpus.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (f"{states}:3: state domain 'garden layouts' slot 'style' must be a string, "
+                f"got {got}") in result.output
 
     @pytest.mark.parametrize("flag", ["--predictions", "--gold"])
     def test_non_utf8_input_is_config_error(self, runner, tmp_path, flag):

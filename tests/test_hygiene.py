@@ -1,7 +1,8 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
 entries, one thread pool, no unbounded memo table, the block format's
 strings spelled in ``seqio`` only, no indented ``json.dumps``, no file
-written outside ``seqio``, no config key that nothing reads, no value check
+written outside ``seqio``, no config key that nothing reads, no
+``HttpBackend`` parameter that no config key sets, no value check
 that a CLI flag makes and its config key does not, no third-party HTTP
 library, and no CLI option that the README leaves out.
 
@@ -11,6 +12,7 @@ lists it in ``__all__``, or mentions it inside a string annotation.
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -22,7 +24,7 @@ import click
 import pytest
 
 import slotweaver
-from slotweaver import cli, seqio
+from slotweaver import backend, cli, seqio
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -433,6 +435,13 @@ def test_every_config_key_is_read():
     """A key the config loader accepts but nothing reads would be silently
     ignored, which is what refusing unknown keys is there to prevent."""
     assert config_key_problems(Path(cli.__file__).read_text(encoding="utf-8"), cli) == []
+
+
+def test_every_http_backend_parameter_has_a_config_key():
+    """A constructor parameter that no config key sets is a knob only tests
+    can turn; a fixed setting is a class constant instead."""
+    params = list(inspect.signature(backend.HttpBackend).parameters)
+    assert params == ["endpoint", *cli.HTTP_KEYS.values()]
 
 
 def flag_only_checks(source: str):

@@ -153,8 +153,8 @@ class TestParseStateBlock:
         prediction = parse_state_block(GARDEN_GREEN_BLOCK, garden_schema)
         state = prediction.state
         assert len(state.triples) == 6
-        assert state.value_of(key("garden layouts", "style")) == "desert"
-        assert state.value_of(key("plant selections", "sunlight")) == "Full Sun"
+        assert state.as_dict()[key("garden layouts", "style")] == "desert"
+        assert state.as_dict()[key("plant selections", "sunlight")] == "Full Sun"
         assert dict(state.new_slot_descriptions) == {
             key("plant selections", "sunlight"): "the plant's sun requirements"
         }
@@ -179,7 +179,7 @@ class TestParseStateBlock:
             "* style: desert\n* style: oasis\n"
         )
         prediction = parse_state_block(text, garden_schema)
-        assert prediction.state.value_of(key("garden layouts", "style")) == "oasis"
+        assert prediction.state.as_dict()[key("garden layouts", "style")] == "oasis"
         assert len(prediction.parse_warnings) == 1
 
     def test_state_round_trip(self):

@@ -8,7 +8,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slotweaver.backend import AuthError, HttpBackend, ScriptedBackend, TransportError
+from slotweaver.backend import (
+    AuthError, GenerationRequest, HttpBackend, ScriptedBackend, ScriptExhausted, TransportError,
+)
 from slotweaver.cli import main
 from slotweaver.core import GOLD, SlotDef, SlotSchema
 from slotweaver.seqio import CorpusFile, canonical_json, corpus_to_obj
@@ -120,7 +122,8 @@ class TestDefineSchemas:
         backend = ScriptedBackend.from_responses(["no fence", "still no fence"])
         with pytest.raises(SchemaDefinitionError):
             define_schemas(GARDEN_SCENARIO, "plant care", backend)
-        assert backend.remaining == 0  # one retry consumed
+        with pytest.raises(ScriptExhausted):  # one retry consumed the script
+            backend.generate(GenerationRequest("one more"))
 
     def test_retry_recovers(self):
         backend = ScriptedBackend.from_responses(
@@ -531,7 +534,8 @@ class TestOverlappedDialogues:
             random.Random(5), config=_SIM_CONFIG,
         )
         assert [prompt for prompt, _ in replayed.calls] == [p for p, _ in recorder.calls]
-        assert script.remaining == 0
+        with pytest.raises(ScriptExhausted):
+            script.generate(GenerationRequest("one more"))
         assert corpus_to_obj(got[0]) == corpus_to_obj(expected[0])
         assert got[1] == expected[1]
         assert expected[1].lost > 3  # losses at definition and in dialogues

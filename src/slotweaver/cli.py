@@ -38,16 +38,14 @@ class ConfigError(click.ClickException):
 # receiver's own default applies to the others.
 HTTP_KEYS = {"model": "model", "api_key": "api_key", "max_retries": "max_retries"}
 FILTER_KEYS = {"window": "window_w", "tau": "threshold_tau", "cap": "cap"}
-RUN_KEYS = {"context_budget": "context_budget", "hard_cap": "hard_cap",
-            "max_output": "max_output", "temperature": "temperature"}
 SIM_KEYS = {"knowledge_size": "knowledge_size", "red_herrings": "red_herring_count",
-            "p_clear": "p_clear", "max_turns": "max_turns", "temperature": "temperature"}
+            "p_clear": "p_clear", "max_turns": "max_turns"}
 
 # Every key a config file may set, by section; None marks a key that the
 # commands read themselves.
 CONFIG_KEYS = {
     "backend": {"kind": None, "script": None, "endpoint": None, **HTTP_KEYS},
-    "induction": {"mode": None, "refiner": None, **FILTER_KEYS, **RUN_KEYS},
+    "induction": {"mode": None, "refiner": None, **FILTER_KEYS},
     "simulation": {"scenarios": None, "dialogues_per_scenario": None, **SIM_KEYS},
 }
 TOP_LEVEL_KEYS = {*CONFIG_KEYS, "seed", "loss_limit"}
@@ -175,7 +173,7 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
         raise ConfigError(f"simulation: {exc}") from exc
     try:
         with _command_backend(cfg) as backend:
-            scenarios = sim.generate_scenarios(n_scenarios, backend, sim_cfg)
+            scenarios = sim.generate_scenarios(n_scenarios, backend)
             corpus, report = sim.simulate_corpus(
                 scenarios, dialogues_per_scenario, backend, random.Random(cfg.seed), sim_cfg
             )
@@ -218,8 +216,6 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
         refiner_name = cfg.induction.get("refiner", "none")
         refine.refiner_class(refiner_name)
         filter_cfg = refine.FilterConfig(**_passed(cfg.induction, FILTER_KEYS))
-        kwargs = _passed(cfg.induction, RUN_KEYS)
-        induct.check_settings(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"induction: {exc}") from exc
     if shuffle and cfg.seed is None:
@@ -235,11 +231,9 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
         with _command_backend(cfg) as backend:
             refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
             if two_pass:
-                schema, result = induct.run_two_pass(
-                    corpus, mode, refiner, backend, seed=seed, **kwargs
-                )
+                schema, result = induct.run_two_pass(corpus, mode, refiner, backend, seed=seed)
             else:
-                result = induct.run_induction(corpus, mode, refiner, backend, seed=seed, **kwargs)
+                result = induct.run_induction(corpus, mode, refiner, backend, seed=seed)
                 schema = result.final_schema
     except AuthError as exc:
         _fail(str(exc), EXIT_CONFIG)

@@ -27,25 +27,21 @@ from .seqio import (
     parse_state_block,
     render_prompt,
     schema_to_obj,
+    tracked_turns,
 )
 
 __all__ = [
     "RunResult",
     "StateLogEntry",
     "SchemaOverflowError",
-    "check_settings",
     "run_induction",
     "run_two_pass",
-    "DEFAULT_CONTEXT_BUDGET",
-    "DEFAULT_HARD_CAP",
-    "DEFAULT_MAX_OUTPUT",
-    "DEFAULT_TEMPERATURE",
+    "CONTEXT_BUDGET",
+    "HARD_CAP",
 ]
 
-DEFAULT_CONTEXT_BUDGET = 8000  # characters of dialogue context per prompt
-DEFAULT_HARD_CAP = 300  # absolute schema size guard, independent of refiners
-DEFAULT_MAX_OUTPUT = 1024  # output limit of each turn's call
-DEFAULT_TEMPERATURE = 0.0
+CONTEXT_BUDGET = 8000  # characters of dialogue context per prompt
+HARD_CAP = 300  # absolute schema size guard, independent of refiners
 
 # What predicting one turn gives: its state, None for a reply without a
 # values header, or the error of a failed backend call.
@@ -54,21 +50,6 @@ Outcome = Union[DialogueState, BackendError, None]
 
 class SchemaOverflowError(RuntimeError):
     """The schema exceeded the hard size cap; the run is aborted."""
-
-
-def check_settings(
-    context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    hard_cap: int = DEFAULT_HARD_CAP,
-    max_output: int = DEFAULT_MAX_OUTPUT,
-    temperature: float = DEFAULT_TEMPERATURE,
-) -> None:
-    """Raise ValueError naming the first run setting out of range."""
-    for name, value in (("context_budget", context_budget), ("hard_cap", hard_cap),
-                        ("max_output", max_output)):
-        if type(value) is not int or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    if type(temperature) not in (int, float) or not temperature >= 0:
-        raise ValueError(f"temperature must be a number >= 0, got {temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -95,11 +76,6 @@ class RunResult:
         }
 
 
-def _tracked_turns(dialogue: Dialogue, mode: StateMode) -> List[int]:
-    user_turns = dialogue.user_turn_indices()
-    return user_turns[-1:] if mode is StateMode.FINAL else user_turns
-
-
 def run_induction(
     corpus: CorpusFile,
     mode: StateMode,
@@ -108,10 +84,6 @@ def run_induction(
     seed: Optional[int] = None,
     initial_schema: Optional[SlotSchema] = None,
     dst_only: bool = False,
-    context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    hard_cap: int = DEFAULT_HARD_CAP,
-    max_output: int = DEFAULT_MAX_OUTPUT,
-    temperature: float = DEFAULT_TEMPERATURE,
 ) -> RunResult:
     """Process the dialogue stream, accumulating the schema and state log.
 
@@ -124,8 +96,12 @@ def run_induction(
     AuthError aborts. With ``dst_only`` the schema stays frozen, discoveries
     are dropped, no refiner runs at the boundaries, and the backend calls
     overlap; the result is the same as with serial calls.
+
+    The call settings are fixed: each prompt keeps at most
+    ``CONTEXT_BUDGET`` characters of dialogue and is sent with the defaults
+    of ``GenerationRequest`` (1024 output tokens, temperature 0). A schema
+    that grows past ``HARD_CAP`` slots raises SchemaOverflowError.
     """
-    check_settings(context_budget, hard_cap, max_output, temperature)
     schema = initial_schema if initial_schema is not None else SlotSchema()
     order = list(corpus.dialogues)
     if seed is not None:
@@ -136,10 +112,9 @@ def run_induction(
 
     def predict(schema: SlotSchema, dialogue: Dialogue, turn: int) -> Outcome:
         """The Outcome of one turn; an AuthError propagates."""
-        prompt = render_prompt(schema, dialogue, turn, mode, char_budget=context_budget)
-        request = GenerationRequest(prompt, max_output=max_output, temperature=temperature)
+        prompt = render_prompt(schema, dialogue, turn, mode, char_budget=CONTEXT_BUDGET)
         try:
-            reply = backend.generate(request)
+            reply = backend.generate(GenerationRequest(prompt))
         except AuthError:
             raise
         except BackendError as exc:
@@ -170,19 +145,19 @@ def run_induction(
 
     if dst_only:
         stream = [(d_index, dialogue, turn) for d_index, dialogue in enumerate(order)
-                  for turn in _tracked_turns(dialogue, mode)]
+                  for turn in tracked_turns(dialogue, mode)]
         with ordered_map(backend) as overlapped:
             outcomes = overlapped(lambda item: predict(schema, item[1], item[2]), stream)
             for (d_index, dialogue, turn), outcome in zip(stream, outcomes):
                 record(d_index, dialogue, turn, outcome)
     else:
         for d_index, dialogue in enumerate(order):
-            for turn in _tracked_turns(dialogue, mode):
+            for turn in tracked_turns(dialogue, mode):
                 state = record(d_index, dialogue, turn, predict(schema, dialogue, turn))
                 schema = schema_update(schema, state, discovered_at=(d_index, turn))
-                if len(schema) > hard_cap:
+                if len(schema) > HARD_CAP:
                     raise SchemaOverflowError(
-                        f"schema reached {len(schema)} slots (hard cap {hard_cap}) "
+                        f"schema reached {len(schema)} slots (hard cap {HARD_CAP}) "
                         f"at dialogue {dialogue.id} turn {turn}"
                     )
             if refiner is not None:
@@ -208,12 +183,11 @@ def run_two_pass(
     refiner: Optional[Refiner],
     backend: Backend,
     seed: Optional[int] = None,
-    **kwargs,
 ) -> Tuple[SlotSchema, RunResult]:
     """Induce the final schema (pass 1), then re-track every state against
-    the frozen schema in DST mode (pass 2). Pass-2 states are the ones used
-    for evaluation."""
-    pass1 = run_induction(corpus, mode, refiner, backend, seed=seed, **kwargs)
+    the frozen schema in DST mode (pass 2), both with the fixed settings of
+    ``run_induction``. Pass-2 states are the ones used for evaluation."""
+    pass1 = run_induction(corpus, mode, refiner, backend, seed=seed)
     pass2 = run_induction(
         corpus,
         mode,
@@ -222,6 +196,5 @@ def run_two_pass(
         seed=seed,
         initial_schema=pass1.final_schema,
         dst_only=True,
-        **kwargs,
     )
     return pass1.final_schema, pass2

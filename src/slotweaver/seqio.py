@@ -68,10 +68,10 @@ __all__ = [
     "state_to_obj",
     "state_from_obj",
     "StateLogEntry",
+    "tracked_turns",
     "gold_turns",
     "build_training_sequences",
     "save_training_pairs",
-    "load_training_pairs",
 ]
 
 
@@ -457,7 +457,11 @@ class StateLogEntry:
         _check_fields(obj, _LOG_ENTRY_FIELDS, "state-log entry")
         state = state_from_obj(obj["state"])
         logged = obj.get("new_slot_descriptions") or {}
-        descriptions = {key: str(logged[str(key)]) for key in state.keys() if str(key) in logged}
+        for name, description in logged.items():
+            if type(description) is not str:
+                raise CorpusFormatError(f"new slot {name!r} description must be a string, "
+                                        f"got {_type_name(description)}")
+        descriptions = {key: logged[str(key)] for key in state.keys() if str(key) in logged}
         if descriptions:
             state = DialogueState(state.triples, descriptions)
         return cls(obj["dialogue_id"], obj["turn"], state, obj.get("dialogue_index"))
@@ -638,19 +642,24 @@ def _require_gold(corpus: CorpusFile) -> SlotSchema:
     return corpus.gold_schema
 
 
+def tracked_turns(dialogue: Dialogue, mode: StateMode) -> List[int]:
+    """The user turns that a run in ``mode`` visits: only the last one in
+    FINAL mode, every one otherwise."""
+    user_turns = dialogue.user_turn_indices()
+    return user_turns[-1:] if mode is StateMode.FINAL else user_turns
+
+
 def gold_turns(
     dialogue: Dialogue, mode: StateMode
 ) -> Iterator[Tuple[int, DialogueState, DialogueState]]:
     """Yield (turn_index, gold_state, target_state) for user turns with a gold state.
 
-    FINAL mode visits only the last user turn. The target is the change since
-    the previous gold state in UPDATE mode and the gold state itself otherwise.
+    The turns are those ``tracked_turns`` gives. The target is the change
+    since the previous gold state in UPDATE mode and the gold state itself
+    otherwise.
     """
-    indices = dialogue.user_turn_indices()
-    if mode is StateMode.FINAL:
-        indices = indices[-1:]
     prev = DialogueState()
-    for i in indices:
+    for i in tracked_turns(dialogue, mode):
         state = dialogue.turns[i].gold_state
         if state is None:
             continue
@@ -696,13 +705,3 @@ def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[
 
 def save_training_pairs(pairs: Iterable[Tuple[str, str]], path) -> None:
     save_json_lines(({"prompt": prompt, "target": target} for prompt, target in pairs), path)
-
-
-def _training_pair(obj) -> Tuple[str, str]:
-    if not isinstance(obj, dict) or "prompt" not in obj or "target" not in obj:
-        raise CorpusFormatError("training pair must be an object with 'prompt' and 'target'")
-    return obj["prompt"], obj["target"]
-
-
-def load_training_pairs(path) -> List[Tuple[str, str]]:
-    return load_json_lines(path, _training_pair)

@@ -87,6 +87,11 @@ class TaskInitError(SimError):
     """Knowledge/goal generation failed to parse after a retry."""
 
 
+# The output limit and temperature of every simulation call but the
+# annotation and end-of-task calls, which are sent at temperature 0.
+MAX_OUTPUT = 512
+TEMPERATURE = 0.7
+
 # Every simulation prompt, with named placeholders.
 SCENARIO_PROMPT = (
     "Write a numbered list of {n} different scenarios in which one person is "
@@ -241,18 +246,14 @@ class SimConfig:
     red_herring_count: int = 3
     p_clear: float = 0.3
     max_turns: int = 40
-    temperature: float = 0.7
-    max_output: int = 512
 
     def __post_init__(self) -> None:
-        for name in ("knowledge_size", "red_herring_count", "max_turns", "max_output"):
+        for name in ("knowledge_size", "red_herring_count", "max_turns"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if type(self.p_clear) not in (int, float) or not 0 <= self.p_clear <= 1:
             raise ValueError(f"p_clear must be a number in [0, 1], got {self.p_clear!r}")
-        if type(self.temperature) not in (int, float) or not self.temperature >= 0:
-            raise ValueError(f"temperature must be a number >= 0, got {self.temperature!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +334,16 @@ def _split_tasks(text: str) -> List[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _generate(backend: Backend, prompt: str, config: SimConfig) -> str:
-    return backend.generate(
-        GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
-    )
+def _generate(backend: Backend, prompt: str) -> str:
+    return backend.generate(GenerationRequest(prompt, max_output=MAX_OUTPUT, temperature=TEMPERATURE))
 
 
-def _generate_block(backend: Backend, prompt: str, config: SimConfig,
-                    parse: Callable[[str], list], error: Type[SimError], noun: str) -> list:
+def _generate_block(backend: Backend, prompt: str, parse: Callable[[str], list],
+                    error: Type[SimError], noun: str) -> list:
     """Run a prompt whose reply holds a fenced block, retrying once when
     nothing in the block parses."""
     for attempt in range(2):
-        block = _fenced_block(_generate(backend, prompt, config))
+        block = _fenced_block(_generate(backend, prompt))
         parsed = parse(block) if block is not None else None
         if parsed:
             return parsed
@@ -353,9 +352,7 @@ def _generate_block(backend: Backend, prompt: str, config: SimConfig,
     raise error(f"no parseable {noun} block for prompt: {prompt[:80]!r}")
 
 
-def generate_scenarios(
-    n: int, backend: Backend, config: SimConfig = SimConfig()
-) -> List[ScenarioSpec]:
+def generate_scenarios(n: int, backend: Backend) -> List[ScenarioSpec]:
     """Generate up to n scenario specs from a templated numbered list.
 
     Unparseable lines are skipped with warnings; duplicate descriptions
@@ -363,7 +360,7 @@ def generate_scenarios(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    response = _generate(backend, SCENARIO_PROMPT.format(n=n), config)
+    response = _generate(backend, SCENARIO_PROMPT.format(n=n))
     specs: List[ScenarioSpec] = []
     seen = set()
     for line in response.splitlines():
@@ -401,19 +398,14 @@ def generate_scenarios(
     return specs
 
 
-def define_schemas(
-    scenario: ScenarioSpec,
-    task: str,
-    backend: Backend,
-    config: SimConfig = SimConfig(),
-) -> TaskSchemas:
+def define_schemas(scenario: ScenarioSpec, task: str, backend: Backend) -> TaskSchemas:
     """Generate the slot schema and the agent knowledge schema for one task."""
     if task not in scenario.tasks:
         raise ValueError(f"task {task!r} not part of scenario {scenario.id}")
     slot_fields = _generate_block(
         backend,
         SLOT_SCHEMA_PROMPT.format(scenario=scenario.description, task=task),
-        config, _parse_fields, SchemaDefinitionError, "definition",
+        _parse_fields, SchemaDefinitionError, "definition",
     )
     slots = []
     seen = set()
@@ -433,7 +425,7 @@ def define_schemas(
             task=task,
             slot_block=_definitions_block((s.key.name, s.description) for s in slot_schema),
         ),
-        config, _parse_fields, SchemaDefinitionError, "definition",
+        _parse_fields, SchemaDefinitionError, "definition",
     )
     return TaskSchemas(
         task=task,
@@ -456,7 +448,7 @@ def _knowledge_list(schemas: TaskSchemas, backend: Backend,
             task=schemas.task, schema_block=_knowledge_fields(schemas),
             count=config.knowledge_size,
         ),
-        config, _parse_records, TaskInitError, "record",
+        _parse_records, TaskInitError, "record",
     )
 
 
@@ -489,7 +481,7 @@ def initialize_task(
             ),
             ideal_block=_record_block(ideal),
         ),
-        config, _parse_records, TaskInitError, "record",
+        _parse_records, TaskInitError, "record",
     )
     goal: Dict[SlotKey, str] = {}
     for name, value in goal_records[0].items():
@@ -513,7 +505,7 @@ def initialize_task(
             goal_block=_goal_block(goal),
             count=config.red_herring_count,
         ),
-        config, _parse_records, TaskInitError, "record",
+        _parse_records, TaskInitError, "record",
     )[: config.red_herring_count]
     knowledge = knowledge + herrings
 
@@ -536,15 +528,12 @@ def _annotate(
     turns: Sequence[Turn],
     setup: TaskSetup,
     backend: Backend,
-    config: SimConfig,
 ) -> DialogueState:
     prompt = ANNOTATE_PROMPT.format(
         schema_block=render_schema_block(setup.schemas.slot_schema),
         dialogue=_dialogue_text(scenario, turns),
     )
-    response = backend.generate(
-        GenerationRequest(prompt, max_output=config.max_output, temperature=0.0)
-    )
+    response = backend.generate(GenerationRequest(prompt, max_output=MAX_OUTPUT, temperature=0.0))
     try:
         prediction = parse_state_block(response, setup.schemas.slot_schema)
     except MissingValuesHeader:
@@ -604,7 +593,6 @@ def simulate_dialogue(
                     goal_block=_goal_block(setup.goal),
                     dialogue=_dialogue_text(scenario, turns),
                 ),
-                config,
             ).strip()
             if not user_text:
                 termination = TERMINATION_STALLED
@@ -621,7 +609,6 @@ def simulate_dialogue(
                     knowledge_block=_records_block(setup.knowledge),
                     dialogue=_dialogue_text(scenario, turns),
                 ),
-                config,
             ).strip()
             if not agent_text:
                 termination = TERMINATION_STALLED
@@ -646,7 +633,7 @@ def simulate_dialogue(
 
     def annotate(job) -> DialogueState:
         try:
-            return _annotate(scenario, *job, backend, config)
+            return _annotate(scenario, *job, backend)
         except BaseException:
             lost.set()
             raise
@@ -717,7 +704,7 @@ def simulate_corpus(
     def jobs():
         nonlocal lost, gold
         for scenario in scenarios:
-            define = partial(define_schemas, scenario, backend=backend, config=config)
+            define = partial(define_schemas, scenario, backend=backend)
             try:
                 with ordered_map(backend) as overlapped:
                     schemas = list(overlapped(define, scenario.tasks))

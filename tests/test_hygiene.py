@@ -2,9 +2,9 @@
 entries, one thread pool, no unbounded memo table, the block format's
 strings spelled in ``seqio`` only, no indented ``json.dumps``, no file
 written outside ``seqio``, no config key that nothing reads, no
-``HttpBackend`` parameter that no config key sets, no value check
-that a CLI flag makes and its config key does not, no third-party HTTP
-library, and no CLI option that the README leaves out.
+``HttpBackend``, ``SimConfig`` or ``FilterConfig`` parameter that no config
+key sets, no value check that a CLI flag makes and its config key does not,
+no third-party HTTP library, and no CLI option that the README leaves out.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -24,7 +24,7 @@ import click
 import pytest
 
 import slotweaver
-from slotweaver import backend, cli, seqio
+from slotweaver import backend, cli, refine, seqio, sim
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -437,11 +437,17 @@ def test_every_config_key_is_read():
     assert config_key_problems(Path(cli.__file__).read_text(encoding="utf-8"), cli) == []
 
 
-def test_every_http_backend_parameter_has_a_config_key():
-    """A constructor parameter that no config key sets is a knob only tests
-    can turn; a fixed setting is a class constant instead."""
-    params = list(inspect.signature(backend.HttpBackend).parameters)
-    assert params == ["endpoint", *cli.HTTP_KEYS.values()]
+@pytest.mark.parametrize("receiver, keys", [
+    (backend.HttpBackend, cli.HTTP_KEYS),
+    (sim.SimConfig, cli.SIM_KEYS),
+    (refine.FilterConfig, cli.FILTER_KEYS),
+])
+def test_every_setting_parameter_has_a_config_key(receiver, keys):
+    """A parameter that no config key sets is a knob only tests can turn; a
+    fixed setting is a constant instead. The endpoint is the one parameter
+    that the commands read themselves."""
+    params = [name for name in inspect.signature(receiver).parameters if name != "endpoint"]
+    assert params == list(keys.values())
 
 
 def flag_only_checks(source: str):

@@ -95,9 +95,10 @@ class TestInduceTurn:
         assert result.parse_failures == 1
         assert result.final_schema == garden_schema
 
-    def test_hard_cap_overflow(self):
-        with pytest.raises(SchemaOverflowError, match="at dialogue d1 turn 0"):
-            one_turn(vblock([("D", [("a", "1"), ("b", "2"), ("c", "3")])]), hard_cap=2)
+    def test_hard_cap_overflow(self, monkeypatch):
+        monkeypatch.setattr(induct, "HARD_CAP", 2)
+        with pytest.raises(SchemaOverflowError, match=r"\(hard cap 2\) at dialogue d1 turn 0"):
+            one_turn(vblock([("D", [("a", "1"), ("b", "2"), ("c", "3")])]))
 
 
 class TestRunInduction:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -802,12 +803,11 @@ def test_sim_templates_keep_their_bytes():
     assert {name: getattr(sim, name) for name in REF_SIM_TEMPLATES} == REF_SIM_TEMPLATES
 
 
-# The two retry loops as they were before one helper replaced them.
-def ref_generate_fields(backend, prompt, config):
+# The two retry loops as they were before one helper replaced them, with
+# the simulator's fixed call settings.
+def ref_generate_fields(backend, prompt):
     for attempt in range(2):
-        response = backend.generate(
-            GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
-        )
+        response = backend.generate(GenerationRequest(prompt, max_output=512, temperature=0.7))
         block = sim._fenced_block(response)
         if block is not None:
             parsed = sim._parse_fields(block)
@@ -818,11 +818,9 @@ def ref_generate_fields(backend, prompt, config):
     raise sim.SchemaDefinitionError(f"no parseable definition block for prompt: {prompt[:80]!r}")
 
 
-def ref_generate_records(backend, prompt, config):
+def ref_generate_records(backend, prompt):
     for attempt in range(2):
-        response = backend.generate(
-            GenerationRequest(prompt, max_output=config.max_output, temperature=config.temperature)
-        )
+        response = backend.generate(GenerationRequest(prompt, max_output=512, temperature=0.7))
         block = sim._fenced_block(response)
         if block is not None:
             records = sim._parse_records(block)
@@ -834,10 +832,10 @@ def ref_generate_records(backend, prompt, config):
 
 
 NEW_RETRIES = {
-    "fields": lambda backend, prompt, config: sim._generate_block(
-        backend, prompt, config, sim._parse_fields, sim.SchemaDefinitionError, "definition"),
-    "records": lambda backend, prompt, config: sim._generate_block(
-        backend, prompt, config, sim._parse_records, sim.TaskInitError, "record"),
+    "fields": lambda backend, prompt: sim._generate_block(
+        backend, prompt, sim._parse_fields, sim.SchemaDefinitionError, "definition"),
+    "records": lambda backend, prompt: sim._generate_block(
+        backend, prompt, sim._parse_records, sim.TaskInitError, "record"),
 }
 REF_RETRIES = {"fields": ref_generate_fields, "records": ref_generate_records}
 
@@ -851,7 +849,7 @@ class _Messages(logging.Handler):
         self.messages.append((record.levelname, record.getMessage()))
 
 
-def retry_outcome(retry, replies, prompt, config):
+def retry_outcome(retry, replies, prompt):
     """(result or error, requests sent, log messages) of one retry loop over
     a script of replies; a call past the script's end raises ScriptExhausted."""
     backend = ScriptedBackend.from_responses(replies)
@@ -861,7 +859,7 @@ def retry_outcome(retry, replies, prompt, config):
     messages = _Messages()
     sim.log.addHandler(messages)
     try:
-        result = "ok", retry(backend, prompt, config)
+        result = "ok", retry(backend, prompt)
     except Exception as exc:
         result = type(exc), str(exc)
     finally:
@@ -887,12 +885,10 @@ _replies = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(NEW_RETRIES)), st.lists(_replies, min_size=1, max_size=3),
-       st.one_of(st.text(max_size=20), st.text(min_size=70, max_size=120)),
-       st.builds(sim.SimConfig, max_output=st.integers(1, 2048),
-                 temperature=st.sampled_from([0.0, 0.7, 1.5])))
-def test_fenced_block_retry_matches_old_loops(kind, replies, prompt, config):
-    got = retry_outcome(NEW_RETRIES[kind], replies, prompt, config)
-    assert got == retry_outcome(REF_RETRIES[kind], replies, prompt, config)
+       st.one_of(st.text(max_size=20), st.text(min_size=70, max_size=120)))
+def test_fenced_block_retry_matches_old_loops(kind, replies, prompt):
+    got = retry_outcome(NEW_RETRIES[kind], replies, prompt)
+    assert got == retry_outcome(REF_RETRIES[kind], replies, prompt)
 
 
 # --- the induction engine ----------------------------------------------------
@@ -907,10 +903,10 @@ class RefInductionRun:
     mode: StateMode = StateMode.STATE
     refiner: Optional[object] = None
     dst_only: bool = False
-    context_budget: int = induct.DEFAULT_CONTEXT_BUDGET
-    hard_cap: int = induct.DEFAULT_HARD_CAP
-    max_output: int = induct.DEFAULT_MAX_OUTPUT
-    temperature: float = induct.DEFAULT_TEMPERATURE
+    context_budget: int = 8000
+    hard_cap: int = 300
+    max_output: int = 1024
+    temperature: float = 0.0
     stream_position: Tuple[int, int] = (0, 0)
     per_turn_states: List[StateLogEntry] = field(default_factory=list)
     parse_failures: int = 0
@@ -1126,8 +1122,9 @@ def engine_outcome(run, two_pass, replies, mode, window, in_flight, seed, hard_c
             *(canonical_json(schema_to_obj(s)) for s in outcome[2:]))
 
 
-def new_run_induction(*args, **kwargs):
-    result = induct.run_induction(*args, **kwargs)
+def new_run_induction(*args, hard_cap, **kwargs):
+    with mock.patch.object(induct, "HARD_CAP", hard_cap):
+        result = induct.run_induction(*args, **kwargs)
     return result.to_obj(), result.failed_turns, result.final_schema
 
 

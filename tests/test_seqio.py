@@ -29,7 +29,6 @@ from slotweaver.seqio import (
     corpus_from_obj,
     corpus_to_obj,
     load_corpus,
-    load_training_pairs,
     parse_schema_block,
     parse_state_block,
     render_prompt,
@@ -380,6 +379,25 @@ class TestStateLogEntry:
         del obj["new_slot_descriptions"]
         assert StateLogEntry.from_obj(obj).state.new_slot_descriptions == {}
 
+    @pytest.mark.parametrize("description, got", [
+        (None, "null"), ([1], "list"), ({"a": 1}, "dict"), (3, "int"), (2.5, "float"),
+        (True, "bool"),
+    ])
+    def test_description_that_is_not_a_string_names_file_and_line(self, tmp_path,
+                                                                   description, got):
+        # a description naming no valued key is refused too, not ignored
+        entry = {"dialogue_id": "d1", "turn": 0, "state": {"hotel": {"area": "north"}}}
+        path = tmp_path / "states.jsonl"
+        path.write_text("\n".join([
+            json.dumps(entry),
+            json.dumps({**entry, "new_slot_descriptions": {"hotel/area": "the part of town"}}),
+            json.dumps({**entry, "new_slot_descriptions": {"hotel/gone": description}}),
+        ]) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            seqio.load_state_log(path)
+        assert str(caught.value) == (f"{path}:3: new slot 'hotel/gone' description must be a "
+                                     f"string, got {got}")
+
     def test_descriptions_not_an_object_rejected(self):
         obj = {"dialogue_id": "d1", "turn": 0, "state": {"hotel": {"area": "north"}},
                "new_slot_descriptions": ["hotel/area"]}
@@ -450,17 +468,4 @@ class TestTrainingSequences:
         pairs = build_training_sequences(_gold_corpus(), StateMode.STATE)
         path = tmp_path / "pairs.jsonl"
         save_training_pairs(pairs, path)
-        assert load_training_pairs(path) == pairs
-
-    @pytest.mark.parametrize("line, reason", [
-        ("not json", "invalid JSON: "),
-        ('{"prompt": "p"}', "must be an object with 'prompt' and 'target'"),
-        ('["p", "t"]', "must be an object with 'prompt' and 'target'"),
-    ])
-    def test_bad_pair_line_names_file_and_line(self, tmp_path, line, reason):
-        path = tmp_path / "pairs.jsonl"
-        path.write_text('{"prompt": "p", "target": "t"}\n\n' + line + "\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError) as caught:
-            load_training_pairs(path)
-        assert str(caught.value).startswith(f"{path}:3: ")
-        assert reason in str(caught.value)
+        assert seqio.load_json_lines(path, lambda obj: (obj["prompt"], obj["target"])) == pairs

@@ -743,8 +743,7 @@ def _serial_reference(scenarios, dialogues_per_scenario, backend, rng):
     gold = SlotSchema()
     for scenario in scenarios:
         try:
-            schemas = [define_schemas(scenario, task, backend, config=_SIM_CONFIG)
-                       for task in scenario.tasks]
+            schemas = [define_schemas(scenario, task, backend) for task in scenario.tasks]
         except (SimError, TransportError):
             lost += dialogues_per_scenario
             continue

@@ -3,6 +3,9 @@
 Configuration comes from one YAML file plus flag overrides; the API
 credential is read from the SLOTWEAVER_API_KEY environment variable. Exit
 codes: 0 success, 1 pipeline error, 2 configuration/auth error.
+
+Each command loads only what it runs: ``evaluate`` and ``make-train-data``
+load no YAML, simulator, induction or HTTP code.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 import click
-import yaml
 
+# yaml, sim and induct are imported inside the code that uses them: click
+# registers every command when this module loads, so a top-level import would
+# load them for every command. The HTTP client loads on first use of
+# backend_mod.HttpBackend.
 from . import backend as backend_mod
-from . import evalx, induct, refine, seqio, sim
+from . import evalx, refine, seqio
 from .backend import AuthError, Backend, BackendError
 from .seqio import StateMode
 
@@ -72,6 +78,8 @@ class RunConfig:
         cfg = cls()
         if not path:
             return cfg
+        import yaml
+
         try:
             raw = yaml.safe_load(seqio.read_utf8(path)) or {}
         except yaml.YAMLError as exc:
@@ -136,8 +144,9 @@ def _command_backend(cfg: RunConfig) -> Iterator[Backend]:
     try:
         yield backend
     finally:
-        if isinstance(backend, backend_mod.HttpBackend):
-            backend.close()
+        close = getattr(backend, "close", None)
+        if close is not None:
+            close()
 
 
 def _fail(message: str, code: int) -> None:
@@ -159,6 +168,8 @@ def main() -> None:
 @click.option("--seed", type=int, default=None)
 def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scenario, seed):
     """Simulate a state-annotated corpus and write it to disk."""
+    from . import sim
+
     cfg = RunConfig.load(config_path).override(seed, simulation=dict(
         scenarios=n_scenarios, dialogues_per_scenario=dialogues_per_scenario))
     try:
@@ -188,8 +199,8 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
         f"simulated {report.produced}/{report.dialogues_requested} dialogues "
         f"({report.lost} lost) -> {out_path}"
     )
-    loss_fraction = report.lost / report.dialogues_requested if report.dialogues_requested else 0.0
-    sys.exit(EXIT_OK if loss_fraction < cfg.loss_limit else EXIT_PIPELINE)
+    too_lossy = report.lost and report.lost / report.dialogues_requested >= cfg.loss_limit
+    sys.exit(EXIT_PIPELINE if too_lossy else EXIT_OK)
 
 
 @main.command()
@@ -209,6 +220,8 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
 def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
            two_pass, seed, shuffle):
     """Run streaming induction over a corpus, emitting schema + state log."""
+    from . import induct
+
     cfg = RunConfig.load(config_path).override(seed, induction=dict(
         mode=mode, refiner=refiner, window=window, tau=tau, cap=cap))
     try:

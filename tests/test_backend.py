@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
-from slotweaver import backend as backend_mod
+from slotweaver import http_backend
 from slotweaver.backend import (
     AuthError,
     GenerationRequest,
@@ -221,7 +221,7 @@ class TestHttpBackend:
 def sleeps(monkeypatch):
     """Record the client's waits instead of sleeping."""
     waits = []
-    monkeypatch.setattr(backend_mod.time, "sleep", waits.append)
+    monkeypatch.setattr(http_backend.time, "sleep", waits.append)
     return waits
 
 

@@ -767,6 +767,19 @@ class TestSimulate:
         assert result.exit_code == 1
         assert "(1 lost)" in result.output
 
+    @pytest.mark.parametrize("break_first, lost, code", [(False, 0, 0), (True, 1, 1)])
+    def test_loss_limit_zero_fails_on_any_loss_only(self, runner, tmp_path, break_first,
+                                                    lost, code):
+        cfg = Path(self._config(tmp_path, break_first))
+        cfg.write_text(cfg.read_text() + "loss_limit: 0\n")
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "corpus.json"),
+             "--scenarios", "2", "--dialogues-per-scenario", "1"],
+        )
+        assert result.exit_code == code, result.output
+        assert f"simulated {2 - lost}/2 dialogues ({lost} lost)" in result.output
+
     @pytest.mark.parametrize("flag", ["--scenarios", "--dialogues-per-scenario"])
     def test_zero_count_flag_is_usage_error(self, runner, tmp_path, flag):
         out = tmp_path / "corpus.json"

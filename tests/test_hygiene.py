@@ -4,7 +4,8 @@ strings spelled in ``seqio`` only, no indented ``json.dumps``, no file
 written outside ``seqio``, no config key that nothing reads, no
 ``HttpBackend``, ``SimConfig`` or ``FilterConfig`` parameter that no config
 key sets, no value check that a CLI flag makes and its config key does not,
-no third-party HTTP library, and no CLI option that the README leaves out.
+no third-party HTTP library, no command that loads code it does not run,
+and no CLI option that the README leaves out.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -13,6 +14,7 @@ lists it in ``__all__``, or mentions it inside a string annotation.
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -28,6 +30,7 @@ from slotweaver import backend, cli, refine, seqio, sim
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -501,6 +504,44 @@ def test_cli_import_loads_no_http_library():
     dependencies = " ".join(tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))
                             ["project"]["dependencies"])
     assert "requests" not in dependencies and "urllib3" not in dependencies
+
+
+# Modules that only some commands run: the HTTP client and what it pulls in,
+# the YAML parser, the simulator and the induction engine.
+OPTIONAL_MODULES = ("http.client", "ssl", "email", "yaml", "slotweaver.sim",
+                    "slotweaver.induct", "slotweaver.http_backend")
+
+
+def loaded_by_command(args, cwd, modules=OPTIONAL_MODULES):
+    """Which of ``modules`` a fresh interpreter in ``cwd`` has loaded after
+    the CLI ran ``args`` and exited 0."""
+    code = (
+        "import json, sys\n"
+        "from slotweaver.cli import main\n"
+        "try:\n"
+        f"    main({[str(a) for a in args]!r}, standalone_mode=False)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        f"print(json.dumps(sorted(set({list(modules)!r}) & set(sys.modules))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, flags, loaded", [
+    ("evaluate", ["--predictions", DATA / "golden" / "states.jsonl",
+                  "--gold", DATA / "corpus.json"], []),
+    ("make-train-data", ["--corpus", DATA / "corpus.json", "--out", "pairs.jsonl"], []),
+    # a scripted run closes its backend without loading the HTTP client
+    ("induce", ["--config", "config.yaml", "--corpus", DATA / "corpus.json",
+                "--out-dir", "run"], ["slotweaver.induct", "yaml"]),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, command, flags, loaded):
+    (tmp_path / "config.yaml").write_text(
+        f"backend:\n  kind: scripted\n  script: {DATA / 'script.jsonl'}\n")
+    assert loaded_by_command([command, *flags], tmp_path) == loaded
 
 
 def undocumented_options(group: click.Group, text: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -192,6 +192,10 @@ def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scen
         _fail(str(exc), EXIT_CONFIG)
     except (sim.SimError, BackendError, seqio.CorpusFormatError) as exc:
         _fail(str(exc), EXIT_PIPELINE)
+    # the dialogues of the scenarios the reply fell short of are requested and lost
+    short = (n_scenarios - len(scenarios)) * dialogues_per_scenario
+    report = replace(report, dialogues_requested=report.dialogues_requested + short,
+                     lost=report.lost + short)
     seqio.save_corpus(corpus, out_path)
     if report_path:
         seqio.save_json(report.to_obj(), report_path)

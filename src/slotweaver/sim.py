@@ -8,11 +8,12 @@ knowledge base, so the two must converse to exchange information.
 Each dialogue is a chain of dependent calls, but dialogues do not depend on
 each other: ``simulate_corpus`` overlaps them up to the backend's
 ``max_in_flight`` and assembles the corpus in scenario and dialogue order.
-Calls that nothing in the chain waits on come off it: a scenario's tasks are
-defined at once, a dialogue's knowledge lists are fetched at once, and each
-user turn's state annotation runs while the dialogue goes on. All of these
-overlaps go through ``ordered_map``, so with one call in flight the calls
-are made in the order of a serial loop.
+Calls that nothing in the chain waits on come off it: every scenario and
+each of its tasks is defined at once, a dialogue's knowledge lists are
+fetched at once, each task's red herrings run beside the later tasks' goals
+and the dialogue's turns, and each user turn's state annotation runs while
+the dialogue goes on. All of these overlaps go through ``ordered_map``, so
+with one call in flight the calls are made in the order of a serial loop.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import logging
 import random
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type
 
@@ -457,19 +458,27 @@ def initialize_task(
     backend: Backend,
     rng: random.Random,
     config: SimConfig = SimConfig(),
-    *,
-    knowledge: Optional[List[KnowledgeRecord]] = None,
 ) -> TaskSetup:
     """Initialize knowledge, ideal, goal, and red herrings for one dialogue.
 
-    The knowledge list is generated here unless ``knowledge`` passes one
-    already generated for this task. The ideal item is drawn uniformly from
-    it; each goal slot is independently cleared with probability
-    ``p_clear``; the ideal is removed from the knowledge a random 50% of the
-    time.
+    The ideal item is drawn uniformly from the knowledge list; each goal
+    slot is independently cleared with probability ``p_clear``; the ideal is
+    removed from the knowledge a random 50% of the time. The calls are the
+    knowledge list, the goal, then the red herrings.
+
+    This is two steps. The goal step makes every draw on ``rng``; the red
+    herrings draw nothing, so ``simulate_corpus`` takes them off the chain
+    of a dialogue's goal steps.
     """
-    if knowledge is None:
-        knowledge = _knowledge_list(schemas, backend, config)
+    knowledge = _knowledge_list(schemas, backend, config)
+    return _add_red_herrings(_draw_goal(schemas, knowledge, backend, rng, config),
+                             backend, config)
+
+
+def _draw_goal(schemas: TaskSchemas, knowledge: List[KnowledgeRecord], backend: Backend,
+               rng: random.Random, config: SimConfig) -> TaskSetup:
+    """The goal step of a task's set-up: the ideal, the goal and whether the
+    ideal is removed, with no red herrings yet."""
     ideal = rng.choice(knowledge)
 
     goal_records = _generate_block(
@@ -497,30 +506,35 @@ def initialize_task(
         if rng.random() < config.p_clear:
             del goal[key]
 
-    herrings = _generate_block(
-        backend,
-        RED_HERRING_PROMPT.format(
-            task=schemas.task,
-            schema_block=_knowledge_fields(schemas),
-            goal_block=_goal_block(goal),
-            count=config.red_herring_count,
-        ),
-        _parse_records, TaskInitError, "record",
-    )[: config.red_herring_count]
-    knowledge = knowledge + herrings
-
     ideal_removed = rng.random() < 0.5
     if ideal_removed:
         knowledge = [record for record in knowledge if record != ideal]
-        herrings = [record for record in herrings if record != ideal]
     return TaskSetup(
         schemas=schemas,
         knowledge=knowledge,
         ideal=ideal,
         goal=goal,
-        red_herrings=herrings,
+        red_herrings=[],
         ideal_removed=ideal_removed,
     )
+
+
+def _add_red_herrings(setup: TaskSetup, backend: Backend, config: SimConfig) -> TaskSetup:
+    """The red-herring step of a task's set-up: items like the goal that do
+    not satisfy it, added to the knowledge. It draws no randomness."""
+    herrings = _generate_block(
+        backend,
+        RED_HERRING_PROMPT.format(
+            task=setup.schemas.task,
+            schema_block=_knowledge_fields(setup.schemas),
+            goal_block=_goal_block(setup.goal),
+            count=config.red_herring_count,
+        ),
+        _parse_records, TaskInitError, "record",
+    )[: config.red_herring_count]
+    if setup.ideal_removed:
+        herrings = [record for record in herrings if record != setup.ideal]
+    return replace(setup, knowledge=setup.knowledge + herrings, red_herrings=herrings)
 
 
 def _annotate(
@@ -557,7 +571,7 @@ def _merge_states(older: DialogueState, newer: DialogueState) -> DialogueState:
 
 def simulate_dialogue(
     scenario: ScenarioSpec,
-    setups: Sequence[TaskSetup],
+    setups: Iterable[TaskSetup],
     backend: Backend,
     dialogue_id: str = "d000",
     config: SimConfig = SimConfig(),
@@ -572,9 +586,14 @@ def simulate_dialogue(
     No prompt reads a state, so each annotation runs through
     ``ordered_map`` while the user, agent and end-of-task calls go on; the
     states are merged in turn order once the dialogue ends.
+
+    ``setups`` gives one set-up per task, in task order. Each is read when
+    the dialogue reaches its task, and the rest once the dialogue ends, so
+    it may be an iterator whose later set-ups are still being made: a set-up
+    that failed raises even if the dialogue never reached its task. A count
+    that does not match the tasks raises ValueError.
     """
-    if len(setups) != len(scenario.tasks):
-        raise ValueError("need exactly one TaskSetup per scenario task")
+    per_task = zip(scenario.tasks, setups, strict=True)
     turns: List[Turn] = []
     boundaries: List[int] = []
     termination = TERMINATION_TURN_LIMIT
@@ -583,9 +602,8 @@ def simulate_dialogue(
     def chain():
         """Run the dialogue, yielding (turns so far, setup) after each user turn."""
         nonlocal termination
-        task_index = 0
+        _, setup = next(per_task)
         while len(turns) < config.max_turns and not lost.is_set():
-            setup = setups[task_index]
             user_text = _generate(
                 backend,
                 USER_TURN_PROMPT.format(
@@ -626,10 +644,11 @@ def simulate_dialogue(
             )
             if verdict.strip().lower().startswith("yes"):
                 boundaries.append(len(turns) - 1)
-                task_index += 1
-                if task_index == len(setups):
+                reached = next(per_task, None)
+                if reached is None:
                     termination = TERMINATION_COMPLETED
                     return
+                _, setup = reached
 
     def annotate(job) -> DialogueState:
         try:
@@ -640,6 +659,8 @@ def simulate_dialogue(
 
     with ordered_map(backend) as overlapped:
         states = list(overlapped(annotate, chain()))
+    for _ in per_task:  # the set-ups of the tasks not reached
+        pass
     carried = DialogueState()
     user_turns = [i for i, turn in enumerate(turns) if turn.speaker == USER]
     task_ends = {agent_turn - 1 for agent_turn in boundaries}
@@ -683,49 +704,68 @@ def simulate_corpus(
     Task setups are regenerated per dialogue so each gets fresh goals and
     knowledge. The corpus gold schema is the union of all task slot schemas.
 
-    Scenarios are defined in scenario order, each one's tasks at once, and
-    child seeds are drawn on the calling thread in that order. The dialogues
-    run through ``ordered_map`` while later scenarios are defined, and each
-    fetches its tasks' knowledge lists at once, then draws goals, red
-    herrings and every other use of its seed in task order. The backend
-    keeps at most its ``max_in_flight`` calls in flight across all of these.
+    Every scenario's definition starts at once, each defining its tasks at
+    once, and the definitions are folded in scenario order on the calling
+    thread, which draws each dialogue's seed in that order. A dialogue runs
+    through ``ordered_map`` as soon as its scenario is folded. It fetches
+    its tasks' knowledge lists at once, then takes the goal steps, which
+    make every draw on its seed, in task order. Each red herring runs
+    beside the later goal steps, and the dialogue starts once its first
+    task is set up; a later task's red herrings are awaited only when the
+    dialogue reaches that task. The backend keeps at most its
+    ``max_in_flight`` calls in flight across all of these.
+
     Traces are folded in scenario and dialogue order, so the corpus and the
     report are the same bytes as with one call at a time when the backend's
     replies depend only on the prompt. With one call in flight the calls
     are made in the order of a serial loop, which strict-order scripts rely
-    on.
+    on: a scenario's task definitions, then for each of its dialogues every
+    task's knowledge list, goal and red herrings in task order, then the
+    dialogue's turns, each user turn followed by its annotation; then the
+    next scenario.
     """
     requested = len(scenarios) * dialogues_per_scenario
     histogram: Dict[str, int] = {}
     lost = 0
     dialogues = []
     gold = SlotSchema()
+    one_at_a_time = getattr(backend, "max_in_flight", 1) <= 1
+
+    def define(scenario: ScenarioSpec) -> Optional[List[TaskSchemas]]:
+        try:
+            with ordered_map(backend) as overlapped:
+                return list(overlapped(partial(define_schemas, scenario, backend=backend),
+                                       scenario.tasks))
+        except (SimError, TransportError) as exc:
+            log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
+            return None
 
     def jobs():
         nonlocal lost, gold
-        for scenario in scenarios:
-            define = partial(define_schemas, scenario, backend=backend)
-            try:
-                with ordered_map(backend) as overlapped:
-                    schemas = list(overlapped(define, scenario.tasks))
-            except (SimError, TransportError) as exc:
-                log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
-                lost += dialogues_per_scenario
-                continue
-            for ts in schemas:
-                gold = gold.with_slots(ts.slot_schema)
-            for j in range(dialogues_per_scenario):
-                child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
-                yield scenario, schemas, j, child
+        with ordered_map(backend) as overlapped:
+            for scenario, schemas in zip(scenarios, overlapped(define, scenarios)):
+                if schemas is None:
+                    lost += dialogues_per_scenario
+                    continue
+                for ts in schemas:
+                    gold = gold.with_slots(ts.slot_schema)
+                for j in range(dialogues_per_scenario):
+                    child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
+                    yield scenario, schemas, j, child
 
     def run(job) -> Optional[SimTrace]:
         scenario, schemas, j, child = job
         fetch = partial(_knowledge_list, backend=backend, config=config)
         try:
             with ordered_map(backend) as overlapped:
-                setups = [initialize_task(ts, backend, child, config, knowledge=knowledge)
-                          for ts, knowledge in zip(schemas, overlapped(fetch, schemas))]
-            return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}", config)
+                goals = (_draw_goal(ts, knowledge, backend, child, config)
+                         for ts, knowledge in zip(schemas, overlapped(fetch, schemas)))
+                setups = overlapped(partial(_add_red_herrings, backend=backend, config=config),
+                                    goals)
+                if one_at_a_time:  # a serial loop sets every task up before the turns
+                    setups = list(setups)
+                return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}",
+                                         config)
         except (SimError, TransportError) as exc:
             log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
             return None

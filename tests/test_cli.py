@@ -780,6 +780,20 @@ class TestSimulate:
         assert result.exit_code == code, result.output
         assert f"simulated {2 - lost}/2 dialogues ({lost} lost)" in result.output
 
+    def test_scenario_shortfall_is_requested_and_lost(self, runner, tmp_path):
+        # The scenario reply yields 2 of the 5 scenarios asked for: the other
+        # 3 scenarios' 6 dialogues count against the loss limit.
+        report = tmp_path / "sim_report.json"
+        result = runner.invoke(
+            main,
+            ["simulate", "--config", self._config(tmp_path), "--out", str(tmp_path / "c.json"),
+             "--report", str(report), "--scenarios", "5", "--dialogues-per-scenario", "2"],
+        )
+        assert result.exit_code == 1, result.output
+        assert "simulated 4/10 dialogues (6 lost)" in result.output
+        rep = json.loads(report.read_text())
+        assert (rep["dialogues_requested"], rep["produced"], rep["lost"]) == (10, 4, 6)
+
     @pytest.mark.parametrize("flag", ["--scenarios", "--dialogues-per-scenario"])
     def test_zero_count_flag_is_usage_error(self, runner, tmp_path, flag):
         out = tmp_path / "corpus.json"

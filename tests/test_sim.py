@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import threading
@@ -305,6 +306,27 @@ class TestSimulateDialogue:
     def test_setup_count_must_match_tasks(self):
         with pytest.raises(ValueError):
             simulate_dialogue(GARDEN_SCENARIO, _dual_setups()[:1], _dialogue_backend())
+
+    def test_setups_are_read_as_their_tasks_are_reached(self):
+        backend = Recorder(_dialogue_backend())
+        read = []
+
+        def setups():
+            for setup in _dual_setups():
+                read.append(len(backend.calls))
+                yield setup
+
+        simulate_dialogue(GARDEN_SCENARIO, setups(), backend)
+        assert read == [0, 4]  # the second after the first task's four calls
+
+    def test_a_failed_setup_of_a_task_not_reached_raises(self):
+        def setups():
+            yield _dual_setups()[0]
+            raise TaskInitError("no parseable record block")
+
+        with pytest.raises(TaskInitError):
+            simulate_dialogue(GARDEN_SCENARIO, setups(), _dialogue_backend(end_of_task="no"),
+                              config=SimConfig(max_turns=2))
 
 
 def _corpus_scenarios():
@@ -710,6 +732,167 @@ class TestOverlappedDialogues:
         assert result.exit_code == 2, result.output
         assert "rejected credential" in result.output
         assert server.requests - returned <= HttpBackend.max_in_flight
+
+    def test_later_red_herrings_run_while_the_dialogue_goes_on(self):
+        def second_herrings(prompt):
+            return "similar to the goal" in prompt and "Task: choose tools\n" in prompt
+
+        scenarios = [ScenarioSpec("scenario-000", "A Gardener", "a Florist",
+                                  ("pick plants", "choose tools"),
+                                  "A Gardener is getting help from a Florist in order to "
+                                  "pick plants, choose tools")]
+        gated = _Gated(_corpus_backend(), waits=second_herrings,
+                       sets=lambda prompt: "seeking help" in prompt)
+        corpus, report = simulate_corpus(scenarios, 1, gated, random.Random(11))
+        serial = simulate_corpus(scenarios, 1, _corpus_backend(), random.Random(11))
+        assert report.produced == 1
+        assert (corpus_to_obj(corpus), report) == (corpus_to_obj(serial[0]), serial[1])
+
+    def test_every_scenario_is_defined_at_once(self):
+        gated = _Gated(_corpus_backend(),
+                       waits=lambda prompt: "Task: pick plants\nList the types" in prompt,
+                       sets=lambda prompt: "Task: choose tools\nList the types" in prompt)
+        _, report = simulate_corpus(_corpus_scenarios(), 2, gated, random.Random(11))
+        assert report.produced == 4
+
+    @pytest.mark.parametrize("error", [None, TransportError("reset after retries")],
+                             ids=["never-parses", "transport"])
+    def test_failed_later_red_herrings_lose_only_their_dialogue(self, error):
+        # The second task of scenario-001 fails its red herrings once the
+        # dialogue's first user turn was sent; one dialogue per scenario.
+        scenarios = _visitor_scenarios([["pick plants"], ["choose tools", "book rooms"],
+                                        ["pick plants", "choose tools"]])
+
+        def failing():
+            return _FailingHerrings("Task: book rooms\n", error)
+
+        gated = _Gated(failing(),
+                       waits=lambda prompt: "similar to the goal" in prompt
+                       and "Task: book rooms\n" in prompt,
+                       sets=lambda prompt: "You are Visitor 1, seeking help" in prompt)
+        clean = _corpus_bytes(scenarios, 1, PromptPure(1), 2)
+        serial = _corpus_bytes(scenarios, 1, failing(), 2)
+        assert _corpus_bytes(scenarios, 1, gated, 2) == serial
+        kept = [d for d in json.loads(clean[0])["dialogues"] if d["scenario_id"] != "scenario-001"]
+        assert len(kept) == len(json.loads(clean[0])["dialogues"]) - 1
+        assert json.loads(serial[0])["dialogues"] == kept
+        assert json.loads(serial[1])["lost"] == json.loads(clean[1])["lost"] + 1
+
+    def test_auth_error_in_red_herrings_propagates_without_waiting(self):
+        # As for the knowledge lists above: the first dialogue's red herrings
+        # are refused while the others hang.
+        n = 12
+        scenarios = _scenarios([[f"task {i:02d}"] for i in range(n)])
+        hanging, release = threading.Semaphore(0), threading.Event()
+        state = {"started": 0, "in_flight": 0}
+
+        class HangingHerrings(PromptPure):
+            def generate(self, request):
+                if "Fill in user preferences" in request.prompt:
+                    return fence("color = Pink\nsize = large")  # no goal is poisoned
+                if "similar to the goal" in request.prompt:
+                    with self._lock:
+                        state["started"] += 1
+                    if "Task: task 00\n" in request.prompt:
+                        assert hanging.acquire(timeout=10)  # another call is in flight
+                        raise AuthError("credential expired")
+                    with self._lock:
+                        state["in_flight"] += 1
+                    hanging.release()
+                    release.wait(timeout=10)
+                    with self._lock:
+                        state["in_flight"] -= 1
+                return super().generate(request)
+
+        try:
+            with pytest.raises(AuthError):
+                simulate_corpus(scenarios, 1, HangingHerrings(4), random.Random(0),
+                                config=_SIM_CONFIG)
+            assert state["in_flight"] >= 1
+        finally:
+            release.set()
+        _settle(state)
+        assert state["started"] < n // 2  # the dialogues not started were cancelled
+
+    def test_worker_threads_stay_within_the_stated_bound(self):
+        # Hold a run at its widest: four scenarios' definitions of four tasks
+        # each, and the four dialogues of the first scenario, each with four
+        # knowledge lists and four annotations outstanding. The backend
+        # starts no threads of its own.
+        n = 4
+        bound = n * (3 * n + 2)
+        scenarios = _scenarios([["pick plants", "choose tools", "book rooms", "plan meals"]]
+                               + [[f"task {i}{c}" for c in "abcd"] for i in range(1, 5)])
+        class Widest(PromptPure):
+            def generate(self, request):
+                prompt = request.prompt
+                if "Answer yes or no" in prompt:
+                    return "no"
+                if "Fill in user preferences" in prompt:
+                    return fence("color = Pink\nsize = large")
+                gate = ("definitions" if "List the types" in prompt and "Task: task " in prompt
+                        else "annotations" if "Record the preferences" in prompt else None)
+                if gate:
+                    with self._lock:
+                        held[gate] += 1
+                        if held == {"definitions": n * n, "annotations": n * n}:
+                            widest.append(threading.active_count() - before)
+                            release.set()
+                    if not release.wait(timeout=10):
+                        release.set()
+                return super().generate(request)
+
+        release, widest = threading.Event(), []
+        held = {"definitions": 0, "annotations": 0}
+        before = threading.active_count()
+        _, report = simulate_corpus(scenarios, n, Widest(n), random.Random(0), config=_SIM_CONFIG)
+        assert widest and widest[0] <= bound
+        assert report.produced == len(scenarios) * n
+
+
+class _Gated:
+    """Wraps a backend and sets ``max_in_flight`` 4. A call whose prompt
+    ``waits`` accepts returns only once a call whose prompt ``sets`` accepts
+    has arrived; after 10 s it fails instead."""
+
+    max_in_flight = 4
+
+    def __init__(self, inner, waits, sets):
+        self.inner, self.waits, self.sets = inner, waits, sets
+        self._arrived = threading.Event()
+
+    def generate(self, request):
+        if self.sets(request.prompt):
+            self._arrived.set()
+        if self.waits(request.prompt):
+            assert self._arrived.wait(timeout=10), "the call it waits on never came"
+        return self.inner.generate(request)
+
+
+def _visitor_scenarios(task_lists):
+    """Like ``_scenarios``, but the user of scenario i is Visitor i, so its
+    user-turn prompts name it."""
+    return [
+        ScenarioSpec(f"scenario-{i:03d}", f"Visitor {i}", "a Guide", tuple(tasks),
+                     f"Visitor {i} is getting help from a Guide in order to {', '.join(tasks)}")
+        for i, tasks in enumerate(task_lists)
+    ]
+
+
+class _FailingHerrings(PromptPure):
+    """Fails every red-herring call whose prompt holds ``marker``: with
+    ``error``, or with a reply that never parses when ``error`` is None."""
+
+    def __init__(self, marker, error):
+        super().__init__(1)
+        self.marker, self.error = marker, error
+
+    def generate(self, request):
+        if "similar to the goal" in request.prompt and self.marker in request.prompt:
+            if self.error is not None:
+                raise self.error
+            return "garbled, no fence"
+        return super().generate(request)
 
 
 class _FailingAnnotations(PromptPure):

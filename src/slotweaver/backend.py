@@ -99,13 +99,7 @@ def ordered_map(backend: Backend) -> Iterator[Callable]:
 
     This only orders results: the backend bounds its own calls in flight,
     so uses may nest, and the input may be a generator that makes calls of
-    its own. Each use starts at most ``n`` workers. The simulator makes two
-    uses side by side: one defines the scenarios, each of which defines its
-    tasks in a use of its own, and one runs the dialogues, each of which
-    makes one use for its knowledge lists and red herrings and one for its
-    annotations. So it runs at most ``(n + n × n) + (n + n × 2n) =
-    n × (3n + 2)`` workers at a time (56 at n = 4), not counting calls left
-    running by a use that raised.
+    its own. Each use starts at most ``n`` workers.
     """
     in_flight = getattr(backend, "max_in_flight", 1)
     if in_flight <= 1:

@@ -48,7 +48,7 @@ class InvalidGold(ValueError):
     """The gold side is empty or unusable."""
 
 
-class UnknownScenario(KeyError):
+class UnknownScenario(ValueError):
     """Predictions reference a dialogue/scenario absent from the gold corpus."""
 
 
@@ -295,18 +295,23 @@ def _decided_key(where: str, slot) -> SlotKey:
 def load_human_mapping(path) -> SlotMapping:
     """Load a human decisions file: each predicted slot maps to a gold slot
     or an explicit null for "no match". A file that is not a JSON object
-    with a ``decisions`` list of such entries is a CorpusFormatError naming
-    the file and, for a bad entry, its index."""
+    with a ``decisions`` list of such entries, or that decides a predicted
+    slot twice, is a CorpusFormatError naming the file and, for a bad entry,
+    its index."""
     obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("decisions"), list):
         raise CorpusFormatError(f"{path}: no 'decisions' list")
     pairs = []
     unmatched = []
+    decided = set()
     for i, decision in enumerate(obj["decisions"]):
         where = f"{path}: decisions[{i}]"
         if not isinstance(decision, dict):
             raise CorpusFormatError(f"{where}: not an object")
         predicted = _decided_key(f"{where}.predicted", decision.get("predicted"))
+        if predicted in decided:
+            raise CorpusFormatError(f"{where}.predicted: {predicted} decided twice")
+        decided.add(predicted)
         if decision.get("gold") is None:
             unmatched.append(predicted)
         else:

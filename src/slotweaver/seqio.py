@@ -494,8 +494,14 @@ def corpus_from_obj(obj: dict) -> CorpusFile:
     gold = obj.get("gold_schema")
     gold_schema = None if gold is None else schema_from_obj(gold)
     dialogues = []
+    first_index: Dict[str, int] = {}
     for i, d in enumerate(obj["dialogues"]):
         _check_fields(d, _DIALOGUE_FIELDS, f"dialogues[{i}]")
+        first = first_index.setdefault(d["id"], i)
+        if first != i:
+            raise CorpusFormatError(
+                f"dialogues[{i}]: id {d['id']!r} repeats that of dialogues[{first}]"
+            )
         turns = []
         for j, t in enumerate(d["turns"]):
             try:

@@ -8,10 +8,10 @@ knowledge base, so the two must converse to exchange information.
 Each dialogue is a chain of dependent calls, but dialogues do not depend on
 each other: ``simulate_corpus`` overlaps them up to the backend's
 ``max_in_flight`` and assembles the corpus in scenario and dialogue order.
-Calls that nothing in the chain waits on come off it: every scenario and
-each of its tasks is defined at once, a dialogue's knowledge lists are
-fetched at once, each task's red herrings run beside the later tasks' goals
-and the dialogue's turns, and each user turn's state annotation runs while
+Calls that nothing in the chain waits on come off it, onto one pool for the
+run: every scenario's tasks are defined at once, a dialogue's knowledge lists
+are fetched at once, and each task's red herrings run beside the later tasks'
+goals and the dialogue's turns. Each user turn's state annotation runs while
 the dialogue goes on. All of these overlaps go through ``ordered_map``, so
 with one call in flight the calls are made in the order of a serial loop.
 """
@@ -704,16 +704,18 @@ def simulate_corpus(
     Task setups are regenerated per dialogue so each gets fresh goals and
     knowledge. The corpus gold schema is the union of all task slot schemas.
 
-    Every scenario's definition starts at once, each defining its tasks at
-    once, and the definitions are folded in scenario order on the calling
-    thread, which draws each dialogue's seed in that order. A dialogue runs
-    through ``ordered_map`` as soon as its scenario is folded. It fetches
-    its tasks' knowledge lists at once, then takes the goal steps, which
-    make every draw on its seed, in task order. Each red herring runs
-    beside the later goal steps, and the dialogue starts once its first
-    task is set up; a later task's red herrings are awaited only when the
-    dialogue reaches that task. The backend keeps at most its
-    ``max_in_flight`` calls in flight across all of these.
+    Every task of every scenario is defined at once, and the definitions are
+    folded in scenario order on the calling thread, which draws each
+    dialogue's seed in that order. A dialogue's set-up begins as soon as its
+    scenario is folded: it fetches its tasks' knowledge lists at once, then
+    takes the goal steps, which make every draw on its seed, in task order.
+    Each red herring runs beside the later goal steps, and the dialogue
+    starts once its first task is set up; a later task's red herrings are
+    awaited only when the dialogue reaches that task. These off-chain calls
+    share one ``ordered_map`` use for the run, beside the one that runs the
+    dialogues, so with ``n`` calls in flight the run holds at most ``n``
+    off-chain workers and ``n`` dialogues, each with ``n`` annotation
+    workers: ``n × (n + 2)`` in all (24 at n = 4).
 
     Traces are folded in scenario and dialogue order, so the corpus and the
     report are the same bytes as with one call at a time when the backend's
@@ -731,46 +733,42 @@ def simulate_corpus(
     gold = SlotSchema()
     one_at_a_time = getattr(backend, "max_in_flight", 1) <= 1
 
-    def define(scenario: ScenarioSpec) -> Optional[List[TaskSchemas]]:
-        try:
-            with ordered_map(backend) as overlapped:
-                return list(overlapped(partial(define_schemas, scenario, backend=backend),
-                                       scenario.tasks))
-        except (SimError, TransportError) as exc:
-            log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
-            return None
-
     def jobs():
         nonlocal lost, gold
-        with ordered_map(backend) as overlapped:
-            for scenario, schemas in zip(scenarios, overlapped(define, scenarios)):
-                if schemas is None:
-                    lost += dialogues_per_scenario
-                    continue
-                for ts in schemas:
-                    gold = gold.with_slots(ts.slot_schema)
-                for j in range(dialogues_per_scenario):
-                    child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
-                    yield scenario, schemas, j, child
+        definitions = [side(partial(define_schemas, scenario, backend=backend), scenario.tasks)
+                       for scenario in scenarios]
+        for scenario, defined in zip(scenarios, definitions):
+            try:
+                schemas = list(defined)
+            except (SimError, TransportError) as exc:
+                log.warning("scenario %s schema definition failed: %s", scenario.id, exc)
+                lost += dialogues_per_scenario
+                continue
+            for ts in schemas:
+                gold = gold.with_slots(ts.slot_schema)
+            for j in range(dialogues_per_scenario):
+                child = random.Random(f"{rng.random()}:{scenario.id}:{j}")
+                yield scenario, schemas, j, child
 
     def run(job) -> Optional[SimTrace]:
         scenario, schemas, j, child = job
         fetch = partial(_knowledge_list, backend=backend, config=config)
         try:
-            with ordered_map(backend) as overlapped:
-                goals = (_draw_goal(ts, knowledge, backend, child, config)
-                         for ts, knowledge in zip(schemas, overlapped(fetch, schemas)))
-                setups = overlapped(partial(_add_red_herrings, backend=backend, config=config),
-                                    goals)
-                if one_at_a_time:  # a serial loop sets every task up before the turns
-                    setups = list(setups)
-                return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}",
-                                         config)
+            goals = (_draw_goal(ts, knowledge, backend, child, config)
+                     for ts, knowledge in zip(schemas, side(fetch, schemas)))
+            setups = side(partial(_add_red_herrings, backend=backend, config=config), goals)
+            if one_at_a_time:  # a serial loop sets every task up before the turns
+                setups = list(setups)
+            return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}",
+                                     config)
         except (SimError, TransportError) as exc:
             log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
             return None
 
-    with ordered_map(backend) as overlapped:
+    # Two pools: a dialogue waits on its off-chain calls, so if they shared
+    # the dialogues' bounded pool, dialogues could hold every worker while
+    # the calls they wait on sit queued. The off-chain calls wait on nothing.
+    with ordered_map(backend) as side, ordered_map(backend) as overlapped:
         for trace in overlapped(run, jobs()):
             if trace is None:
                 lost += 1

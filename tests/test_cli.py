@@ -481,8 +481,11 @@ class TestEvaluate:
         ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}, "gold": {"name": "c"}}]}',
          "decisions[0].gold: needs a 'domain' and a 'name' string"),
         (b"\xff\xfe{}", "not UTF-8 text"),
+        ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}, "gold": null}, '
+         '{"predicted": {"domain": "A", "name": "b "}, "gold": {"domain": "a", "name": "c"}}]}',
+         "decisions[1].predicted: a/b decided twice"),
     ], ids=["no-decisions", "not-json", "no-name", "blank-name", "entry-not-object",
-            "gold-no-domain", "not-utf8"])
+            "gold-no-domain", "not-utf8", "decided-twice"])
     def test_malformed_human_mapping_is_config_error(self, runner, tmp_path, text, message):
         gold, states = self._tiny_fixture(tmp_path)
         mapping = tmp_path / "mapping.json"
@@ -506,6 +509,7 @@ class TestEvaluate:
             main, ["evaluate", "--predictions", str(states), "--gold", str(gold)]
         )
         assert result.exit_code == 1
+        assert result.stderr == "error: dialogue 'ghost' not present in gold corpus\n"
 
     def test_missing_file_is_usage_error(self, runner):
         result = runner.invoke(

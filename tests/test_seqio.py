@@ -304,6 +304,14 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
 
+    def test_repeated_dialogue_id_rejected(self):
+        obj = corpus_to_obj(CorpusFile(
+            (make_dialogue("d0", 1), make_dialogue("d1", 1), make_dialogue("d2", 1)), None))
+        obj["dialogues"][2]["id"] = "d0"
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape("dialogues[2]: id 'd0' repeats that of dialogues[0]")):
+            corpus_from_obj(obj)
+
     def test_canonical_serialization_stable(self, tmp_path):
         corpus = _gold_corpus()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

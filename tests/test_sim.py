@@ -815,39 +815,46 @@ class TestOverlappedDialogues:
         assert state["started"] < n // 2  # the dialogues not started were cancelled
 
     def test_worker_threads_stay_within_the_stated_bound(self):
-        # Hold a run at its widest: four scenarios' definitions of four tasks
-        # each, and the four dialogues of the first scenario, each with four
-        # knowledge lists and four annotations outstanding. The backend
+        # Hold a run at its widest: four dialogues, each with its second
+        # task's red herrings and four annotations outstanding. That is n
+        # off-chain calls and n * n annotations, each on a worker of its own,
+        # while the n dialogues wait on them. Nothing is let go before that
+        # shape is held, so a run that never reaches it fails. The backend
         # starts no threads of its own.
         n = 4
-        bound = n * (3 * n + 2)
-        scenarios = _scenarios([["pick plants", "choose tools", "book rooms", "plan meals"]]
-                               + [[f"task {i}{c}" for c in "abcd"] for i in range(1, 5)])
+        bound = n * (n + 2)
+        shape = {"herrings": n, "annotations": n * n}
+        scenarios = _scenarios([["pick plants", "choose tools"]])
+
         class Widest(PromptPure):
             def generate(self, request):
                 prompt = request.prompt
                 if "Answer yes or no" in prompt:
-                    return "no"
+                    return "no"  # four user turns in the first task, then the turn limit
                 if "Fill in user preferences" in prompt:
                     return fence("color = Pink\nsize = large")
-                gate = ("definitions" if "List the types" in prompt and "Task: task " in prompt
+                gate = ("herrings" if "similar to the goal" in prompt
+                        and "Task: choose tools\n" in prompt
                         else "annotations" if "Record the preferences" in prompt else None)
                 if gate:
                     with self._lock:
                         held[gate] += 1
-                        if held == {"definitions": n * n, "annotations": n * n}:
+                        if held == shape:
                             widest.append(threading.active_count() - before)
                             release.set()
-                    if not release.wait(timeout=10):
-                        release.set()
+                    assert release.wait(timeout=10), f"the widest shape never came: {held}"
                 return super().generate(request)
 
         release, widest = threading.Event(), []
-        held = {"definitions": 0, "annotations": 0}
+        held = {"herrings": 0, "annotations": 0}
         before = threading.active_count()
-        _, report = simulate_corpus(scenarios, n, Widest(n), random.Random(0), config=_SIM_CONFIG)
-        assert widest and widest[0] <= bound
-        assert report.produced == len(scenarios) * n
+        try:
+            _, report = simulate_corpus(scenarios, n, Widest(n), random.Random(0),
+                                        config=_SIM_CONFIG)
+        finally:
+            release.set()
+        assert len(widest) == 1 and widest[0] <= bound
+        assert report.produced == n
 
 
 class _Gated:

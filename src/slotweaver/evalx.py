@@ -49,7 +49,8 @@ class InvalidGold(ValueError):
 
 
 class UnknownScenario(ValueError):
-    """Predictions reference a dialogue/scenario absent from the gold corpus."""
+    """Predictions name a dialogue, or a user turn of one, that the gold
+    corpus lacks."""
 
 
 class IncompleteMapping(ValueError):
@@ -255,6 +256,7 @@ def evaluate_run(
     if gold_corpus.gold_schema is None:
         raise InvalidGold("gold corpus has no gold schema")
     dialogue_scenario = {d.id: d.scenario_id for d in gold_corpus.dialogues}
+    user_turns = {d.id: frozenset(d.user_turn_indices()) for d in gold_corpus.dialogues}
     dialogues_by_scenario: Dict[str, list] = {}
     for d in gold_corpus.dialogues:
         dialogues_by_scenario.setdefault(d.scenario_id, []).append(d)
@@ -262,6 +264,9 @@ def evaluate_run(
     for entry in state_log:
         if entry.dialogue_id not in dialogue_scenario:
             raise UnknownScenario(f"dialogue {entry.dialogue_id!r} not present in gold corpus")
+        if entry.turn_index not in user_turns[entry.dialogue_id]:
+            raise UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
+                                  "is not a user turn in gold corpus")
         entries_by_scenario[dialogue_scenario[entry.dialogue_id]].append(entry)
 
     per_scenario = {}

@@ -470,7 +470,7 @@ class StateLogEntry:
 def corpus_to_obj(corpus: CorpusFile) -> dict:
     return {
         "format_version": corpus.format_version,
-        "gold_schema": schema_to_obj(corpus.gold_schema) if corpus.gold_schema else None,
+        "gold_schema": None if corpus.gold_schema is None else schema_to_obj(corpus.gold_schema),
         "dialogues": [
             {
                 "id": d.id,
@@ -627,8 +627,20 @@ def save_corpus(corpus: CorpusFile, path) -> None:
 
 
 def load_state_log(path) -> List[StateLogEntry]:
-    """A ``states.jsonl`` state log: one StateLogEntry object per line."""
-    return load_json_lines(path, StateLogEntry.from_obj)
+    """A ``states.jsonl`` state log: one StateLogEntry object per line. A
+    log holds at most one entry per (dialogue id, turn)."""
+    logged = set()
+
+    def entry(obj) -> StateLogEntry:
+        parsed = StateLogEntry.from_obj(obj)
+        position = (parsed.dialogue_id, parsed.turn_index)
+        if position in logged:
+            raise ValueError(f"dialogue {parsed.dialogue_id!r} turn {parsed.turn_index} "
+                             "logged twice")
+        logged.add(position)
+        return parsed
+
+    return load_json_lines(path, entry)
 
 
 # ---------------------------------------------------------------------------

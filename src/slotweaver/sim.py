@@ -11,9 +11,11 @@ each other: ``simulate_corpus`` overlaps them up to the backend's
 Calls that nothing in the chain waits on come off it, onto one pool for the
 run: every scenario's tasks are defined at once, a dialogue's knowledge lists
 are fetched at once, and each task's red herrings run beside the later tasks'
-goals and the dialogue's turns. Each user turn's state annotation runs while
-the dialogue goes on. All of these overlaps go through ``ordered_map``, so
-with one call in flight the calls are made in the order of a serial loop.
+goals and the dialogue's turns. Each user turn's state annotation runs on
+that pool too, while the dialogue goes on. So with ``n`` calls in flight a run
+holds at most ``2n`` workers: ``n`` dialogues and ``n`` off-chain calls. All
+of these overlaps go through ``ordered_map``, so with one call in flight the
+calls are made in the order of a serial loop.
 """
 
 from __future__ import annotations
@@ -575,6 +577,7 @@ def simulate_dialogue(
     backend: Backend,
     dialogue_id: str = "d000",
     config: SimConfig = SimConfig(),
+    overlap: Callable = map,
 ) -> SimTrace:
     """Simulate one dialogue across the scenario's tasks.
 
@@ -583,9 +586,14 @@ def simulate_dialogue(
     turn against the active task's schema, carrying completed tasks' final
     states forward.
 
-    No prompt reads a state, so each annotation runs through
-    ``ordered_map`` while the user, agent and end-of-task calls go on; the
-    states are merged in turn order once the dialogue ends.
+    No prompt reads a state, so the annotations run through ``overlap``, a
+    ``map`` that yields results in input order: ``simulate_corpus`` passes
+    the run's off-chain map, which runs them while the user, agent and
+    end-of-task calls go on. The default, the builtin ``map``, annotates
+    each user turn before the dialogue goes on, one call at a time, as a
+    standalone caller wants. An annotation that raises ends the dialogue at
+    its next turn. The states are merged in turn order once the dialogue
+    ends.
 
     ``setups`` gives one set-up per task, in task order. Each is read when
     the dialogue reaches its task, and the rest once the dialogue ends, so
@@ -657,8 +665,7 @@ def simulate_dialogue(
             lost.set()
             raise
 
-    with ordered_map(backend) as overlapped:
-        states = list(overlapped(annotate, chain()))
+    states = list(overlap(annotate, chain()))
     for _ in per_task:  # the set-ups of the tasks not reached
         pass
     carried = DialogueState()
@@ -712,10 +719,10 @@ def simulate_corpus(
     Each red herring runs beside the later goal steps, and the dialogue
     starts once its first task is set up; a later task's red herrings are
     awaited only when the dialogue reaches that task. These off-chain calls
-    share one ``ordered_map`` use for the run, beside the one that runs the
-    dialogues, so with ``n`` calls in flight the run holds at most ``n``
-    off-chain workers and ``n`` dialogues, each with ``n`` annotation
-    workers: ``n × (n + 2)`` in all (24 at n = 4).
+    and every dialogue's annotations share one ``ordered_map`` use for the
+    run, beside the one that runs the dialogues, so with ``n`` calls in
+    flight the run holds at most ``n`` off-chain workers and ``n``
+    dialogues: ``2n`` in all (8 at n = 4).
 
     Traces are folded in scenario and dialogue order, so the corpus and the
     report are the same bytes as with one call at a time when the backend's
@@ -760,14 +767,15 @@ def simulate_corpus(
             if one_at_a_time:  # a serial loop sets every task up before the turns
                 setups = list(setups)
             return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}",
-                                     config)
+                                     config, side)
         except (SimError, TransportError) as exc:
             log.warning("dialogue %s/%d failed: %s", scenario.id, j, exc)
             return None
 
     # Two pools: a dialogue waits on its off-chain calls, so if they shared
     # the dialogues' bounded pool, dialogues could hold every worker while
-    # the calls they wait on sit queued. The off-chain calls wait on nothing.
+    # the calls they wait on sit queued. The off-chain calls, annotations
+    # among them, wait on nothing, so their pool always drains.
     with ordered_map(backend) as side, ordered_map(backend) as overlapped:
         for trace in overlapped(run, jobs()):
             if trace is None:

@@ -511,6 +511,19 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert result.stderr == "error: dialogue 'ghost' not present in gold corpus\n"
 
+    @pytest.mark.parametrize("turn", [1, 99], ids=["agent-turn", "no-such-turn"])
+    def test_entry_off_a_user_turn_is_pipeline_error(self, runner, tmp_path, turn):
+        states = tmp_path / "states.jsonl"
+        extra = json.dumps({"dialogue_id": "d00", "turn": turn,
+                            "state": {"garden layouts": {"style": "desert"}}})
+        states.write_text((GOLDEN / "states.jsonl").read_text() + extra + "\n")
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(states), "--gold", str(DATA / "corpus.json")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (f"error: dialogue 'd00' turn {turn} is not a user turn "
+                                 "in gold corpus\n")
+
     def test_missing_file_is_usage_error(self, runner):
         result = runner.invoke(
             main,
@@ -529,6 +542,7 @@ class TestEvaluate:
         ('{"dialogue_id": "d00", "turn": true, "state": {}}', "'turn' must be an integer, got bool"),
         ('{"dialogue_id": "d00", "turn": 0, "state": {}, "dialogue_index": "0"}',
          "'dialogue_index' must be an integer or null, got str"),
+        ('{"dialogue_id": "d00", "turn": 2, "state": {}}', "dialogue 'd00' turn 2 logged twice"),
     ])
     def test_malformed_state_log_line_names_file_and_line(
         self, runner, tmp_path, bad_line, message

@@ -284,6 +284,14 @@ class TestCorpusIO:
         save_corpus(corpus, path)
         assert load_corpus(path) == corpus
 
+    def test_empty_gold_schema_round_trip(self, tmp_path):
+        # simulate writes this when every scenario is lost: an empty schema, not none
+        corpus = CorpusFile((), SlotSchema())
+        path = tmp_path / "c.json"
+        save_corpus(corpus, path)
+        assert json.loads(path.read_text())["gold_schema"] == {"domains": []}
+        assert load_corpus(path) == corpus
+
     def test_gold_state_outside_schema_rejected(self):
         schema = SlotSchema((SlotDef(key("hotel", "area")),))
         d = make_dialogue(
@@ -398,8 +406,9 @@ class TestStateLogEntry:
         path = tmp_path / "states.jsonl"
         path.write_text("\n".join([
             json.dumps(entry),
-            json.dumps({**entry, "new_slot_descriptions": {"hotel/area": "the part of town"}}),
-            json.dumps({**entry, "new_slot_descriptions": {"hotel/gone": description}}),
+            json.dumps({**entry, "turn": 2,
+                        "new_slot_descriptions": {"hotel/area": "the part of town"}}),
+            json.dumps({**entry, "turn": 4, "new_slot_descriptions": {"hotel/gone": description}}),
         ]) + "\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError) as caught:
             seqio.load_state_log(path)

@@ -675,8 +675,9 @@ class TestOverlappedDialogues:
 
     def test_http_backend_keeps_its_budget_across_every_overlap(self):
         # Later scenarios are defined while dialogues run, and each dialogue
-        # fetches its knowledge lists and annotates its turns on workers of
-        # its own; the endpoint never holds more than the backend's budget.
+        # fetches its knowledge lists and annotates its turns on the run's
+        # off-chain workers; the endpoint never holds more than the backend's
+        # budget.
         def reply(prompt):  # no goal is poisoned, so every dialogue runs its whole chain
             if "Fill in user preferences" in prompt:
                 return fence("color = Pink\nsize = large")
@@ -815,15 +816,15 @@ class TestOverlappedDialogues:
         assert state["started"] < n // 2  # the dialogues not started were cancelled
 
     def test_worker_threads_stay_within_the_stated_bound(self):
-        # Hold a run at its widest: four dialogues, each with its second
-        # task's red herrings and four annotations outstanding. That is n
-        # off-chain calls and n * n annotations, each on a worker of its own,
-        # while the n dialogues wait on them. Nothing is let go before that
-        # shape is held, so a run that never reaches it fails. The backend
-        # starts no threads of its own.
+        # Hold a run at its widest: n dialogues running while n off-chain
+        # calls are held, one later task's red herrings and n - 1 annotations.
+        # Off-chain calls beyond that shape pass. Nothing held is let go
+        # before the shape is held, so a run that never reaches it fails.
+        # The backend starts no threads of its own. Defining the two tasks at
+        # once took two off-chain workers, so a run that put the annotations
+        # on workers of their own would hold more than 2n here.
         n = 4
-        bound = n * (n + 2)
-        shape = {"herrings": n, "annotations": n * n}
+        shape = {"herrings": 1, "annotations": n - 1}
         scenarios = _scenarios([["pick plants", "choose tools"]])
 
         class Widest(PromptPure):
@@ -836,12 +837,14 @@ class TestOverlappedDialogues:
                 gate = ("herrings" if "similar to the goal" in prompt
                         and "Task: choose tools\n" in prompt
                         else "annotations" if "Record the preferences" in prompt else None)
-                if gate:
-                    with self._lock:
+                with self._lock:
+                    hold = gate is not None and held[gate] < shape[gate]
+                    if hold:
                         held[gate] += 1
                         if held == shape:
                             widest.append(threading.active_count() - before)
                             release.set()
+                if hold:
                     assert release.wait(timeout=10), f"the widest shape never came: {held}"
                 return super().generate(request)
 
@@ -853,7 +856,7 @@ class TestOverlappedDialogues:
                                         config=_SIM_CONFIG)
         finally:
             release.set()
-        assert len(widest) == 1 and widest[0] <= bound
+        assert len(widest) == 1 and widest[0] <= 2 * n
         assert report.produced == n
 
 

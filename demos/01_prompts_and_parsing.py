@@ -11,7 +11,7 @@ from slotweaver.core import (
     Turn,
     canonical_slot_key,
 )
-from slotweaver.seqio import StateMode, parse_state_block, render_prompt
+from slotweaver.seqio import parse_state_block, render_prompt
 
 schema = SlotSchema(
     (
@@ -32,7 +32,7 @@ dialogue = Dialogue(
     ),
 )
 
-prompt = render_prompt(schema, dialogue, upto_turn=2, mode=StateMode.STATE)
+prompt = render_prompt(schema, dialogue, upto_turn=2)
 print("=== prompt sent to the model ===")
 print(prompt)
 

@@ -310,17 +310,15 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), required=True)
 @click.option("--mode", type=click.Choice([m.value for m in StateMode]), default="state")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.option("--revision", is_flag=True, default=False)
 @click.option("--noisy-log", "noisy_path", type=click.Path(exists=True), default=None,
-              help="Prior run's state log for revision pair construction.")
+              help="Prior run's state log; emit schema revision pairs from it.")
 @click.option("--seed", type=int, default=0)
-def make_train_data(corpus_path, mode, out_path, revision, noisy_path, seed):
-    """Emit JSON-lines (prompt, target) training pairs."""
+def make_train_data(corpus_path, mode, out_path, noisy_path, seed):
+    """Emit JSON-lines (prompt, target) training pairs: DST pairs, or
+    schema revision pairs when a noisy state log is given."""
     try:
         corpus = seqio.load_corpus(corpus_path)
-        if revision:
-            if not noisy_path:
-                _fail("--revision requires --noisy-log", EXIT_CONFIG)
+        if noisy_path:
             noisy = seqio.load_state_log(noisy_path)
             pairs = refine.build_revision_pairs(corpus, noisy, seed)
         else:

@@ -339,12 +339,6 @@ class Dialogue:
     def user_turn_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.turns) if t.speaker == USER)
 
-    def last_user_turn_index(self) -> int:
-        indices = self.user_turn_indices()
-        if not indices:
-            raise ValueError(f"dialogue {self.id} has no user turns")
-        return indices[-1]
-
 
 def schema_update(
     prev: SlotSchema, state: DialogueState, discovered_at: Provenance = GOLD

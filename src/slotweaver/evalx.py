@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .core import Dialogue, InvalidSlotName, SlotKey, canonical_slot_key
-from .seqio import CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns, load_json
+from .seqio import (CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns,
+                    load_json, tracked_turns)
 
 __all__ = [
     "ValuedSlot",
@@ -50,7 +51,7 @@ class InvalidGold(ValueError):
 
 class UnknownScenario(ValueError):
     """Predictions name a dialogue, or a user turn of one, that the gold
-    corpus lacks."""
+    corpus lacks or the evaluated mode does not track."""
 
 
 class IncompleteMapping(ValueError):
@@ -252,11 +253,13 @@ def evaluate_run(
     mode: StateMode,
 ) -> MetricReport:
     """Score a run's state log against a gold corpus, macro-averaged across
-    scenarios."""
+    scenarios. An entry at a dialogue, or a turn of one, that the corpus
+    lacks or that ``mode`` does not track raises UnknownScenario."""
     if gold_corpus.gold_schema is None:
         raise InvalidGold("gold corpus has no gold schema")
     dialogue_scenario = {d.id: d.scenario_id for d in gold_corpus.dialogues}
     user_turns = {d.id: frozenset(d.user_turn_indices()) for d in gold_corpus.dialogues}
+    tracked = {d.id: frozenset(tracked_turns(d, mode)) for d in gold_corpus.dialogues}
     dialogues_by_scenario: Dict[str, list] = {}
     for d in gold_corpus.dialogues:
         dialogues_by_scenario.setdefault(d.scenario_id, []).append(d)
@@ -267,6 +270,9 @@ def evaluate_run(
         if entry.turn_index not in user_turns[entry.dialogue_id]:
             raise UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
                                   "is not a user turn in gold corpus")
+        if entry.turn_index not in tracked[entry.dialogue_id]:
+            raise UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
+                                  f"is not tracked in {mode.value} mode")
         entries_by_scenario[dialogue_scenario[entry.dialogue_id]].append(entry)
 
     per_scenario = {}
@@ -300,9 +306,9 @@ def _decided_key(where: str, slot) -> SlotKey:
 def load_human_mapping(path) -> SlotMapping:
     """Load a human decisions file: each predicted slot maps to a gold slot
     or an explicit null for "no match". A file that is not a JSON object
-    with a ``decisions`` list of such entries, or that decides a predicted
-    slot twice, is a CorpusFormatError naming the file and, for a bad entry,
-    its index."""
+    with a ``decisions`` list of such entries, that omits a ``gold``, or
+    that decides a predicted slot twice, is a CorpusFormatError naming the
+    file and, for a bad entry, its index."""
     obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("decisions"), list):
         raise CorpusFormatError(f"{path}: no 'decisions' list")
@@ -317,7 +323,9 @@ def load_human_mapping(path) -> SlotMapping:
         if predicted in decided:
             raise CorpusFormatError(f"{where}.predicted: {predicted} decided twice")
         decided.add(predicted)
-        if decision.get("gold") is None:
+        if "gold" not in decision:
+            raise CorpusFormatError(f"{where}: needs a 'gold' slot or null")
+        if decision["gold"] is None:
             unmatched.append(predicted)
         else:
             pairs.append((predicted, _decided_key(f"{where}.gold", decision["gold"])))

@@ -36,11 +36,9 @@ __all__ = [
     "SchemaOverflowError",
     "run_induction",
     "run_two_pass",
-    "CONTEXT_BUDGET",
     "HARD_CAP",
 ]
 
-CONTEXT_BUDGET = 8000  # characters of dialogue context per prompt
 HARD_CAP = 300  # absolute schema size guard, independent of refiners
 
 # What predicting one turn gives: its state, None for a reply without a
@@ -97,10 +95,11 @@ def run_induction(
     are dropped, no refiner runs at the boundaries, and the backend calls
     overlap; the result is the same as with serial calls.
 
-    The call settings are fixed: each prompt keeps at most
-    ``CONTEXT_BUDGET`` characters of dialogue and is sent with the defaults
-    of ``GenerationRequest`` (1024 output tokens, temperature 0). A schema
-    that grows past ``HARD_CAP`` slots raises SchemaOverflowError.
+    The call settings are fixed: each prompt is ``render_prompt``'s, which
+    keeps at most ``seqio.CONTEXT_BUDGET`` characters of dialogue, and is
+    sent with the defaults of ``GenerationRequest`` (1024 output tokens,
+    temperature 0). A schema that grows past ``HARD_CAP`` slots raises
+    SchemaOverflowError.
     """
     schema = initial_schema if initial_schema is not None else SlotSchema()
     order = list(corpus.dialogues)
@@ -112,7 +111,7 @@ def run_induction(
 
     def predict(schema: SlotSchema, dialogue: Dialogue, turn: int) -> Outcome:
         """The Outcome of one turn; an AuthError propagates."""
-        prompt = render_prompt(schema, dialogue, turn, mode, char_budget=CONTEXT_BUDGET)
+        prompt = render_prompt(schema, dialogue, turn)
         try:
             reply = backend.generate(GenerationRequest(prompt))
         except AuthError:

@@ -197,8 +197,9 @@ def revise_schema(
     """Ask the backend to rewrite the schema; parse the reply as the new one.
 
     Surviving slots (matched canonically) keep their original discovery
-    position; new or renamed slots get ``position``. An unparseable reply
-    leaves the schema unchanged with a logged warning.
+    position; new or renamed slots get ``position``. A reply that lists the
+    catalog unchanged returns the schema itself, and an unparseable one
+    leaves it unchanged with a logged warning.
     """
     prompt = render_revision_prompt(schema)
     response = backend.generate(GenerationRequest(prompt, max_output=REVISION_MAX_OUTPUT))
@@ -214,9 +215,8 @@ def revise_schema(
         original = schema.get(slot.key)
         provenance = original.discovered_at if original else (position if position is not None else GOLD)
         slots.append(SlotDef(slot.key, slot.description, provenance))
-    if [(s.key, s.description) for s in slots] == [(s.key, s.description) for s in schema]:
-        return schema
-    return SlotSchema(tuple(slots), schema.version + 1)
+    result = SlotSchema(tuple(slots), schema.version + 1)
+    return schema if render_schema_block(result) == render_schema_block(schema) else result
 
 
 def build_revision_pairs(

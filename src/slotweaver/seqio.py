@@ -40,6 +40,7 @@ __all__ = [
     "INSTRUCTION",
     "REVISION_INSTRUCTION",
     "SPEAKER_LABELS",
+    "CONTEXT_BUDGET",
     "ParsedPrediction",
     "CorpusFile",
     "MissingValuesHeader",
@@ -106,6 +107,7 @@ VALUES_HEADER = "# Key Information Values"
 INSTRUCTION = "Identify Key Information Values from the Dialogue"
 REVISION_INSTRUCTION = "Revise the Key Information Types to remove redundant or invalid entries"
 SPEAKER_LABELS = {USER: "User", AGENT: "Agent"}
+CONTEXT_BUDGET = 8000  # characters of dialogue context per prompt
 
 
 def _section(domain: str, bullets: Iterable[Tuple[str, str, Optional[str]]]) -> str:
@@ -243,32 +245,23 @@ def render_state_block(state: DialogueState) -> str:
     return "\n".join([VALUES_HEADER, *sections])
 
 
-def render_prompt(
-    schema: SlotSchema,
-    dialogue: Dialogue,
-    upto_turn: int,
-    mode: StateMode,
-    char_budget: Optional[int] = None,
-) -> str:
+def render_prompt(schema: SlotSchema, dialogue: Dialogue, upto_turn: int) -> str:
     """Render the prompt for predicting the state after ``upto_turn``: the
     slot catalog, the dialogue block and the instruction.
 
-    The dialogue block includes turns 0..upto_turn inclusive. When a
-    character budget is given, the oldest turns are dropped (current turn is
-    always kept) until the block fits.
+    The dialogue block holds turns 0..upto_turn, less the oldest ones while
+    it exceeds ``CONTEXT_BUDGET`` characters; the current turn is always
+    kept. Induction and training pairs render their prompts alike.
     """
     if not 0 <= upto_turn < len(dialogue.turns):
         raise IndexError(f"upto_turn {upto_turn} out of range for {len(dialogue.turns)} turns")
-    if mode is StateMode.FINAL and upto_turn != dialogue.last_user_turn_index():
-        raise ValueError("final mode renders only at the last user turn")
     turn_lines = [f"{SPEAKER_LABELS[t.speaker]}: {t.text}" for t in dialogue.turns[: upto_turn + 1]]
-    if char_budget is not None:
-        size = sum(len(ln) + 1 for ln in turn_lines)
-        first = 0
-        while first < len(turn_lines) - 1 and size > char_budget:
-            size -= len(turn_lines[first]) + 1
-            first += 1
-        del turn_lines[:first]
+    size = sum(len(ln) + 1 for ln in turn_lines)
+    first = 0
+    while first < len(turn_lines) - 1 and size > CONTEXT_BUDGET:
+        size -= len(turn_lines[first]) + 1
+        first += 1
+    del turn_lines[:first]
     dialogue_block = "\n".join([DIALOGUE_HEADER, ""] + turn_lines)
     return "\n\n".join([render_schema_block(schema), dialogue_block, INSTRUCTION])
 
@@ -711,7 +704,7 @@ def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[
         for turn_index, gold_state, target_state in gold_turns(dialogue, mode):
             target_state = _with_discoveries(target_state, introduced, gold_schema)
             prompt_schema = gold_schema.restricted_to(introduced)
-            prompt = render_prompt(prompt_schema, dialogue, turn_index, mode)
+            prompt = render_prompt(prompt_schema, dialogue, turn_index)
             pairs.append((prompt, render_state_block(target_state)))
             introduced |= gold_state.keys()
         if mode is StateMode.FINAL:

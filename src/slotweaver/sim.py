@@ -592,7 +592,8 @@ def simulate_dialogue(
     end-of-task calls go on. The default, the builtin ``map``, annotates
     each user turn before the dialogue goes on, one call at a time, as a
     standalone caller wants. An annotation that raises ends the dialogue at
-    its next turn. The states are merged in turn order once the dialogue
+    its next turn, and a call that raises leaves the annotations still
+    queued unsent. The states are merged in turn order once the dialogue
     ends.
 
     ``setups`` gives one set-up per task, in task order. Each is read when
@@ -605,7 +606,7 @@ def simulate_dialogue(
     turns: List[Turn] = []
     boundaries: List[int] = []
     termination = TERMINATION_TURN_LIMIT
-    lost = threading.Event()  # an annotation raised, so the dialogue is lost
+    lost = threading.Event()  # a call raised, so the dialogue is lost
 
     def chain():
         """Run the dialogue, yielding (turns so far, setup) after each user turn."""
@@ -659,13 +660,19 @@ def simulate_dialogue(
                 _, setup = reached
 
     def annotate(job) -> DialogueState:
+        if lost.is_set():
+            return DialogueState()
         try:
             return _annotate(scenario, *job, backend)
         except BaseException:
             lost.set()
             raise
 
-    states = list(overlap(annotate, chain()))
+    try:
+        states = list(overlap(annotate, chain()))
+    except BaseException:
+        lost.set()
+        raise
     for _ in per_task:  # the set-ups of the tasks not reached
         pass
     carried = DialogueState()

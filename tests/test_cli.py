@@ -476,7 +476,7 @@ class TestEvaluate:
          "decisions[0].predicted: needs a 'domain' and a 'name' string"),
         ('{"decisions": [{"predicted": {"domain": "garden layouts", "name": " "}}]}',
          "decisions[0].predicted: empty slot name: ' '"),
-        ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}}, 7]}',
+        ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}, "gold": null}, 7]}',
          "decisions[1]: not an object"),
         ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}, "gold": {"name": "c"}}]}',
          "decisions[0].gold: needs a 'domain' and a 'name' string"),
@@ -484,8 +484,10 @@ class TestEvaluate:
         ('{"decisions": [{"predicted": {"domain": "a", "name": "b"}, "gold": null}, '
          '{"predicted": {"domain": "A", "name": "b "}, "gold": {"domain": "a", "name": "c"}}]}',
          "decisions[1].predicted: a/b decided twice"),
+        ('{"decisions": [{"predicted": {"domain": "garden layouts", "name": "style"}}]}',
+         "decisions[0]: needs a 'gold' slot or null"),
     ], ids=["no-decisions", "not-json", "no-name", "blank-name", "entry-not-object",
-            "gold-no-domain", "not-utf8", "decided-twice"])
+            "gold-no-domain", "not-utf8", "decided-twice", "no-gold"])
     def test_malformed_human_mapping_is_config_error(self, runner, tmp_path, text, message):
         gold, states = self._tiny_fixture(tmp_path)
         mapping = tmp_path / "mapping.json"
@@ -523,6 +525,15 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert result.stderr == (f"error: dialogue 'd00' turn {turn} is not a user turn "
                                  "in gold corpus\n")
+
+    def test_entry_at_a_turn_final_mode_skips_is_pipeline_error(self, runner):
+        # a state-mode log holds every user turn; final mode tracks only the last
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(GOLDEN / "states.jsonl"),
+                   "--gold", str(DATA / "corpus.json"), "--mode", "final"]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: dialogue 'd00' turn 0 is not tracked in final mode\n"
 
     def test_missing_file_is_usage_error(self, runner):
         result = runner.invoke(
@@ -624,7 +635,7 @@ class TestMakeTrainData:
         result = runner.invoke(
             main,
             ["make-train-data", "--corpus", str(DATA / "corpus.json"),
-             "--revision", "--noisy-log", str(GOLDEN / "states.jsonl"),
+             "--noisy-log", str(GOLDEN / "states.jsonl"),
              "--seed", "4", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
@@ -646,7 +657,7 @@ class TestMakeTrainData:
         out = tmp_path / "revision.jsonl"
         result = runner.invoke(
             main,
-            ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--revision",
+            ["make-train-data", "--corpus", str(DATA / "corpus.json"),
              "--noisy-log", str(run / "states.jsonl"), "--seed", "4", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
@@ -664,21 +675,13 @@ class TestMakeTrainData:
         out = tmp_path / "revision.jsonl"
         result = runner.invoke(
             main,
-            ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--revision",
+            ["make-train-data", "--corpus", str(DATA / "corpus.json"),
              "--noisy-log", str(noisy), "--out", str(out)],
         )
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert f"{noisy}:1: state-log entry: " in result.output
         assert not out.exists()
-
-    def test_revision_without_noisy_log_is_config_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["make-train-data", "--corpus", str(DATA / "corpus.json"),
-             "--revision", "--out", str(tmp_path / "x.jsonl")],
-        )
-        assert result.exit_code == 2
 
     def test_missing_gold_is_pipeline_error(self, runner, tmp_path):
         bare = tmp_path / "bare.json"

@@ -280,6 +280,14 @@ class TestReviseSchema:
         assert out == garden_schema
         assert out.version == garden_schema.version
 
+    def test_echoed_catalog_returns_the_schema_itself(self):
+        # the catalog lists hotel/price beside hotel/area, before taxi/dest
+        schema = SlotSchema((SlotDef(key("hotel", "area"), "the area", (0, 0)),
+                             SlotDef(key("taxi", "dest"), "where to", (1, 0)),
+                             SlotDef(key("hotel", "price"), "the price", (2, 0))))
+        backend = ScriptedBackend.from_responses([render_schema_block(schema)])
+        assert revise_schema(schema, backend, position=(5, 0)) is schema
+
     def test_omitted_slot_is_removed(self, garden_schema):
         trimmed = garden_schema.without_keys([key("plant selections", "color")])
         backend = ScriptedBackend.from_responses([render_schema_block(trimmed)])

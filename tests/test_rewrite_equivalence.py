@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slotweaver import induct, sim
+from slotweaver import induct, seqio, sim
 from slotweaver.backend import (
     AuthError,
     BackendError,
@@ -903,7 +903,6 @@ class RefInductionRun:
     mode: StateMode = StateMode.STATE
     refiner: Optional[object] = None
     dst_only: bool = False
-    context_budget: int = 8000
     hard_cap: int = 300
     max_output: int = 1024
     temperature: float = 0.0
@@ -924,7 +923,7 @@ class RefTurnPrediction:
 def ref_predict_turn(run, dialogue, turn, backend):
     if dialogue.turns[turn].speaker != "user":
         raise ValueError(f"turn {turn} of dialogue {dialogue.id} is not a user turn")
-    prompt = render_prompt(run.schema, dialogue, turn, run.mode, char_budget=run.context_budget)
+    prompt = render_prompt(run.schema, dialogue, turn)
     try:
         response = backend.generate(
             GenerationRequest(prompt, max_output=run.max_output, temperature=run.temperature)
@@ -1147,10 +1146,9 @@ REF_SPEAKER_LABELS = {"user": "User", "agent": "Agent"}
 def ref_render_prompt(schema, dialogue, upto_turn, char_budget):
     turn_lines = [f"{REF_SPEAKER_LABELS[t.speaker]}: {t.text}"
                   for t in dialogue.turns[: upto_turn + 1]]
-    if char_budget is not None:
-        # re-sums every kept line after each drop
-        while len(turn_lines) > 1 and sum(len(ln) + 1 for ln in turn_lines) > char_budget:
-            turn_lines.pop(0)
+    # re-sums every kept line after each drop
+    while len(turn_lines) > 1 and sum(len(ln) + 1 for ln in turn_lines) > char_budget:
+        turn_lines.pop(0)
     dialogue_block = "\n".join(["# Dialogue", ""] + turn_lines)
     return "\n\n".join([ref_render_schema_block(schema), dialogue_block,
                         "Identify Key Information Values from the Dialogue"])
@@ -1159,16 +1157,16 @@ def ref_render_prompt(schema, dialogue, upto_turn, char_budget):
 @settings(max_examples=200, deadline=None)
 @given(schemas, st.lists(st.tuples(st.text(max_size=30), st.text(max_size=30)), min_size=1,
                          max_size=8),
-       st.data(), st.none() | st.integers(0, 8) | st.integers(0, 300))
+       st.data(), st.integers(0, 8) | st.integers(0, 300))
 def test_budgeted_prompt_matches_old_loop(schema, exchanges, data, budget):
     # budgets 0..6 are below even an empty "User: " line
     turns = [Turn(speaker, text) for u, a in exchanges for speaker, text in (("user", u),
                                                                             ("agent", a))]
     dialogue = Dialogue("d1", "s1", tuple(turns))
     upto = data.draw(st.integers(0, len(turns) - 1))
-    for mode in (StateMode.STATE, StateMode.UPDATE):
-        got = render_prompt(schema, dialogue, upto, mode, char_budget=budget)
-        assert got == ref_render_prompt(schema, dialogue, upto, budget)
+    with mock.patch.object(seqio, "CONTEXT_BUDGET", budget):
+        got = render_prompt(schema, dialogue, upto)
+    assert got == ref_render_prompt(schema, dialogue, upto, budget)
 
 
 # --- mapping agreement ---------------------------------------------------------

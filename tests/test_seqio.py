@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+from unittest import mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from slotweaver.core import (
     canonical_slot_key,
     schema_update,
 )
+from slotweaver.induct import run_induction
 from slotweaver.seqio import (
     CorpusFile,
     CorpusFormatError,
@@ -42,6 +44,7 @@ from slotweaver.seqio import (
 
 from conftest import (
     GARDEN_GREEN_BLOCK,
+    Recorder,
     key,
     make_dialogue,
     random_schema,
@@ -52,7 +55,7 @@ from conftest import (
 class TestRenderPrompt:
     def test_empty_schema_one_turn(self):
         d = make_dialogue("d0", 1)
-        text = render_prompt(SlotSchema(), d, 0, StateMode.STATE)
+        text = render_prompt(SlotSchema(), d, 0)
         assert text.count("# Key Information Types") == 1
         assert text.count("# Dialogue") == 1
         assert "##" not in text
@@ -61,7 +64,7 @@ class TestRenderPrompt:
 
     def test_garden_schema_layout(self, garden_schema):
         d = make_dialogue("d0", 1)
-        text = render_prompt(garden_schema, d, 0, StateMode.STATE)
+        text = render_prompt(garden_schema, d, 0)
         assert text.count("\n## ") == 2
         assert text.count("\n* ") == 5
         assert "## Garden Layouts" in text
@@ -69,18 +72,13 @@ class TestRenderPrompt:
 
     def test_headers_in_order(self, garden_schema):
         d = make_dialogue("d0", 2)
-        text = render_prompt(garden_schema, d, 2, StateMode.STATE)
+        text = render_prompt(garden_schema, d, 2)
         assert text.index("# Key Information Types") < text.index("# Dialogue")
-
-    def test_final_mode_requires_last_user_turn(self, garden_schema):
-        d = make_dialogue("d0", 3)
-        with pytest.raises(ValueError):
-            render_prompt(garden_schema, d, 0, StateMode.FINAL)
-        render_prompt(garden_schema, d, d.last_user_turn_index(), StateMode.FINAL)
 
     def test_char_budget_truncates_oldest_turns(self):
         d = make_dialogue("d0", 10)
-        text = render_prompt(SlotSchema(), d, 18, StateMode.STATE, char_budget=120)
+        with mock.patch.object(seqio, "CONTEXT_BUDGET", 120):
+            text = render_prompt(SlotSchema(), d, 18)
         assert "user message 0" not in text
         assert "user message 9" in text
 
@@ -462,6 +460,33 @@ class TestTrainingSequences:
         pairs = build_training_sequences(_gold_corpus(), StateMode.STATE)
         assert "* area:" not in pairs[0][0]
         assert "* area: the area" in pairs[1][0]
+
+    @pytest.mark.parametrize("mode", list(StateMode))
+    def test_long_dialogue_prompts_carry_the_dialogue_induce_sends(self, mode):
+        # 19 exchanges of about 1,200 characters: later turns exceed the budget
+        exchanges = [(f"user {i}: " + "want " * 120, f"agent {i}: " + "okay " * 120)
+                     for i in range(19)]
+        gold = DialogueState.from_pairs([(key("hotel", "area"), "north")])
+        turns = tuple(Turn(speaker, text, gold if speaker == "user" else None)
+                      for pair in exchanges for speaker, text in zip(("user", "agent"), pair))
+        schema = SlotSchema((SlotDef(key("hotel", "area"), "the area"),))
+        corpus = CorpusFile((Dialogue("d1", "scn", turns),), schema)
+
+        class Silent:
+            def generate(self, request):
+                return seqio.VALUES_HEADER
+
+        backend = Recorder(Silent())
+        run_induction(corpus, mode, None, backend)
+
+        def dialogue_block(prompt):
+            return prompt[prompt.index(seqio.DIALOGUE_HEADER):]
+
+        sent = [dialogue_block(prompt) for prompt, _ in backend.calls]
+        paired = [dialogue_block(prompt) for prompt, _ in build_training_sequences(corpus, mode)]
+        assert paired == sent
+        assert "user 0:" not in paired[-1] and "user 18:" in paired[-1]
+        assert len(paired[-1]) < seqio.CONTEXT_BUDGET + 100
 
     def test_missing_gold_rejected(self):
         with pytest.raises(MissingGoldError):

@@ -673,6 +673,40 @@ class TestOverlappedDialogues:
         # annotation; a chain run to its turn limit would make 80.
         assert 7 <= backend.calls < 20
 
+    def test_failed_turn_sends_none_of_its_queued_annotations(self):
+        # Annotations hold their worker until the agent call at the 10th user
+        # turn fails, then take 20 ms: by then the chain has queued all 10, but
+        # only those already on the run's 4 off-chain workers are sent.
+        class FailsAtTenthTurn(PromptPure):
+            agent_calls = annotations = 0
+            failed = threading.Event()
+
+            def generate(self, request):
+                if "Answer yes or no" in request.prompt:
+                    return "no"
+                if "Fill in user preferences" in request.prompt:
+                    return fence("color = Pink\nsize = large")
+                if "Record the preferences" in request.prompt:
+                    with self._lock:
+                        self.annotations += 1
+                    self.failed.wait(timeout=10)
+                    time.sleep(0.02)
+                elif "providing help" in request.prompt:
+                    with self._lock:
+                        self.agent_calls += 1
+                        if self.agent_calls == 10:
+                            self.failed.set()
+                            raise TransportError("reset")
+                return super().generate(request)
+
+        backend = FailsAtTenthTurn(4)
+        config = SimConfig(knowledge_size=3, red_herring_count=1, max_turns=40)
+        _, report = simulate_corpus(_scenarios([["choose tools"]]), 1, backend,
+                                    random.Random(0), config=config)
+        assert report.lost == 1
+        assert backend.failed.is_set()
+        assert 1 <= backend.annotations <= backend.max_in_flight
+
     def test_http_backend_keeps_its_budget_across_every_overlap(self):
         # Later scenarios are defined while dialogues run, and each dialogue
         # fetches its knowledge lists and annotates its turns on the run's

@@ -6,16 +6,19 @@ codes: 0 success, 1 pipeline error, 2 configuration/auth error.
 
 Each command loads only what it runs: ``evaluate`` and ``make-train-data``
 load no YAML, simulator, induction or HTTP code.
+
+The cyclic garbage collector is managed here alone: see ``_inputs_frozen``.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import click
 
@@ -149,6 +152,31 @@ def _command_backend(cfg: RunConfig) -> Iterator[Backend]:
             close()
 
 
+@contextmanager
+def _inputs_frozen() -> Iterator[Callable[[], None]]:
+    """Pause the cyclic collector until the yielded ``loaded`` is called,
+    which freezes everything alive (``gc.freeze``), so that later
+    collections skip the loaded inputs, and resumes collecting. On the way
+    out, by return or exit, the collector is left as it was found: a
+    caller's own freeze stays, and then this one is skipped."""
+    enabled, caller_froze = gc.isenabled(), gc.get_freeze_count() > 0
+    gc.disable()
+
+    def loaded() -> None:
+        if not caller_froze:
+            gc.freeze()
+        if enabled:
+            gc.enable()
+
+    try:
+        yield loaded
+    finally:
+        if not caller_froze:
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -239,38 +267,40 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
         raise ConfigError("--shuffle-seed needs a seed: pass --seed or set seed in the config")
     seed = cfg.seed if shuffle else None
     out = Path(out_dir)
-    try:
-        corpus = seqio.load_corpus(corpus_path)
-    except seqio.CorpusFormatError as exc:
-        _fail(str(exc), EXIT_CONFIG)
+    with _inputs_frozen() as loaded:
+        try:
+            corpus = seqio.load_corpus(corpus_path)
+        except seqio.CorpusFormatError as exc:
+            _fail(str(exc), EXIT_CONFIG)
 
-    try:
-        with _command_backend(cfg) as backend:
-            refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
-            if two_pass:
-                schema, result = induct.run_two_pass(corpus, mode, refiner, backend, seed=seed)
-            else:
-                result = induct.run_induction(corpus, mode, refiner, backend, seed=seed)
-                schema = result.final_schema
-    except AuthError as exc:
-        _fail(str(exc), EXIT_CONFIG)
-    except (BackendError, induct.SchemaOverflowError) as exc:
-        _fail(str(exc), EXIT_PIPELINE)
-    report = result.to_obj()
-    report["two_pass"] = two_pass
-    report["mode"] = mode.value
-    report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
-    seqio.save_json(seqio.schema_to_obj(schema), out / "schema.json")
-    # each entry's to_obj() serves both files
-    seqio.save_json_lines(report["states"], out / "states.jsonl")
-    seqio.save_json(report, out / "report.json")
-    click.echo(
-        f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
-        f"{result.parse_failures} parse failures"
-    )
-    if result.turns_processed and result.failed_turns == result.turns_processed:
-        _fail(f"every backend call failed in {out}", EXIT_PIPELINE)
-    sys.exit(EXIT_OK)
+        try:
+            with _command_backend(cfg) as backend:
+                loaded()
+                refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
+                if two_pass:
+                    schema, result = induct.run_two_pass(corpus, mode, refiner, backend, seed=seed)
+                else:
+                    result = induct.run_induction(corpus, mode, refiner, backend, seed=seed)
+                    schema = result.final_schema
+        except AuthError as exc:
+            _fail(str(exc), EXIT_CONFIG)
+        except (BackendError, induct.SchemaOverflowError) as exc:
+            _fail(str(exc), EXIT_PIPELINE)
+        report = result.to_obj()
+        report["two_pass"] = two_pass
+        report["mode"] = mode.value
+        report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
+        seqio.save_json(seqio.schema_to_obj(schema), out / "schema.json")
+        # each entry's to_obj() serves both files
+        seqio.save_json_lines(report["states"], out / "states.jsonl")
+        seqio.save_json(report, out / "report.json")
+        click.echo(
+            f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
+            f"{result.parse_failures} parse failures"
+        )
+        if result.turns_processed and result.failed_turns == result.turns_processed:
+            _fail(f"every backend call failed in {out}", EXIT_PIPELINE)
+        sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -282,28 +312,30 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def evaluate(predictions, gold_path, mode, human_path, out_path):
     """Score a run's states against a gold corpus; print the metric table."""
-    try:
-        gold = seqio.load_corpus(gold_path)
-        log = seqio.load_state_log(predictions)
-        human = evalx.load_human_mapping(human_path) if human_path else None
-        report = evalx.evaluate_run(log, gold, StateMode(mode))
-    except seqio.CorpusFormatError as exc:
-        _fail(str(exc), EXIT_CONFIG)
-    except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
-        _fail(str(exc), EXIT_PIPELINE)
-    click.echo(report.render_table())
-    if human is not None:
-        P = evalx.collect_valued_slots(log)
-        G = evalx.gold_valued_slots(gold.dialogues, StateMode(mode))
-        auto = evalx.match_slots(P, G)
+    with _inputs_frozen() as loaded:
         try:
-            agreement = evalx.mapping_agreement(auto, human)
-        except evalx.IncompleteMapping as exc:
+            gold = seqio.load_corpus(gold_path)
+            log = seqio.load_state_log(predictions)
+            human = evalx.load_human_mapping(human_path) if human_path else None
+            loaded()
+            report = evalx.evaluate_run(log, gold, StateMode(mode))
+        except seqio.CorpusFormatError as exc:
+            _fail(str(exc), EXIT_CONFIG)
+        except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
             _fail(str(exc), EXIT_PIPELINE)
-        click.echo(f"mapping agreement with human decisions: {agreement:.3f}")
-    if out_path:
-        seqio.save_json(report.to_obj(), out_path)
-    sys.exit(EXIT_OK)
+        click.echo(report.render_table())
+        if human is not None:
+            P = evalx.collect_valued_slots(log)
+            G = evalx.gold_valued_slots(gold.dialogues, StateMode(mode))
+            auto = evalx.match_slots(P, G)
+            try:
+                agreement = evalx.mapping_agreement(auto, human)
+            except evalx.IncompleteMapping as exc:
+                _fail(str(exc), EXIT_PIPELINE)
+            click.echo(f"mapping agreement with human decisions: {agreement:.3f}")
+        if out_path:
+            seqio.save_json(report.to_obj(), out_path)
+        sys.exit(EXIT_OK)
 
 
 @main.command("make-train-data")
@@ -316,20 +348,22 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
 def make_train_data(corpus_path, mode, out_path, noisy_path, seed):
     """Emit JSON-lines (prompt, target) training pairs: DST pairs, or
     schema revision pairs when a noisy state log is given."""
-    try:
-        corpus = seqio.load_corpus(corpus_path)
-        if noisy_path:
-            noisy = seqio.load_state_log(noisy_path)
-            pairs = refine.build_revision_pairs(corpus, noisy, seed)
-        else:
-            pairs = seqio.build_training_sequences(corpus, StateMode(mode))
-    except seqio.CorpusFormatError as exc:
-        _fail(str(exc), EXIT_CONFIG)
-    except seqio.MissingGoldError as exc:
-        _fail(str(exc), EXIT_PIPELINE)
-    seqio.save_training_pairs(pairs, out_path)
-    click.echo(f"wrote {len(pairs)} pairs -> {out_path}")
-    sys.exit(EXIT_OK)
+    with _inputs_frozen() as loaded:
+        try:
+            corpus = seqio.load_corpus(corpus_path)
+            noisy = seqio.load_state_log(noisy_path) if noisy_path else None
+            loaded()
+            if noisy is not None:
+                pairs = refine.build_revision_pairs(corpus, noisy, seed)
+            else:
+                pairs = seqio.build_training_sequences(corpus, StateMode(mode))
+        except seqio.CorpusFormatError as exc:
+            _fail(str(exc), EXIT_CONFIG)
+        except seqio.MissingGoldError as exc:
+            _fail(str(exc), EXIT_PIPELINE)
+        seqio.save_training_pairs(pairs, out_path)
+        click.echo(f"wrote {len(pairs)} pairs -> {out_path}")
+        sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

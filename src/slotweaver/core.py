@@ -1,9 +1,10 @@
 """Core domain types: slot identity, schemas, dialogue states, and dialogues.
 
 All types are immutable values; operations produce new versions instead of
-mutating in place, so they are safe to share across threads. ``SlotKey``
-values are interned: ``canonical_slot_key`` returns one shared key per
-canonical pair from a bounded table, and each key hashes once.
+mutating in place, so they are safe to share across threads. A ``SlotKey``
+is a named ``(domain, name)`` tuple, so it hashes, compares and sorts in C;
+``canonical_slot_key`` is the one way from a surface spelling to a key, and
+it interns keys in a bounded table.
 ``SlotSchema`` keeps, in private attributes, its key index, its by-domain
 grouping and its rendered catalog and ``## Domain`` sections (filled by
 ``seqio``); none takes part in equality. A schema derived by ``with_slots``,
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "GOLD",
@@ -57,26 +59,17 @@ def canonical_text(text: str) -> str:
     return _SEPARATOR_RUN.sub(" ", text).strip().lower()
 
 
-@dataclass(frozen=True, order=True)
-class SlotKey:
+class SlotKey(NamedTuple):
     """Canonical identity of a slot: a (domain, name) pair.
 
-    Equality and ordering are defined on the canonical forms, so two keys
-    built from different surface spellings of the same slot compare equal.
+    A key is the tuple of its two canonical parts: it equals, hashes and
+    sorts as the plain ``(domain, name)`` tuple. Keys built through
+    ``canonical_slot_key`` from different surface spellings of one slot
+    are equal; the constructor itself canonicalizes nothing.
     """
 
     domain: str
     name: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.domain, self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes are salted per process: pickle the pair, not the hash
-        return SlotKey, (self.domain, self.name)
 
     def __str__(self) -> str:
         return f"{self.domain}/{self.name}"
@@ -245,6 +238,10 @@ class SlotSchema:
         return self._derived(slots, version, index, groups, changed)
 
 
+# the descriptions of every state that discovers no slot
+_NO_DESCRIPTIONS: Mapping[SlotKey, str] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class DialogueState:
     """A set of (slot key, value) triples for one turn.
@@ -261,7 +258,11 @@ class DialogueState:
         object.__setattr__(self, "triples", triples)
         keys = {key for key, _ in triples}
         if len(keys) != len(triples):
-            raise ValueError("multiple values for one slot key in a single state")
+            twice = min(key for key, n in Counter(key for key, _ in triples).items() if n > 1)
+            raise ValueError(f"slot {twice} valued twice")
+        if not self.new_slot_descriptions:
+            object.__setattr__(self, "new_slot_descriptions", _NO_DESCRIPTIONS)
+            return
         descriptions = dict(self.new_slot_descriptions)
         missing = descriptions.keys() - keys
         if missing:
@@ -271,9 +272,8 @@ class DialogueState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DialogueState):
             return NotImplemented
-        return self.triples == other.triples and dict(self.new_slot_descriptions) == dict(
-            other.new_slot_descriptions
-        )
+        return (self.triples == other.triples
+                and self.new_slot_descriptions == other.new_slot_descriptions)
 
     def __bool__(self) -> bool:
         return bool(self.triples)
@@ -298,7 +298,7 @@ class DialogueState:
         pairs: Iterable[Tuple[SlotKey, str]],
         new_slot_descriptions: Optional[Mapping[SlotKey, str]] = None,
     ) -> "DialogueState":
-        return cls(frozenset(pairs), dict(new_slot_descriptions or {}))
+        return cls(frozenset(pairs), new_slot_descriptions or _NO_DESCRIPTIONS)
 
 
 USER = "user"

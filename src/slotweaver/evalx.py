@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .core import Dialogue, InvalidSlotName, SlotKey, canonical_slot_key
+from .core import Dialogue, DialogueState, InvalidSlotName, SlotKey, canonical_slot_key
 from .seqio import (CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns,
                     load_json, tracked_turns)
 
@@ -62,7 +62,8 @@ class IncompleteMapping(ValueError):
 class ValuedSlot:
     """A slot identity with the set of contexts and values that filled it.
 
-    Values are stored verbatim and compared caselessly.
+    Values are stored verbatim and compared caselessly: the case-folded
+    fills are computed once, with the slot.
     """
 
     key: SlotKey
@@ -70,13 +71,16 @@ class ValuedSlot:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fills", frozenset(self.fills))
+        # not a dataclass field, so it takes no part in equality or repr
+        folded = frozenset((d, t, v.casefold()) for d, t, v in self.fills)
+        object.__setattr__(self, "_folded", folded)
 
     def folded_fills(self) -> frozenset:
-        return frozenset((d, t, v.casefold()) for d, t, v in self.fills)
+        return self._folded
 
 
 def _overlap(p: ValuedSlot, g: ValuedSlot) -> int:
-    return len(p.folded_fills() & g.folded_fills())
+    return len(p._folded & g._folded)
 
 
 def similarity_exact(p: ValuedSlot, g: ValuedSlot) -> float:
@@ -139,7 +143,6 @@ def match_slots(P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> SlotMapping
     gold_keys = [g.key for g in G]
     if len(gold_keys) != len(set(gold_keys)):
         raise InvalidGold("gold slot keys must be unique")
-    gold_folded = [(g, g.folded_fills()) for g in G]
     pairs: List[Tuple[ValuedSlot, ValuedSlot]] = []
     unmatched: List[SlotKey] = []
     for p in sorted(P, key=lambda s: s.key):
@@ -149,8 +152,7 @@ def match_slots(P: Sequence[ValuedSlot], G: Sequence[ValuedSlot]) -> SlotMapping
         # similarity is overlap / |p.fills|, so for a fixed p it rises with the
         # overlap: the argmax over (similarity, overlap) with the smallest-key
         # tie-break is the min over (-overlap, key)
-        folded = p.folded_fills()
-        neg_overlap, _, best = min((-len(folded & fills), g.key, g) for g, fills in gold_folded)
+        neg_overlap, _, best = min((-_overlap(p, g), g.key, g) for g in G)
         if -neg_overlap / len(p.fills) < MATCH_THRESHOLD:
             unmatched.append(p.key)
         else:
@@ -183,22 +185,27 @@ def value_prf(mapping: SlotMapping) -> PRF:
     return PRF(precision, recall, _f1(precision, recall))
 
 
-def collect_valued_slots(state_log: Iterable[StateLogEntry]) -> List[ValuedSlot]:
-    """Group a run's per-turn states into per-slot fill sets."""
+def _valued_slots(states: Iterable[Tuple[str, int, DialogueState]]) -> List[ValuedSlot]:
+    """Group (dialogue id, turn index, state) triples into per-slot fill
+    sets, in key order."""
     fills: Dict[SlotKey, set] = {}
-    for entry in state_log:
-        for key, value in entry.state.triples:
-            fills.setdefault(key, set()).add((entry.dialogue_id, entry.turn_index, value))
+    for dialogue_id, turn_index, state in states:
+        for key, value in state.triples:
+            fills.setdefault(key, set()).add((dialogue_id, turn_index, value))
     return [ValuedSlot(key, frozenset(events)) for key, events in sorted(fills.items())]
 
 
+def collect_valued_slots(state_log: Iterable[StateLogEntry]) -> List[ValuedSlot]:
+    """Group a run's per-turn states into per-slot fill sets."""
+    return _valued_slots((e.dialogue_id, e.turn_index, e.state) for e in state_log)
+
+
 def gold_valued_slots(dialogues: Sequence[Dialogue], mode: StateMode) -> List[ValuedSlot]:
-    entries = [
-        StateLogEntry(dialogue.id, turn_index, target)
-        for dialogue in dialogues
-        for turn_index, _, target in gold_turns(dialogue, mode)
-    ]
-    return collect_valued_slots(entries)
+    """Group the gold targets of the turns ``mode`` tracks into per-slot
+    fill sets."""
+    return _valued_slots(
+        (d.id, i, target) for d in dialogues for i, _, target in gold_turns(d, mode)
+    )
 
 
 @dataclass(frozen=True)

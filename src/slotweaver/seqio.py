@@ -312,12 +312,12 @@ class CorpusFile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dialogues", tuple(self.dialogues))
         if self.gold_schema is not None:
-            known = set(self.gold_schema.keys())
+            known = self.gold_schema
             for dialogue in self.dialogues:
                 for i, turn in enumerate(dialogue.turns):
                     if turn.gold_state is None:
                         continue
-                    stray = turn.gold_state.keys() - known
+                    stray = [key for key, _ in turn.gold_state.triples if key not in known]
                     if stray:
                         raise CorpusFormatError(
                             f"dialogue {dialogue.id} turn {i}: gold state uses slots "
@@ -454,8 +454,8 @@ class StateLogEntry:
             if type(description) is not str:
                 raise CorpusFormatError(f"new slot {name!r} description must be a string, "
                                         f"got {_type_name(description)}")
-        descriptions = {key: logged[str(key)] for key in state.keys() if str(key) in logged}
-        if descriptions:
+        if logged:
+            descriptions = {key: logged[str(key)] for key, _ in state.triples if str(key) in logged}
             state = DialogueState(state.triples, descriptions)
         return cls(obj["dialogue_id"], obj["turn"], state, obj.get("dialogue_index"))
 

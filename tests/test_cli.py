@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -586,6 +587,31 @@ class TestEvaluate:
         assert (f"{states}:3: state domain 'garden layouts' slot 'style' must be a string, "
                 f"got {got}") in result.output
 
+    def test_gold_state_that_values_a_slot_twice_names_the_slot(self, runner, tmp_path):
+        corpus = json.loads((DATA / "corpus.json").read_text())
+        corpus["dialogues"][0]["turns"][0]["state"] = {
+            "Garden Layouts": {"style": "desert"}, "garden_layouts": {"Style": "formal"}}
+        gold = tmp_path / "gold.json"
+        gold.write_text(canonical_json(corpus))
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(GOLDEN / "states.jsonl"), "--gold", str(gold)]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"error: {gold}: dialogue 'd00' turn 0: "
+                                 "slot garden layouts/style valued twice\n")
+
+    def test_logged_state_that_values_a_slot_twice_names_the_slot(self, runner, tmp_path):
+        states = tmp_path / "states.jsonl"
+        good = (GOLDEN / "states.jsonl").read_text().splitlines()[:1]
+        bad = json.dumps({"dialogue_id": "d00", "turn": 2, "state": {
+            "Plant Selections": {"color": "white"}, "plant selections": {"Color": "red"}}})
+        states.write_text("\n".join(good + [bad]) + "\n")
+        result = runner.invoke(
+            main, ["evaluate", "--predictions", str(states), "--gold", str(DATA / "corpus.json")]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {states}:2: slot plant selections/color valued twice\n"
+
     @pytest.mark.parametrize("flag", ["--predictions", "--gold"])
     def test_non_utf8_input_is_config_error(self, runner, tmp_path, flag):
         bad = tmp_path / "bad.jsonl"
@@ -909,3 +935,60 @@ class TestFlagOverridesItsConfigKey:
         assert result.exit_code == 2, result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert written is None
+
+
+@pytest.fixture(params=["enabled", "disabled", "frozen"])
+def collector(request):
+    """The collector as a caller leaves it before a command: running, paused,
+    or running with objects of its own frozen."""
+    if request.param == "disabled":
+        gc.disable()
+    elif request.param == "frozen":
+        gc.freeze()
+    try:
+        yield request.param
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+class TestCommandsRestoreTheCollector:
+    """``induce``, ``evaluate`` and ``make-train-data`` load their inputs
+    with the cyclic collector paused and then freeze them; whichever way a
+    command exits, the collector is left as the caller had it."""
+
+    @staticmethod
+    def _argv(command, code, tmp_path, config_path):
+        corpus = str(DATA / "corpus.json")
+        if code == 2:
+            bad = tmp_path / "bad.json"
+            bad.write_text('{"dialogues": []}')  # missing format_version
+            corpus = str(bad)
+        if command == "induce":
+            cfg = config_path
+            if code == 1:  # an empty script answers no call
+                script = tmp_path / "empty.jsonl"
+                script.write_text("")
+                cfg = tmp_path / "empty.yaml"
+                cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
+            return ["induce", "--config", str(cfg), "--corpus", corpus,
+                    "--out-dir", str(tmp_path / "out")]
+        if command == "evaluate":
+            states = GOLDEN / "states.jsonl"
+            if code == 1:
+                states = tmp_path / "ghost.jsonl"
+                states.write_text(json.dumps({"dialogue_id": "ghost", "turn": 0, "state": {}}))
+            return ["evaluate", "--predictions", str(states), "--gold", corpus]
+        if code == 1:  # a corpus without gold labels
+            corpus = tmp_path / "bare.json"
+            corpus.write_text(json.dumps({"format_version": 1, "dialogues": [], "gold_schema": None}))
+        return ["make-train-data", "--corpus", str(corpus), "--out", str(tmp_path / "pairs.jsonl")]
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    @pytest.mark.parametrize("command", ["induce", "evaluate", "make-train-data"])
+    def test_collector_is_as_before(self, runner, config_path, tmp_path, collector, command, code):
+        argv = self._argv(command, code, tmp_path, config_path)
+        before = gc.isenabled(), gc.get_freeze_count()
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code, result.output
+        assert (gc.isenabled(), gc.get_freeze_count()) == before

@@ -5,7 +5,8 @@ written outside ``seqio``, no config key that nothing reads, no
 ``HttpBackend``, ``SimConfig`` or ``FilterConfig`` parameter that no config
 key sets, no value check that a CLI flag makes and its config key does not,
 no third-party HTTP library, no command that loads code it does not run,
-and no CLI option that the README leaves out.
+no CLI option that the README leaves out, no use of the ``gc`` module
+outside ``cli``, and no Python-level hash or equality on slot keys.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -27,6 +28,7 @@ import pytest
 
 import slotweaver
 from slotweaver import backend, cli, refine, seqio, sim
+from slotweaver.core import SlotKey
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -337,6 +339,53 @@ def test_every_cache_in_the_package_is_bounded():
         for line, name in unbounded_caches(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def gc_uses(source: str):
+    """Line of every import of the ``gc`` module or of a name from it, and
+    of every call of a ``gc.<name>``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found = any(alias.name == "gc" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found = node.module == "gc"
+        else:
+            found = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "gc")
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_gc_checker_finds_every_use():
+    source = (
+        "import gc, os\n"
+        "from gc import freeze\n"
+        "import gc as collector\n"
+        "def f():\n"
+        "    gc.disable()\n"
+        "    return os.gc()\n"
+    )
+    assert gc_uses(source) == [1, 2, 3, 5]
+
+
+def test_only_cli_manages_the_collector():
+    """The policy for the cyclic collector (paused while a command loads its
+    inputs, which are then frozen) lives in one place."""
+    users = {
+        path.name
+        for path in PACKAGE_DIR.glob("*.py")
+        if gc_uses(path.read_text(encoding="utf-8"))
+    }
+    assert users == {"cli.py"}
+
+
+def test_slot_keys_hash_and_compare_in_c():
+    """Keys are looked up in sets and dicts on every turn; a Python-level
+    ``__hash__`` or ``__eq__`` would run on each lookup."""
+    assert SlotKey.__hash__ is tuple.__hash__
+    assert SlotKey.__eq__ is tuple.__eq__
 
 
 FORMAT_STRINGS = (seqio.TYPES_HEADER, seqio.DIALOGUE_HEADER, seqio.VALUES_HEADER,

@@ -2,8 +2,8 @@
 gold-turn walker, the refiners' fill table, the interned slot keys, the
 memoized catalog render and derived schemas, the block parsers and
 renderers, the simulator's prompt templates and fenced-block retry, the
-induction engine, the prompt's context budget and the mapping agreement
-against reference copies of the code they replaced, and the JSON writer
+induction engine, the prompt's context budget, the mapping agreement, the
+state-log reader and the evaluation path against reference copies of the code they replaced, and the JSON writer
 ``canonical_json`` against ``json.dumps``, on random inputs."""
 
 import json
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slotweaver import induct, seqio, sim
+from slotweaver import evalx, induct, seqio, sim
 from slotweaver.backend import (
     AuthError,
     BackendError,
@@ -1280,3 +1280,273 @@ def test_writer_refuses_what_json_dumps_refuses(tree):
         ref_canonical_json(tree)
     with pytest.raises(TypeError):
         canonical_json(tree)
+
+
+# --- the evaluation path and the state-log reader ------------------------------
+# As they were before states without discoveries shared one empty
+# description map, log lines matched descriptions only when they had some,
+# gold fills were grouped without a log entry per gold turn, and each
+# valued slot folded its fills once.
+
+
+@dataclass(frozen=True)
+class RefDialogueState:
+    triples: frozenset = frozenset()
+    new_slot_descriptions: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        triples = frozenset(self.triples)
+        object.__setattr__(self, "triples", triples)
+        keys_ = {k for k, _ in triples}
+        if len(keys_) != len(triples):
+            raise ValueError("multiple values for one slot key in a single state")
+        descriptions = dict(self.new_slot_descriptions)
+        missing = descriptions.keys() - keys_
+        if missing:
+            raise ValueError(f"described slots missing from triples: {sorted(map(str, missing))}")
+        object.__setattr__(self, "new_slot_descriptions", MappingProxyType(descriptions))
+
+    def keys(self):
+        return frozenset(k for k, _ in self.triples)
+
+
+def ref_state_from_obj(obj):
+    if not isinstance(obj, dict):
+        raise seqio.CorpusFormatError(f"state must be an object, got {type(obj).__name__}")
+    pairs = []
+    for domain, slots in obj.items():
+        if not isinstance(slots, dict):
+            raise seqio.CorpusFormatError(f"state domain {domain!r} must map slots to values")
+        for name, value in slots.items():
+            if type(value) is not str:
+                raise seqio.CorpusFormatError(
+                    f"state domain {domain!r} slot {name!r} must be a string, "
+                    f"got {seqio._type_name(value)}")
+            try:
+                pairs.append((canonical_slot_key(domain, name), value))
+            except InvalidSlotName as exc:
+                raise seqio.CorpusFormatError(str(exc)) from exc
+    return RefDialogueState(frozenset(pairs), {})
+
+
+def ref_entry_from_obj(obj):
+    seqio._check_fields(obj, seqio._LOG_ENTRY_FIELDS, "state-log entry")
+    state = ref_state_from_obj(obj["state"])
+    logged = obj.get("new_slot_descriptions") or {}
+    for name, description in logged.items():
+        if type(description) is not str:
+            raise seqio.CorpusFormatError(f"new slot {name!r} description must be a string, "
+                                          f"got {seqio._type_name(description)}")
+    descriptions = {k: logged[str(k)] for k in state.keys() if str(k) in logged}
+    if descriptions:
+        state = RefDialogueState(state.triples, descriptions)
+    return StateLogEntry(obj["dialogue_id"], obj["turn"], state, obj.get("dialogue_index"))
+
+
+def ref_stray_check(dialogues, gold_schema):
+    known = set(gold_schema.keys())
+    for dialogue in dialogues:
+        for i, turn in enumerate(dialogue.turns):
+            if turn.gold_state is None:
+                continue
+            stray = turn.gold_state.keys() - known
+            if stray:
+                raise seqio.CorpusFormatError(
+                    f"dialogue {dialogue.id} turn {i}: gold state uses slots "
+                    f"absent from gold schema: {sorted(map(str, stray))}"
+                )
+
+
+@dataclass(frozen=True)
+class RefValuedSlot:
+    key: SlotKey
+    fills: frozenset = frozenset()
+
+    def folded_fills(self):
+        return frozenset((d, t, v.casefold()) for d, t, v in self.fills)
+
+
+def ref_collect_valued_slots(state_log):
+    fills = {}
+    for entry in state_log:
+        for k, value in entry.state.triples:
+            fills.setdefault(k, set()).add((entry.dialogue_id, entry.turn_index, value))
+    return [RefValuedSlot(k, frozenset(events)) for k, events in sorted(fills.items())]
+
+
+def ref_gold_valued_slots(dialogues, mode):
+    entries = [
+        StateLogEntry(dialogue.id, turn_index, target)
+        for dialogue in dialogues
+        for turn_index, _, target in gold_turns(dialogue, mode)
+    ]
+    return ref_collect_valued_slots(entries)
+
+
+def ref_match_slots(P, G):
+    gold_folded = [(g, g.folded_fills()) for g in G]
+    pairs = []
+    for p in sorted(P, key=lambda s: s.key):
+        if not p.fills or not G:
+            continue
+        folded = p.folded_fills()
+        neg_overlap, _, best = min((-len(folded & fills), g.key, g) for g, fills in gold_folded)
+        if -neg_overlap / len(p.fills) >= evalx.MATCH_THRESHOLD:
+            pairs.append((p, best))
+    return pairs
+
+
+def ref_prf(precision, recall):
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
+
+
+def ref_evaluate_run(state_log, gold_corpus, mode):
+    dialogue_scenario = {d.id: d.scenario_id for d in gold_corpus.dialogues}
+    user_turns = {d.id: frozenset(d.user_turn_indices()) for d in gold_corpus.dialogues}
+    tracked = {d.id: frozenset(seqio.tracked_turns(d, mode)) for d in gold_corpus.dialogues}
+    dialogues_by_scenario = {}
+    for d in gold_corpus.dialogues:
+        dialogues_by_scenario.setdefault(d.scenario_id, []).append(d)
+    entries_by_scenario = {sid: [] for sid in dialogues_by_scenario}
+    for entry in state_log:
+        if entry.dialogue_id not in dialogue_scenario:
+            raise evalx.UnknownScenario(f"dialogue {entry.dialogue_id!r} not present in gold corpus")
+        if entry.turn_index not in user_turns[entry.dialogue_id]:
+            raise evalx.UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
+                                        "is not a user turn in gold corpus")
+        if entry.turn_index not in tracked[entry.dialogue_id]:
+            raise evalx.UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
+                                        f"is not tracked in {mode.value} mode")
+        entries_by_scenario[dialogue_scenario[entry.dialogue_id]].append(entry)
+    per_scenario = {}
+    for scenario_id, entries in sorted(entries_by_scenario.items()):
+        G = ref_gold_valued_slots(dialogues_by_scenario[scenario_id], mode)
+        if not G:
+            raise evalx.InvalidGold(f"scenario {scenario_id!r} has no gold fills")
+        P = ref_collect_valued_slots(entries)
+        pairs = ref_match_slots(P, G)
+        matched_gold = {g.key for _, g in pairs}
+        s = ((0.0, 0.0, 0.0) if not P else
+             ref_prf(len(matched_gold) / len(P), len(matched_gold) / len(G)))
+        if not pairs:
+            v = (0.0, 0.0, 0.0)
+        else:
+            overlap = sum(len(p.folded_fills() & g.folded_fills()) for p, g in pairs)
+            total_p = sum(len(p.fills) for p, _ in pairs)
+            total_g = sum(len(g.fills) for _, g in pairs)
+            v = ref_prf(overlap / total_p if total_p else 0.0,
+                        overlap / total_g if total_g else 0.0)
+        per_scenario[scenario_id] = (*s, *v)
+    if not per_scenario:
+        raise evalx.InvalidGold("gold corpus contains no dialogues")
+    means = [sum(n[i] for n in per_scenario.values()) / len(per_scenario) for i in range(6)]
+    return evalx.MetricReport(*means, per_scenario=per_scenario)
+
+
+def error_of(run, *args):
+    """("ok", result) or (exception type, message)."""
+    try:
+        return "ok", run(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def valued(slots):
+    return [(s.key, s.fills, s.folded_fills()) for s in slots]
+
+
+# Surface spellings that canonicalize to one slot, so a state object can
+# value one slot twice, and values whose case folding is not a lower-casing.
+SURFACE_SLOTS = [("hotel", "area"), ("Hotel", "Area"), ("hotel", "price_range"),
+                 ("train", "day"), ("TRAIN", "Day"), ("garden", "style"), ("taxi", "to")]
+MIXED_VALUES = ["north", "North", "NORTH", "cheap", "Cheap", "straße", "STRASSE", "İzmir", "2"]
+state_objs = st.lists(st.tuples(st.sampled_from(SURFACE_SLOTS), st.sampled_from(MIXED_VALUES)),
+                      max_size=5).map(
+    lambda fills: {d: {n: v for (d2, n), v in fills if d2 == d} for (d, _), _ in fills})
+description_objs = st.none() | st.dictionaries(
+    st.sampled_from(["hotel/area", "hotel/price range", "train/day", "garden/style", "hotel/gone",
+                     "Hotel/Area"]),
+    st.sampled_from(["", "the part of town", "a day"]), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_objs, description_objs, st.none() | st.integers(0, 9))
+def test_log_reader_matches_old_reader(state, described, dialogue_index):
+    obj = {"dialogue_id": "d0", "turn": 0, "state": state, "dialogue_index": dialogue_index}
+    if described is not None:
+        obj["new_slot_descriptions"] = described
+    got, want = error_of(StateLogEntry.from_obj, obj), error_of(ref_entry_from_obj, obj)
+    if want == (ValueError, "multiple values for one slot key in a single state"):
+        # the one changed message: it names the smallest slot valued twice
+        keys_ = [canonical_slot_key(d, n) for d, slots in state.items() for n in slots]
+        twice = min(k for k in keys_ if keys_.count(k) > 1)
+        assert got == (ValueError, f"slot {twice} valued twice")
+        return
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got == want
+        return
+    entry, ref = got[1], want[1]
+    assert (entry.dialogue_id, entry.turn_index, entry.dialogue_index) == (
+        ref.dialogue_id, ref.turn_index, ref.dialogue_index)
+    assert entry.state.triples == ref.state.triples
+    assert dict(entry.state.new_slot_descriptions) == dict(ref.state.new_slot_descriptions)
+
+
+@st.composite
+def corpora_and_logs(draw):
+    """A gold corpus over the small vocabulary and a log against it, as
+    objects: dialogues of one to three scenarios, user turns whose gold
+    state may be missing, now and then a gold slot the schema lacks, and log
+    entries at the turns ``mode`` tracks, now and then at another turn or
+    dialogue, with mixed-case values and discoveries."""
+    mode = draw(st.sampled_from(list(StateMode)))
+    gold_keys = draw(st.lists(keys, min_size=1, max_size=6, unique=True))
+    schema = schema_of([SlotDef(k, "a thing") for k in gold_keys])
+    stray = draw(st.integers(0, 7)) == 0
+    gold_pool = st.sampled_from(VOCABULARY if stray else gold_keys)
+    gold_states = st.dictionaries(gold_pool, st.sampled_from(MIXED_VALUES), max_size=4)
+    dialogues = []
+    for i in range(draw(st.integers(1, 6))):
+        turns = []
+        for _ in range(draw(st.integers(1, 4))):
+            state = draw(st.none() | gold_states.map(lambda d: DialogueState.from_pairs(d.items())))
+            turns += [Turn("user", "u", state), Turn("agent", "a")]
+        dialogues.append(Dialogue(f"d{i}", f"s{draw(st.integers(0, 2))}", tuple(turns)))
+    log = []
+    for d in dialogues:
+        for turn in seqio.tracked_turns(d, mode):
+            if draw(st.booleans()):
+                continue
+            if draw(st.integers(0, 49)) == 0:
+                turn = draw(st.sampled_from([turn + 1, 0, 99]))
+            predicted = draw(st.dictionaries(keys, st.sampled_from(MIXED_VALUES), max_size=4))
+            state = {}
+            for k, v in predicted.items():
+                state.setdefault(k.domain, {})[k.name] = v
+            described = {str(k): "new" for k in predicted if draw(st.booleans())}
+            log.append({"dialogue_id": d.id if draw(st.integers(0, 49)) else "ghost",
+                        "turn": turn, "state": state, "new_slot_descriptions": described})
+    return mode, tuple(dialogues), schema, log
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora_and_logs())
+def test_evaluation_matches_old_evaluation(drawn):
+    mode, dialogues, schema, log = drawn
+    got_corpus = error_of(CorpusFile, dialogues, schema)
+    assert got_corpus[0] in ("ok", seqio.CorpusFormatError)
+    assert error_of(ref_stray_check, dialogues, schema) == (
+        ("ok", None) if got_corpus[0] == "ok" else got_corpus)
+    if got_corpus[0] != "ok":
+        return
+    corpus = got_corpus[1]
+    entries = [StateLogEntry.from_obj(obj) for obj in log]
+    ref_entries = [ref_entry_from_obj(obj) for obj in log]
+    assert valued(evalx.collect_valued_slots(entries)) == valued(
+        ref_collect_valued_slots(ref_entries))
+    assert valued(evalx.gold_valued_slots(dialogues, mode)) == valued(
+        ref_gold_valued_slots(dialogues, mode))
+    assert error_of(evalx.evaluate_run, entries, corpus, mode) == error_of(
+        ref_evaluate_run, ref_entries, corpus, mode)

@@ -314,20 +314,18 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
     """Score a run's states against a gold corpus; print the metric table."""
     with _inputs_frozen() as loaded:
         try:
-            gold = seqio.load_corpus(gold_path)
-            log = seqio.load_state_log(predictions)
+            run = evalx.load_run(predictions, gold_path, StateMode(mode))
             human = evalx.load_human_mapping(human_path) if human_path else None
+            slots = run.valued_slots()
             loaded()
-            report = evalx.evaluate_run(log, gold, StateMode(mode))
+            report = evalx.score_slots(slots)
         except seqio.CorpusFormatError as exc:
             _fail(str(exc), EXIT_CONFIG)
         except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
             _fail(str(exc), EXIT_PIPELINE)
         click.echo(report.render_table())
         if human is not None:
-            P = evalx.collect_valued_slots(log)
-            G = evalx.gold_valued_slots(gold.dialogues, StateMode(mode))
-            auto = evalx.match_slots(P, G)
+            auto = evalx.match_slots(*run.corpus_slots())
             try:
                 agreement = evalx.mapping_agreement(auto, human)
             except evalx.IncompleteMapping as exc:

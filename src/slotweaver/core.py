@@ -31,6 +31,8 @@ __all__ = [
     "DialogueState",
     "Turn",
     "Dialogue",
+    "check_turn",
+    "check_turn_order",
     "canonical_slot_key",
     "canonical_text",
     "schema_update",
@@ -260,6 +262,11 @@ class DialogueState:
         if len(keys) != len(triples):
             twice = min(key for key, n in Counter(key for key, _ in triples).items() if n > 1)
             raise ValueError(f"slot {twice} valued twice")
+        self._describe(keys)
+
+    def _describe(self, keys) -> None:
+        """Settle ``new_slot_descriptions``, whose every key must be in
+        ``keys``: the shared empty mapping, or a read-only copy."""
         if not self.new_slot_descriptions:
             object.__setattr__(self, "new_slot_descriptions", _NO_DESCRIPTIONS)
             return
@@ -284,14 +291,6 @@ class DialogueState:
     def as_dict(self) -> dict:
         return {key: value for key, value in self.triples}
 
-    def changed_since(self, prev: "DialogueState") -> "DialogueState":
-        """The update-mode delta: triples that are new or changed since ``prev``.
-
-        A state holds one value per key, so a triple absent from ``prev`` is
-        exactly a key whose value differs from (or is missing in) ``prev``.
-        """
-        return DialogueState(self.triples - prev.triples)
-
     @classmethod
     def from_pairs(
         cls,
@@ -300,9 +299,43 @@ class DialogueState:
     ) -> "DialogueState":
         return cls(frozenset(pairs), new_slot_descriptions or _NO_DESCRIPTIONS)
 
+    @classmethod
+    def from_values(
+        cls,
+        values: Mapping[SlotKey, str],
+        new_slot_descriptions: Optional[Mapping[SlotKey, str]] = None,
+    ) -> "DialogueState":
+        """The state valuing each key of ``values``. A mapping holds each
+        key once, so no key is checked for a second value."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "triples", frozenset(values.items()))
+        object.__setattr__(state, "new_slot_descriptions", new_slot_descriptions)
+        state._describe(values.keys())
+        return state
+
 
 USER = "user"
 AGENT = "agent"
+
+
+def check_turn(speaker: str, has_gold_state: bool) -> None:
+    """Refuse a speaker tag other than USER and AGENT, and a gold state on
+    a turn that is not the user's."""
+    if speaker not in (USER, AGENT):
+        raise ValueError(f"unknown speaker tag: {speaker!r}")
+    if has_gold_state and speaker != USER:
+        raise ValueError("gold_state is only valid on user turns")
+
+
+def check_turn_order(dialogue_id: str, speakers: Iterable[str]) -> None:
+    """Refuse a dialogue whose turns do not alternate, starting with the user."""
+    for i, speaker in enumerate(speakers):
+        expected = USER if i % 2 == 0 else AGENT
+        if speaker != expected:
+            raise ValueError(
+                f"dialogue {dialogue_id}: turn {i} speaker {speaker!r}, "
+                f"expected {expected!r} (turns alternate starting with user)"
+            )
 
 
 @dataclass(frozen=True)
@@ -314,10 +347,7 @@ class Turn:
     gold_state: Optional[DialogueState] = None
 
     def __post_init__(self) -> None:
-        if self.speaker not in (USER, AGENT):
-            raise ValueError(f"unknown speaker tag: {self.speaker!r}")
-        if self.gold_state is not None and self.speaker != USER:
-            raise ValueError("gold_state is only valid on user turns")
+        check_turn(self.speaker, self.gold_state is not None)
 
 
 @dataclass(frozen=True)
@@ -328,13 +358,7 @@ class Dialogue:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "turns", tuple(self.turns))
-        for i, turn in enumerate(self.turns):
-            expected = USER if i % 2 == 0 else AGENT
-            if turn.speaker != expected:
-                raise ValueError(
-                    f"dialogue {self.id}: turn {i} speaker {turn.speaker!r}, "
-                    f"expected {expected!r} (turns alternate starting with user)"
-                )
+        check_turn_order(self.id, [turn.speaker for turn in self.turns])
 
     def user_turn_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.turns) if t.speaker == USER)

@@ -4,16 +4,24 @@ Slots are compared as sets of (dialogue, turn, value) fills; a predicted
 slot maps to the gold slot with the highest exact-match similarity, subject
 to a 0.5 threshold (boundary inclusive). Redundant predictions onto one
 gold slot count as precision errors.
+
+A run is scored on its fills alone, grouped by scenario and slot key in a
+``RunFills``. ``evaluate_run`` reduces a state log and a corpus, as
+objects, to those fills; ``load_run`` reads the two files straight into
+them, through the ``seqio`` readers that build no per-turn object. Either
+way ``RunFills.valued_slots`` and ``score_slots`` do the rest, and UPDATE
+mode targets come from ``seqio.gold_targets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-from .core import Dialogue, DialogueState, InvalidSlotName, SlotKey, canonical_slot_key
-from .seqio import (CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_turns,
-                    load_json, tracked_turns)
+from .core import Dialogue, InvalidSlotName, SlotKey, SlotSchema, canonical_slot_key
+from .seqio import (CorpusFile, CorpusFormatError, StateLogEntry, StateMode, gold_targets,
+                    load_gold_states, load_json, load_logged_states, user_turn_states)
 
 __all__ = [
     "ValuedSlot",
@@ -31,7 +39,10 @@ __all__ = [
     "value_prf",
     "collect_valued_slots",
     "gold_valued_slots",
+    "RunFills",
+    "score_slots",
     "evaluate_run",
+    "load_run",
     "load_human_mapping",
     "mapping_agreement",
 ]
@@ -185,27 +196,120 @@ def value_prf(mapping: SlotMapping) -> PRF:
     return PRF(precision, recall, _f1(precision, recall))
 
 
-def _valued_slots(states: Iterable[Tuple[str, int, DialogueState]]) -> List[ValuedSlot]:
-    """Group (dialogue id, turn index, state) triples into per-slot fill
-    sets, in key order."""
-    fills: Dict[SlotKey, set] = {}
-    for dialogue_id, turn_index, state in states:
-        for key, value in state.triples:
-            fills.setdefault(key, set()).add((dialogue_id, turn_index, value))
-    return [ValuedSlot(key, frozenset(events)) for key, events in sorted(fills.items())]
+def _add_fills(fills: Dict[SlotKey, set], dialogue_id: str, turn_index: int,
+               pairs: Iterable[Tuple[SlotKey, str]]) -> None:
+    """Add each (key, value) of ``pairs`` to ``fills`` as the fill
+    (dialogue_id, turn_index, value) of its key."""
+    for key, value in pairs:
+        fills.setdefault(key, set()).add((dialogue_id, turn_index, value))
+
+
+def _add_gold(fills: Dict[SlotKey, set], dialogue_id: str, user_states: Sequence,
+              mode: StateMode) -> FrozenSet[int]:
+    """Add the fills of a dialogue's gold targets in ``mode``, given its
+    ``user_turn_states``; return the turns ``mode`` tracks."""
+    tracked = []
+    for i, target in gold_targets(user_states, mode):
+        tracked.append(i)
+        if target is not None:
+            _add_fills(fills, dialogue_id, i, target)
+    return frozenset(tracked)
+
+
+def _valued(fills: Dict[SlotKey, set]) -> List[ValuedSlot]:
+    return [ValuedSlot(key, events) for key, events in sorted(fills.items())]
 
 
 def collect_valued_slots(state_log: Iterable[StateLogEntry]) -> List[ValuedSlot]:
     """Group a run's per-turn states into per-slot fill sets."""
-    return _valued_slots((e.dialogue_id, e.turn_index, e.state) for e in state_log)
+    fills: Dict[SlotKey, set] = {}
+    for entry in state_log:
+        _add_fills(fills, entry.dialogue_id, entry.turn_index, entry.state.triples)
+    return _valued(fills)
 
 
 def gold_valued_slots(dialogues: Sequence[Dialogue], mode: StateMode) -> List[ValuedSlot]:
     """Group the gold targets of the turns ``mode`` tracks into per-slot
     fill sets."""
-    return _valued_slots(
-        (d.id, i, target) for d in dialogues for i, _, target in gold_turns(d, mode)
-    )
+    fills: Dict[SlotKey, set] = {}
+    for d in dialogues:
+        _add_gold(fills, d.id, user_turn_states(d), mode)
+    return _valued(fills)
+
+
+def _merged(by_scenario: Dict[str, Dict[SlotKey, set]]) -> Dict[SlotKey, set]:
+    merged: Dict[SlotKey, set] = {}
+    for fills in by_scenario.values():
+        for key, events in fills.items():
+            merged.setdefault(key, set()).update(events)
+    return merged
+
+
+class RunFills:
+    """The fills a run is scored on: by scenario and slot key, the gold
+    targets of the turns ``mode`` tracks and the run's logged states.
+
+    Dialogues are added first, then the log's entries. The first entry at a
+    dialogue, or a turn of one, that the corpus lacks or that ``mode`` does
+    not track is kept as the run's refusal, and no later entry is added.
+    """
+
+    def __init__(self, mode: StateMode, gold_schema: Optional[SlotSchema]):
+        self.mode = mode
+        self._has_gold_schema = gold_schema is not None
+        # dialogue id -> (scenario id, user turns, tracked turns)
+        self._turns: Dict[str, Tuple[str, FrozenSet[int], FrozenSet[int]]] = {}
+        self._gold: Dict[str, Dict[SlotKey, set]] = {}
+        self._predicted: Dict[str, Dict[SlotKey, set]] = {}
+        self._refusal: Optional[str] = None
+
+    def add_dialogue(self, dialogue_id: str, scenario_id: str, user_states: Sequence) -> None:
+        """Add a dialogue's gold fills, given its ``user_turn_states``."""
+        self._predicted.setdefault(scenario_id, {})
+        tracked = _add_gold(self._gold.setdefault(scenario_id, {}), dialogue_id, user_states,
+                            self.mode)
+        self._turns[dialogue_id] = (scenario_id, frozenset(i for i, _ in user_states), tracked)
+
+    def add_entry(self, dialogue_id: str, turn_index: int,
+                  pairs: AbstractSet[Tuple[SlotKey, str]]) -> None:
+        """Add the fills of a state logged at (dialogue_id, turn_index)."""
+        if self._refusal is not None:
+            return
+        known = self._turns.get(dialogue_id)
+        if known is None:
+            self._refusal = f"dialogue {dialogue_id!r} not present in gold corpus"
+        elif turn_index not in known[1]:
+            self._refusal = (f"dialogue {dialogue_id!r} turn {turn_index} "
+                             "is not a user turn in gold corpus")
+        elif turn_index not in known[2]:
+            self._refusal = (f"dialogue {dialogue_id!r} turn {turn_index} "
+                             f"is not tracked in {self.mode.value} mode")
+        else:
+            _add_fills(self._predicted[known[0]], dialogue_id, turn_index, pairs)
+
+    def valued_slots(self) -> Dict[str, Tuple[List[ValuedSlot], List[ValuedSlot]]]:
+        """The predicted and the gold slots of each scenario, in scenario
+        order. Raises, in this order: InvalidGold for a corpus without a
+        gold schema, UnknownScenario for the refused entry, and InvalidGold
+        for the first scenario without gold fills or a corpus without
+        dialogues."""
+        if not self._has_gold_schema:
+            raise InvalidGold("gold corpus has no gold schema")
+        if self._refusal is not None:
+            raise UnknownScenario(self._refusal)
+        slots = {}
+        for scenario_id in sorted(self._gold):
+            G = _valued(self._gold[scenario_id])
+            if not G:
+                raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
+            slots[scenario_id] = (_valued(self._predicted[scenario_id]), G)
+        if not slots:
+            raise InvalidGold("gold corpus contains no dialogues")
+        return slots
+
+    def corpus_slots(self) -> Tuple[List[ValuedSlot], List[ValuedSlot]]:
+        """The predicted and the gold slots over every scenario."""
+        return _valued(_merged(self._predicted)), _valued(_merged(self._gold))
 
 
 @dataclass(frozen=True)
@@ -254,6 +358,24 @@ class MetricReport:
         return "\n".join(rows)
 
 
+def score_slots(
+    slots: Mapping[str, Tuple[Sequence[ValuedSlot], Sequence[ValuedSlot]]]
+) -> MetricReport:
+    """Match and score each scenario's predicted slots against its gold
+    slots, as ``RunFills.valued_slots`` gives them, and macro-average the
+    metrics across scenarios."""
+    per_scenario = {}
+    for scenario_id, (P, G) in slots.items():
+        mapping = match_slots(P, G)
+        s = slot_prf(mapping, P, G)
+        v = value_prf(mapping)
+        per_scenario[scenario_id] = (
+            s.precision, s.recall, s.f1, v.precision, v.recall, v.f1,
+        )
+    means = [sum(n[i] for n in per_scenario.values()) / len(per_scenario) for i in range(6)]
+    return MetricReport(*means, per_scenario=per_scenario)
+
+
 def evaluate_run(
     state_log: Iterable[StateLogEntry],
     gold_corpus: CorpusFile,
@@ -262,42 +384,26 @@ def evaluate_run(
     """Score a run's state log against a gold corpus, macro-averaged across
     scenarios. An entry at a dialogue, or a turn of one, that the corpus
     lacks or that ``mode`` does not track raises UnknownScenario."""
-    if gold_corpus.gold_schema is None:
-        raise InvalidGold("gold corpus has no gold schema")
-    dialogue_scenario = {d.id: d.scenario_id for d in gold_corpus.dialogues}
-    user_turns = {d.id: frozenset(d.user_turn_indices()) for d in gold_corpus.dialogues}
-    tracked = {d.id: frozenset(tracked_turns(d, mode)) for d in gold_corpus.dialogues}
-    dialogues_by_scenario: Dict[str, list] = {}
+    run = RunFills(mode, gold_corpus.gold_schema)
     for d in gold_corpus.dialogues:
-        dialogues_by_scenario.setdefault(d.scenario_id, []).append(d)
-    entries_by_scenario: Dict[str, list] = {sid: [] for sid in dialogues_by_scenario}
+        run.add_dialogue(d.id, d.scenario_id, user_turn_states(d))
     for entry in state_log:
-        if entry.dialogue_id not in dialogue_scenario:
-            raise UnknownScenario(f"dialogue {entry.dialogue_id!r} not present in gold corpus")
-        if entry.turn_index not in user_turns[entry.dialogue_id]:
-            raise UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
-                                  "is not a user turn in gold corpus")
-        if entry.turn_index not in tracked[entry.dialogue_id]:
-            raise UnknownScenario(f"dialogue {entry.dialogue_id!r} turn {entry.turn_index} "
-                                  f"is not tracked in {mode.value} mode")
-        entries_by_scenario[dialogue_scenario[entry.dialogue_id]].append(entry)
+        run.add_entry(entry.dialogue_id, entry.turn_index, entry.state.triples)
+    return score_slots(run.valued_slots())
 
-    per_scenario = {}
-    for scenario_id, entries in sorted(entries_by_scenario.items()):
-        G = gold_valued_slots(dialogues_by_scenario[scenario_id], mode)
-        if not G:
-            raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
-        P = collect_valued_slots(entries)
-        mapping = match_slots(P, G)
-        s = slot_prf(mapping, P, G)
-        v = value_prf(mapping)
-        per_scenario[scenario_id] = (
-            s.precision, s.recall, s.f1, v.precision, v.recall, v.f1,
-        )
-    if not per_scenario:
-        raise InvalidGold("gold corpus contains no dialogues")
-    means = [sum(n[i] for n in per_scenario.values()) / len(per_scenario) for i in range(6)]
-    return MetricReport(*means, per_scenario=per_scenario)
+
+def load_run(predictions, gold_path, mode: StateMode) -> RunFills:
+    """Read a state log file and its gold corpus file straight into the
+    fills ``evaluate_run`` would score them on. Only a CorpusFormatError
+    is raised here, so one in either file comes before any refusal of the
+    run, which ``RunFills.valued_slots`` raises."""
+    gold_schema, dialogues = load_gold_states(gold_path)
+    run = RunFills(mode, gold_schema)
+    for dialogue_id, scenario_id, user_states in dialogues:
+        run.add_dialogue(dialogue_id, scenario_id, user_states)
+    for dialogue_id, turn_index, values in load_logged_states(predictions):
+        run.add_entry(dialogue_id, turn_index, values.items())
+    return run
 
 
 def _decided_key(where: str, slot) -> SlotKey:

@@ -6,7 +6,11 @@ dialogue state with fault tolerance (malformed lines warn, never abort).
 This module owns the format: its headers and instructions are the
 constants below, and one walker reads both the types and the values block.
 It also owns the files: every file a command reads or writes goes through
-the one writer and the one reader of its format below.
+the one writer and the one reader of its format below. The reader of a
+corpus and that of a state log are each one walk that makes every check of
+the format; it hands back objects (``load_corpus``, ``load_state_log``) or
+plain values that need no Dialogue, Turn, DialogueState or StateLogEntry
+(``load_gold_states``, ``load_logged_states``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .core import (
     AGENT,
@@ -30,6 +35,8 @@ from .core import (
     SlotSchema,
     Turn,
     canonical_slot_key,
+    check_turn,
+    check_turn_order,
 )
 
 __all__ = [
@@ -60,8 +67,10 @@ __all__ = [
     "load_json",
     "load_json_lines",
     "load_corpus",
+    "load_gold_states",
     "save_corpus",
     "load_state_log",
+    "load_logged_states",
     "corpus_to_obj",
     "corpus_from_obj",
     "schema_to_obj",
@@ -70,6 +79,8 @@ __all__ = [
     "state_from_obj",
     "StateLogEntry",
     "tracked_turns",
+    "user_turn_states",
+    "gold_targets",
     "gold_turns",
     "build_training_sequences",
     "save_training_pairs",
@@ -292,7 +303,7 @@ def parse_state_block(text: str, known_schema: SlotSchema) -> ParsedPrediction:
     new_descriptions = {
         key: descriptions.get(key, "") for key in values if key not in known_schema
     }
-    state = DialogueState.from_pairs(values.items(), new_descriptions)
+    state = DialogueState.from_values(values, new_descriptions)
     return ParsedPrediction(state, tuple(warnings))
 
 
@@ -312,17 +323,26 @@ class CorpusFile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dialogues", tuple(self.dialogues))
         if self.gold_schema is not None:
-            known = self.gold_schema
-            for dialogue in self.dialogues:
-                for i, turn in enumerate(dialogue.turns):
-                    if turn.gold_state is None:
-                        continue
-                    stray = [key for key, _ in turn.gold_state.triples if key not in known]
-                    if stray:
-                        raise CorpusFormatError(
-                            f"dialogue {dialogue.id} turn {i}: gold state uses slots "
-                            f"absent from gold schema: {sorted(map(str, stray))}"
-                        )
+            _refuse_stray_slots(self.gold_schema, (
+                (dialogue.id, i, turn.gold_state.triples)
+                for dialogue in self.dialogues
+                for i, turn in enumerate(dialogue.turns)
+                if turn.gold_state is not None
+            ))
+
+
+def _refuse_stray_slots(schema: SlotSchema, gold_states) -> None:
+    """Raise a CorpusFormatError naming the first of ``gold_states``, each
+    (dialogue id, turn index, gold (key, value) pairs), that values a slot
+    ``schema`` lacks."""
+    known = set(schema.keys())
+    for dialogue_id, i, pairs in gold_states:
+        stray = [key for key, _ in pairs if key not in known]
+        if stray:
+            raise CorpusFormatError(
+                f"dialogue {dialogue_id} turn {i}: gold state uses slots "
+                f"absent from gold schema: {sorted(map(str, stray))}"
+            )
 
 
 # The JSON type each field of an artifact's objects must hold, by field; a
@@ -401,10 +421,15 @@ def state_to_obj(state: DialogueState) -> dict:
     return out
 
 
-def state_from_obj(obj: dict) -> DialogueState:
+def _state_values(obj) -> Dict[SlotKey, str]:
+    """The ``{key: value}`` of a state object, which maps domains to objects
+    of slot names and string values. Once every field has passed its check,
+    a slot valued twice (under two spellings of its key) is refused,
+    naming the smallest such key."""
     if not isinstance(obj, dict):
         raise CorpusFormatError(f"state must be an object, got {type(obj).__name__}")
-    pairs = []
+    values: Dict[SlotKey, str] = {}
+    twice = []
     for domain, slots in obj.items():
         if not isinstance(slots, dict):
             raise CorpusFormatError(f"state domain {domain!r} must map slots to values")
@@ -413,10 +438,18 @@ def state_from_obj(obj: dict) -> DialogueState:
                 raise CorpusFormatError(f"state domain {domain!r} slot {name!r} must be a string, "
                                         f"got {_type_name(value)}")
             try:
-                pairs.append((canonical_slot_key(domain, name), value))
+                key = canonical_slot_key(domain, name)
             except InvalidSlotName as exc:
                 raise CorpusFormatError(str(exc)) from exc
-    return DialogueState.from_pairs(pairs)
+            if values.setdefault(key, value) != value:
+                twice.append(key)
+    if twice:
+        raise ValueError(f"slot {min(twice)} valued twice")
+    return values
+
+
+def state_from_obj(obj: dict) -> DialogueState:
+    return DialogueState.from_values(_state_values(obj))
 
 
 @dataclass(frozen=True)
@@ -447,17 +480,28 @@ class StateLogEntry:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "StateLogEntry":
-        _check_fields(obj, _LOG_ENTRY_FIELDS, "state-log entry")
-        state = state_from_obj(obj["state"])
-        logged = obj.get("new_slot_descriptions") or {}
-        for name, description in logged.items():
-            if type(description) is not str:
-                raise CorpusFormatError(f"new slot {name!r} description must be a string, "
-                                        f"got {_type_name(description)}")
-        if logged:
-            descriptions = {key: logged[str(key)] for key, _ in state.triples if str(key) in logged}
-            state = DialogueState(state.triples, descriptions)
+        return cls._built(obj, *_entry_values(obj))
+
+    @classmethod
+    def _built(cls, obj: dict, values: Dict[SlotKey, str], logged: dict) -> "StateLogEntry":
+        """The entry of a checked object, given ``_entry_values`` of it."""
+        descriptions = ({key: logged[str(key)] for key in values if str(key) in logged}
+                        if logged else None)
+        state = DialogueState.from_values(values, descriptions)
         return cls(obj["dialogue_id"], obj["turn"], state, obj.get("dialogue_index"))
+
+
+def _entry_values(obj) -> Tuple[Dict[SlotKey, str], dict]:
+    """Check a state-log object; return its state's values and its logged
+    descriptions."""
+    _check_fields(obj, _LOG_ENTRY_FIELDS, "state-log entry")
+    values = _state_values(obj["state"])
+    logged = obj.get("new_slot_descriptions") or {}
+    for name, description in logged.items():
+        if type(description) is not str:
+            raise CorpusFormatError(f"new slot {name!r} description must be a string, "
+                                    f"got {_type_name(description)}")
+    return values, logged
 
 
 def corpus_to_obj(corpus: CorpusFile) -> dict:
@@ -482,7 +526,14 @@ def corpus_to_obj(corpus: CorpusFile) -> dict:
     }
 
 
-def corpus_from_obj(obj: dict) -> CorpusFile:
+def _read_corpus(obj, turn: Callable, dialogue: Callable) -> Tuple[Optional[SlotSchema], list]:
+    """The one walk of a corpus object, which every corpus reader takes: it
+    checks the layout in document order. Each turn goes to ``turn(speaker,
+    text, values)``, with its state's values or None, and each dialogue to
+    ``dialogue(id, scenario_id, turns)``, with what ``turn`` returned for
+    its turns; a ValueError either raises is a CorpusFormatError naming the
+    turn or the dialogue. Returns the gold schema and what ``dialogue``
+    returned for each dialogue."""
     _check_fields(obj, _CORPUS_FIELDS, "corpus file")
     gold = obj.get("gold_schema")
     gold_schema = None if gold is None else schema_from_obj(gold)
@@ -499,15 +550,49 @@ def corpus_from_obj(obj: dict) -> CorpusFile:
         for j, t in enumerate(d["turns"]):
             try:
                 _check_fields(t, _TURN_FIELDS)
-                state = None if t.get("state") is None else state_from_obj(t["state"])
-                turns.append(Turn(t["speaker"], t["text"], state))
+                state = t.get("state")
+                turns.append(turn(t["speaker"], t["text"],
+                                  None if state is None else _state_values(state)))
             except ValueError as exc:
                 raise CorpusFormatError(f"dialogue {d['id']!r} turn {j}: {exc}") from exc
         try:
-            dialogues.append(Dialogue(d["id"], d["scenario_id"], tuple(turns)))
+            dialogues.append(dialogue(d["id"], d["scenario_id"], turns))
         except ValueError as exc:
             raise CorpusFormatError(str(exc)) from exc
+    return gold_schema, dialogues
+
+
+def _turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]) -> Turn:
+    return Turn(speaker, text, None if values is None else DialogueState.from_values(values))
+
+
+def corpus_from_obj(obj: dict) -> CorpusFile:
+    gold_schema, dialogues = _read_corpus(obj, _turn, Dialogue)
     return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
+
+
+def _checked_turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]):
+    check_turn(speaker, values is not None)
+    return speaker, values
+
+
+def _dialogue_states(dialogue_id: str, scenario_id: str, turns: list):
+    check_turn_order(dialogue_id, [speaker for speaker, _ in turns])
+    states = [(i, None if values is None else values.items())
+              for i, (speaker, values) in enumerate(turns) if speaker == USER]
+    return dialogue_id, scenario_id, states
+
+
+def _gold_states_from_obj(obj: dict):
+    gold_schema, dialogues = _read_corpus(obj, _checked_turn, _dialogue_states)
+    if gold_schema is not None:
+        _refuse_stray_slots(gold_schema, (
+            (dialogue_id, i, pairs)
+            for dialogue_id, _, states in dialogues
+            for i, pairs in states
+            if pairs is not None
+        ))
+    return gold_schema, dialogues
 
 
 def _json_key(key) -> str:
@@ -606,34 +691,61 @@ def load_json_lines(path, parse: Callable[[object], object]) -> list:
     return out
 
 
-def load_corpus(path) -> CorpusFile:
-    """The corpus in a UTF-8 JSON file; a CorpusFormatError names the file."""
+def _read_document(path, read: Callable):
+    """``read`` of the JSON document in a UTF-8 file; a CorpusFormatError
+    names the file."""
     obj = load_json(path)
     try:
-        return corpus_from_obj(obj)
+        return read(obj)
     except CorpusFormatError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from exc
+
+
+def load_corpus(path) -> CorpusFile:
+    """The corpus in a UTF-8 JSON file; a CorpusFormatError names the file."""
+    return _read_document(path, corpus_from_obj)
+
+
+def load_gold_states(path) -> Tuple[Optional[SlotSchema], List[Tuple[str, str, list]]]:
+    """The corpus in a UTF-8 JSON file, checked as ``load_corpus`` checks
+    it, as its gold schema and, for each dialogue, its id, its scenario id
+    and the ``user_turn_states`` of its turns, with a dict's items for gold
+    pairs. No Dialogue, Turn or DialogueState is built."""
+    return _read_document(path, _gold_states_from_obj)
 
 
 def save_corpus(corpus: CorpusFile, path) -> None:
     save_json(corpus_to_obj(corpus), path)
 
 
+def _read_state_log(path, entry: Callable) -> list:
+    """The one walk of a ``states.jsonl`` state log, which every log reader
+    takes: ``entry(obj, values, logged)`` of each line's checked object,
+    given ``_entry_values`` of it. A log holds at most one entry per
+    (dialogue id, turn)."""
+    positions = set()
+
+    def parse(obj):
+        values, logged = _entry_values(obj)
+        position = (obj["dialogue_id"], obj["turn"])
+        if position in positions:
+            raise ValueError(f"dialogue {obj['dialogue_id']!r} turn {obj['turn']} logged twice")
+        positions.add(position)
+        return entry(obj, values, logged)
+
+    return load_json_lines(path, parse)
+
+
 def load_state_log(path) -> List[StateLogEntry]:
-    """A ``states.jsonl`` state log: one StateLogEntry object per line. A
-    log holds at most one entry per (dialogue id, turn)."""
-    logged = set()
+    """A ``states.jsonl`` state log: one StateLogEntry object per line."""
+    return _read_state_log(path, StateLogEntry._built)
 
-    def entry(obj) -> StateLogEntry:
-        parsed = StateLogEntry.from_obj(obj)
-        position = (parsed.dialogue_id, parsed.turn_index)
-        if position in logged:
-            raise ValueError(f"dialogue {parsed.dialogue_id!r} turn {parsed.turn_index} "
-                             "logged twice")
-        logged.add(position)
-        return parsed
 
-    return load_json_lines(path, entry)
+def load_logged_states(path) -> List[Tuple[str, int, Dict[SlotKey, str]]]:
+    """A state log, checked as ``load_state_log`` checks it, as the
+    dialogue id, turn index and state values of each entry. No
+    StateLogEntry or DialogueState is built."""
+    return _read_state_log(path, lambda obj, values, _: (obj["dialogue_id"], obj["turn"], values))
 
 
 # ---------------------------------------------------------------------------
@@ -653,29 +765,50 @@ def _require_gold(corpus: CorpusFile) -> SlotSchema:
     return corpus.gold_schema
 
 
-def tracked_turns(dialogue: Dialogue, mode: StateMode) -> List[int]:
-    """The user turns that a run in ``mode`` visits: only the last one in
-    FINAL mode, every one otherwise."""
-    user_turns = dialogue.user_turn_indices()
+def _tracked(user_turns: Sequence, mode: StateMode) -> Sequence:
+    """What a run in ``mode`` visits of a dialogue's user turns, in order:
+    only the last one in FINAL mode, every one otherwise."""
     return user_turns[-1:] if mode is StateMode.FINAL else user_turns
+
+
+def tracked_turns(dialogue: Dialogue, mode: StateMode) -> Tuple[int, ...]:
+    """The indices of the user turns that a run in ``mode`` visits."""
+    return _tracked(dialogue.user_turn_indices(), mode)
+
+
+def user_turn_states(dialogue: Dialogue) -> List[Tuple[int, Optional[frozenset]]]:
+    """(turn index, gold state (key, value) pairs or None) of each user turn."""
+    return [(i, None if turn.gold_state is None else turn.gold_state.triples)
+            for i, turn in enumerate(dialogue.turns) if turn.speaker == USER]
+
+
+def gold_targets(
+    user_states: Sequence, mode: StateMode
+) -> Iterator[Tuple[int, Optional[AbstractSet]]]:
+    """The index and gold target of each user turn that a run in ``mode``
+    visits, given ``user_turn_states`` of a dialogue. A turn without a gold
+    state has no target (None). Otherwise the target is the gold (key,
+    value) pairs, less, in UPDATE mode, those of the previous gold state:
+    a state holds one value per key, so what is left are the keys new or
+    changed since."""
+    prev: AbstractSet = frozenset()
+    for i, pairs in _tracked(user_states, mode):
+        if pairs is None:
+            yield i, None
+            continue
+        yield i, pairs - prev if mode is StateMode.UPDATE else pairs
+        prev = pairs
 
 
 def gold_turns(
     dialogue: Dialogue, mode: StateMode
 ) -> Iterator[Tuple[int, DialogueState, DialogueState]]:
-    """Yield (turn_index, gold_state, target_state) for user turns with a gold state.
-
-    The turns are those ``tracked_turns`` gives. The target is the change
-    since the previous gold state in UPDATE mode and the gold state itself
-    otherwise.
-    """
-    prev = DialogueState()
-    for i in tracked_turns(dialogue, mode):
-        state = dialogue.turns[i].gold_state
-        if state is None:
-            continue
-        yield i, state, state.changed_since(prev) if mode is StateMode.UPDATE else state
-        prev = state
+    """Yield (turn_index, gold_state, target_state) for each turn with a
+    gold state that ``gold_targets`` gives a target."""
+    for i, target in gold_targets(user_turn_states(dialogue), mode):
+        if target is not None:
+            state = dialogue.turns[i].gold_state
+            yield i, state, DialogueState(target) if mode is StateMode.UPDATE else state
 
 
 def _with_discoveries(

@@ -411,6 +411,26 @@ class TestEvaluate:
         # corpus values are mostly echoed back: high but imperfect value recall
         assert 0.5 < report["value"]["recall"] <= 1.0
 
+    @pytest.mark.parametrize("mode", ["update", "state", "final"])
+    def test_metrics_bytes_are_pinned_in_every_mode(self, runner, tmp_path, mode):
+        # tests/data/metrics/<mode>.json holds the bytes evaluate wrote
+        # when each slot's fills came from per-turn state objects
+        states = GOLDEN / "states.jsonl"
+        if mode == "final":  # a final-mode log holds each dialogue's last user turn only
+            corpus = json.loads((DATA / "corpus.json").read_text())
+            last = {d["id"]: max(i for i, t in enumerate(d["turns"]) if t["speaker"] == "user")
+                    for d in corpus["dialogues"]}
+            lines = [line for line in states.read_text().splitlines()
+                     if json.loads(line)["turn"] == last[json.loads(line)["dialogue_id"]]]
+            states = tmp_path / "final.jsonl"
+            states.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "metrics.json"
+        result = runner.invoke(main, ["evaluate", "--predictions", str(states),
+                                      "--gold", str(DATA / "corpus.json"), "--mode", mode,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == (DATA / "metrics" / f"{mode}.json").read_bytes()
+
     def test_report_json_predictions_is_format_error(self, runner):
         path = GOLDEN / "report.json"
         result = runner.invoke(

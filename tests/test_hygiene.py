@@ -6,7 +6,8 @@ written outside ``seqio``, no config key that nothing reads, no
 key sets, no value check that a CLI flag makes and its config key does not,
 no third-party HTTP library, no command that loads code it does not run,
 no CLI option that the README leaves out, no use of the ``gc`` module
-outside ``cli``, and no Python-level hash or equality on slot keys.
+outside ``cli``, no Python-level hash or equality on slot keys, and no
+per-turn state object built by ``evaluate``.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -27,8 +28,10 @@ import click
 import pytest
 
 import slotweaver
+from click.testing import CliRunner
+
 from slotweaver import backend, cli, refine, seqio, sim
-from slotweaver.core import SlotKey
+from slotweaver.core import DialogueState, SlotKey
 
 PACKAGE_DIR = Path(slotweaver.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -591,6 +594,31 @@ def test_each_command_loads_only_what_it_runs(tmp_path, command, flags, loaded):
     (tmp_path / "config.yaml").write_text(
         f"backend:\n  kind: scripted\n  script: {DATA / 'script.jsonl'}\n")
     assert loaded_by_command([command, *flags], tmp_path) == loaded
+
+
+@pytest.mark.parametrize("mode", ["update", "state"])
+def test_evaluate_builds_no_per_turn_state_objects(monkeypatch, tmp_path, mode):
+    """``evaluate`` reads its two files straight into slot fills: neither
+    constructor of a DialogueState runs, nor that of a StateLogEntry."""
+    made = []
+
+    def counting(name, build):
+        def counted(*args, **kwargs):
+            made.append(name)
+            return build(*args, **kwargs)
+        return counted
+
+    for cls in (DialogueState, seqio.StateLogEntry):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    monkeypatch.setattr(DialogueState, "from_values", classmethod(
+        counting("DialogueState", DialogueState.from_values.__func__)))
+    out = tmp_path / "metrics.json"
+    result = CliRunner().invoke(cli.main, [
+        "evaluate", "--predictions", str(DATA / "golden" / "states.jsonl"),
+        "--gold", str(DATA / "corpus.json"), "--mode", mode, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.exists()
+    assert made == []
 
 
 def undocumented_options(group: click.Group, text: str):

@@ -3,25 +3,30 @@ gold-turn walker, the refiners' fill table, the interned slot keys, the
 memoized catalog render and derived schemas, the block parsers and
 renderers, the simulator's prompt templates and fenced-block retry, the
 induction engine, the prompt's context budget, the mapping agreement, the
-state-log reader and the evaluation path against reference copies of the code they replaced, and the JSON writer
-``canonical_json`` against ``json.dumps``, on random inputs."""
+state-log reader and the evaluation path against reference copies of the
+code they replaced, the ``evaluate`` command against the object route it
+replaced, and the JSON writer ``canonical_json`` against ``json.dumps``, on
+random inputs."""
 
 import json
 import logging
 import pickle
 import random
 import re
+import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 from typing import List, Mapping, Optional, Tuple
 from unittest import mock
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slotweaver import evalx, induct, seqio, sim
+from slotweaver import cli, evalx, induct, seqio, sim
 from slotweaver.backend import (
     AuthError,
     BackendError,
@@ -274,8 +279,9 @@ def test_by_domain_matches_per_domain_scan(schema):
 
 @settings(max_examples=150, deadline=None)
 @given(states, states)
-def test_changed_since_matches_value_of_filter(state, prev):
-    assert state.changed_since(prev) == ref_delta(state, prev)
+def test_update_target_matches_value_of_filter(state, prev):
+    targets = list(seqio.gold_targets([(0, prev.triples), (2, state.triples)], StateMode.UPDATE))
+    assert targets[1] == (2, ref_delta(state, prev).triples)
 
 
 def dialogue_of(user_states):
@@ -1550,3 +1556,200 @@ def test_evaluation_matches_old_evaluation(drawn):
         ref_gold_valued_slots(dialogues, mode))
     assert error_of(evalx.evaluate_run, entries, corpus, mode) == error_of(
         ref_evaluate_run, ref_entries, corpus, mode)
+
+
+# --- the evaluate command against the object route -------------------------------
+# ``evaluate`` reads its two files straight into slot fills. Before, it loaded
+# them as a CorpusFile and StateLogEntry objects and scored those with
+# ``evaluate_run``; a human mapping was matched on ``collect_valued_slots``
+# and ``gold_valued_slots`` of the same objects.
+
+
+def object_route(predictions, gold_path, mode, human_path):
+    """(exit code, stdout, stderr, metrics.json text or None) of ``evaluate``
+    on the object route."""
+    try:
+        gold = seqio.load_corpus(gold_path)
+        log = seqio.load_state_log(predictions)
+        human = evalx.load_human_mapping(human_path) if human_path else None
+        report = evalx.evaluate_run(log, gold, mode)
+    except seqio.CorpusFormatError as exc:
+        return 2, "", f"error: {exc}\n", None
+    except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
+        return 1, "", f"error: {exc}\n", None
+    stdout = report.render_table() + "\n"
+    if human is not None:
+        auto = evalx.match_slots(evalx.collect_valued_slots(log),
+                                 evalx.gold_valued_slots(gold.dialogues, mode))
+        try:
+            agreement = evalx.mapping_agreement(auto, human)
+        except evalx.IncompleteMapping as exc:
+            return 1, stdout, f"error: {exc}\n", None
+        stdout += f"mapping agreement with human decisions: {agreement:.3f}\n"
+    return 0, stdout, "", canonical_json(report.to_obj())
+
+
+CORPUS_FAULTS = ["repeated id", "gold on agent turn", "unknown speaker", "out of turn",
+                 "text not a string", "value not a string", "state not an object",
+                 "stray gold slot", "slot valued twice", "empty slot name", "null gold schema",
+                 "dialogue not an object"]
+LOG_FAULTS = ["unknown dialogue", "agent turn", "untracked turn", "no such turn",
+              "logged twice", "turn not an integer", "value not a string", "slot valued twice",
+              "description not a string", "not JSON", "blank line"]
+
+
+def _state_obj(pairs):
+    obj = {}
+    for k, v in pairs:
+        obj.setdefault(k.domain, {})[k.name] = v
+    return obj
+
+
+def _break_corpus(draw, corpus, fault):
+    dialogues = corpus["dialogues"]
+    objects = [d for d in dialogues if isinstance(d, dict)]
+    turns = draw(st.sampled_from(objects))["turns"]
+    user = draw(st.sampled_from(turns[0::2]))
+    if fault == "repeated id":
+        objects[-1]["id"] = objects[0]["id"]  # no repeat when there is one dialogue
+    elif fault == "gold on agent turn" and len(turns) > 1:
+        turns[1]["state"] = {}
+    elif fault == "unknown speaker":
+        user["speaker"] = "bot"
+    elif fault == "out of turn":
+        turns.append({"speaker": turns[-1]["speaker"], "text": "again", "state": None})
+    elif fault == "text not a string":
+        user["text"] = 5
+    elif fault == "value not a string":
+        user["state"] = {"hotel": {"area": 3}}
+    elif fault == "state not an object":
+        user["state"] = ["hotel"]
+    elif fault == "stray gold slot":
+        user["state"] = {"taxi": {"to": "north"}}
+    elif fault == "slot valued twice":
+        user["state"] = {"hotel": {"area": "north"}, "HOTEL": {"Area": "south"}}
+    elif fault == "empty slot name":
+        user["state"] = {"hotel": {" ": "north"}}
+    elif fault == "null gold schema":
+        corpus["gold_schema"] = None
+    elif fault == "dialogue not an object":
+        dialogues.insert(draw(st.integers(0, len(dialogues))), 7)
+
+
+def _bad_line(draw, lines, dialogue_id, fault):
+    entry = {"dialogue_id": dialogue_id, "turn": 0, "state": {}}
+    if fault == "unknown dialogue":
+        entry["dialogue_id"] = "ghost"
+    elif fault == "agent turn":
+        entry["turn"] = 1
+    elif fault == "untracked turn":
+        pass  # turn 0 is tracked unless the mode is final and a later user turn exists
+    elif fault == "no such turn":
+        entry["turn"] = 98
+    elif fault == "logged twice":
+        return draw(st.sampled_from(lines)) if lines else "{}"
+    elif fault == "turn not an integer":
+        entry["turn"] = "0"
+    elif fault == "value not a string":
+        entry["state"] = {"hotel": {"area": None}}
+    elif fault == "slot valued twice":
+        entry["state"] = {"train": {"day": "monday"}, "Train": {"Day": "friday"}}
+    elif fault == "description not a string":
+        entry["new_slot_descriptions"] = {"hotel/area": 5}
+    elif fault == "not JSON":
+        return "not json"
+    elif fault == "blank line":
+        return "  "
+    return json.dumps(entry)
+
+
+@st.composite
+def evaluate_cases(draw):
+    """(mode, corpus document, state-log lines, human mapping or None): a
+    gold corpus over the small vocabulary with one to three scenarios, a
+    log at the turns the mode tracks with mixed-case values and slots the
+    gold schema lacks, and now and then faults in either file, which may
+    stand on any line, before or after another."""
+    mode = draw(st.sampled_from(list(StateMode)))
+    gold_keys = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    gold_states = st.dictionaries(st.sampled_from(gold_keys), st.sampled_from(MIXED_VALUES),
+                                  min_size=1, max_size=3).map(lambda d: _state_obj(d.items()))
+    dialogues = []
+    for i in range(draw(st.integers(1, 5))):
+        turns = []
+        for _ in range(draw(st.integers(1, 3))):
+            state = None if draw(st.integers(0, 4)) == 0 else draw(gold_states)
+            turns.append({"speaker": "user", "text": "u", "state": state})
+            turns.append({"speaker": "agent", "text": "a", "state": None})
+        if draw(st.booleans()):
+            turns.pop()  # the dialogue ends on a user turn
+        dialogues.append({"id": f"d{i}", "scenario_id": f"s{draw(st.integers(0, 2))}",
+                          "turns": turns})
+    lines = []
+    for d in dialogues:
+        user_turns = list(range(0, len(d["turns"]), 2))
+        for turn in user_turns[-1:] if mode is StateMode.FINAL else user_turns:
+            if draw(st.integers(0, 3)) == 0:
+                continue
+            predicted = draw(st.dictionaries(keys, st.sampled_from(MIXED_VALUES), max_size=4))
+            entry = {"dialogue_id": d["id"], "turn": turn, "state": _state_obj(predicted.items())}
+            if draw(st.booleans()):
+                entry["new_slot_descriptions"] = {str(k): "new" for k in predicted}
+            lines.append(json.dumps(entry))
+    ids = [d["id"] for d in dialogues]
+    corpus = {"format_version": 1,
+              "gold_schema": {"domains": [{"name": k.domain, "slots": [{"name": k.name}]}
+                                          for k in gold_keys]},
+              "dialogues": dialogues}
+    if draw(st.integers(0, 3)) == 0:
+        for fault in draw(st.lists(st.sampled_from(CORPUS_FAULTS), min_size=1, max_size=2)):
+            _break_corpus(draw, corpus, fault)
+    if draw(st.integers(0, 2)) == 0:
+        for fault in draw(st.lists(st.sampled_from(LOG_FAULTS), min_size=1, max_size=3)):
+            bad = _bad_line(draw, lines, draw(st.sampled_from(ids)), fault)
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+    mapping = None
+    if draw(st.booleans()):
+        gold = st.none() | st.sampled_from(gold_keys).map(
+            lambda k: {"domain": k.domain, "name": k.name})
+        decisions = [{"predicted": {"domain": k.domain, "name": k.name}, "gold": draw(gold)}
+                     for k in VOCABULARY if draw(st.integers(0, 59))]  # now and then one left out
+        if draw(st.integers(0, 9)) == 0:
+            decisions.insert(draw(st.integers(0, len(decisions))), 7)
+        mapping = {"decisions": decisions}
+    return mode.value, corpus, lines, mapping
+
+
+# a pipeline error (an unknown dialogue) on line 1, a format error on line 2
+_LATE_FORMAT_ERROR = (
+    "state",
+    {"format_version": 1, "gold_schema": {"domains": [{"name": "hotel", "slots": [{"name": "area"}]}]},
+     "dialogues": [{"id": "d0", "scenario_id": "s0",
+                    "turns": [{"speaker": "user", "text": "u", "state": {"hotel": {"area": "north"}}}]}]},
+    [json.dumps({"dialogue_id": "ghost", "turn": 0, "state": {}}), "not json"],
+    None,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(evaluate_cases())
+@example(_LATE_FORMAT_ERROR)
+def test_evaluate_matches_object_route(case):
+    mode, corpus, lines, mapping = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        gold, predictions, out = tmp / "gold.json", tmp / "states.jsonl", tmp / "metrics.json"
+        gold.write_text(canonical_json(corpus), encoding="utf-8")
+        predictions.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        argv = ["evaluate", "--predictions", str(predictions), "--gold", str(gold),
+                "--mode", mode, "--out", str(out)]
+        human = None
+        if mapping is not None:
+            human = tmp / "mapping.json"
+            human.write_text(json.dumps(mapping), encoding="utf-8")
+            argv += ["--human-mapping", str(human)]
+        result = CliRunner().invoke(cli.main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        got = (result.exit_code, result.stdout, result.stderr,
+               out.read_text(encoding="utf-8") if out.exists() else None)
+        assert got == object_route(predictions, gold, StateMode(mode), human)

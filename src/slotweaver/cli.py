@@ -314,9 +314,9 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
     """Score a run's states against a gold corpus; print the metric table."""
     with _inputs_frozen() as loaded:
         try:
-            run = evalx.load_run(predictions, gold_path, StateMode(mode))
+            gold_schema, dialogues, entries = evalx.load_run(predictions, gold_path)
             human = evalx.load_human_mapping(human_path) if human_path else None
-            slots = run.valued_slots()
+            slots = evalx.scenario_slots(StateMode(mode), gold_schema, dialogues, entries)
             loaded()
             report = evalx.score_slots(slots)
         except seqio.CorpusFormatError as exc:
@@ -325,7 +325,7 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
             _fail(str(exc), EXIT_PIPELINE)
         click.echo(report.render_table())
         if human is not None:
-            auto = evalx.match_slots(*run.corpus_slots())
+            auto = evalx.match_slots(*evalx.corpus_slots(slots))
             try:
                 agreement = evalx.mapping_agreement(auto, human)
             except evalx.IncompleteMapping as exc:

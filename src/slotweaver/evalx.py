@@ -5,18 +5,19 @@ slot maps to the gold slot with the highest exact-match similarity, subject
 to a 0.5 threshold (boundary inclusive). Redundant predictions onto one
 gold slot count as precision errors.
 
-A run is scored on its fills alone, grouped by scenario and slot key in a
-``RunFills``. ``evaluate_run`` reduces a state log and a corpus, as
-objects, to those fills; ``load_run`` reads the two files straight into
-them, through the ``seqio`` readers that build no per-turn object. Either
-way ``RunFills.valued_slots`` and ``score_slots`` do the rest, and UPDATE
-mode targets come from ``seqio.gold_targets``.
+A run is scored on its fills alone, grouped by scenario and slot key by
+one fold, ``scenario_slots``, which also makes every refusal of a run. It
+takes plain rows: each dialogue as its id, scenario id and user-turn gold
+pairs, and each logged state as its dialogue id, turn and (key, value)
+pairs. ``evaluate_run`` feeds it rows of loaded objects; ``load_run``
+reads the two files into rows, through the ``seqio`` readers that build no
+per-turn object. UPDATE mode targets come from ``seqio.gold_targets``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional,
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .core import Dialogue, InvalidSlotName, SlotKey, SlotSchema, canonical_slot_key
@@ -39,7 +40,8 @@ __all__ = [
     "value_prf",
     "collect_valued_slots",
     "gold_valued_slots",
-    "RunFills",
+    "scenario_slots",
+    "corpus_slots",
     "score_slots",
     "evaluate_run",
     "load_run",
@@ -237,79 +239,60 @@ def gold_valued_slots(dialogues: Sequence[Dialogue], mode: StateMode) -> List[Va
     return _valued(fills)
 
 
-def _merged(by_scenario: Dict[str, Dict[SlotKey, set]]) -> Dict[SlotKey, set]:
-    merged: Dict[SlotKey, set] = {}
-    for fills in by_scenario.values():
-        for key, events in fills.items():
-            merged.setdefault(key, set()).update(events)
-    return merged
-
-
-class RunFills:
-    """The fills a run is scored on: by scenario and slot key, the gold
-    targets of the turns ``mode`` tracks and the run's logged states.
-
-    Dialogues are added first, then the log's entries. The first entry at a
-    dialogue, or a turn of one, that the corpus lacks or that ``mode`` does
-    not track is kept as the run's refusal, and no later entry is added.
-    """
-
-    def __init__(self, mode: StateMode, gold_schema: Optional[SlotSchema]):
-        self.mode = mode
-        self._has_gold_schema = gold_schema is not None
-        # dialogue id -> (scenario id, user turns, tracked turns)
-        self._turns: Dict[str, Tuple[str, FrozenSet[int], FrozenSet[int]]] = {}
-        self._gold: Dict[str, Dict[SlotKey, set]] = {}
-        self._predicted: Dict[str, Dict[SlotKey, set]] = {}
-        self._refusal: Optional[str] = None
-
-    def add_dialogue(self, dialogue_id: str, scenario_id: str, user_states: Sequence) -> None:
-        """Add a dialogue's gold fills, given its ``user_turn_states``."""
-        self._predicted.setdefault(scenario_id, {})
-        tracked = _add_gold(self._gold.setdefault(scenario_id, {}), dialogue_id, user_states,
-                            self.mode)
-        self._turns[dialogue_id] = (scenario_id, frozenset(i for i, _ in user_states), tracked)
-
-    def add_entry(self, dialogue_id: str, turn_index: int,
-                  pairs: AbstractSet[Tuple[SlotKey, str]]) -> None:
-        """Add the fills of a state logged at (dialogue_id, turn_index)."""
-        if self._refusal is not None:
-            return
-        known = self._turns.get(dialogue_id)
+def scenario_slots(
+    mode: StateMode, gold_schema: Optional[SlotSchema], dialogues: Iterable, entries: Iterable
+) -> Dict[str, Tuple[List[ValuedSlot], List[ValuedSlot]]]:
+    """The predicted and the gold slots of each scenario, in scenario order:
+    the gold targets of the turns ``mode`` tracks, given each dialogue as
+    (id, scenario id, ``user_turn_states``), and the run's logged states,
+    given each as (dialogue id, turn index, (key, value) pairs). Raises, in
+    this order: InvalidGold for a corpus without a gold schema,
+    UnknownScenario for the first entry at a dialogue, or a turn of one,
+    that the corpus lacks or ``mode`` does not track, and InvalidGold for
+    the first scenario without gold fills or a corpus without dialogues."""
+    if gold_schema is None:
+        raise InvalidGold("gold corpus has no gold schema")
+    gold: Dict[str, Dict[SlotKey, set]] = {}
+    predicted: Dict[str, Dict[SlotKey, set]] = {}
+    # dialogue id -> (its scenario's predicted fills, user turns, tracked turns)
+    turns: Dict[str, Tuple[Dict[SlotKey, set], FrozenSet[int], FrozenSet[int]]] = {}
+    for dialogue_id, scenario_id, user_states in dialogues:
+        tracked = _add_gold(gold.setdefault(scenario_id, {}), dialogue_id, user_states, mode)
+        turns[dialogue_id] = (predicted.setdefault(scenario_id, {}),
+                              frozenset(i for i, _ in user_states), tracked)
+    for dialogue_id, turn_index, pairs in entries:
+        known = turns.get(dialogue_id)
         if known is None:
-            self._refusal = f"dialogue {dialogue_id!r} not present in gold corpus"
-        elif turn_index not in known[1]:
-            self._refusal = (f"dialogue {dialogue_id!r} turn {turn_index} "
-                             "is not a user turn in gold corpus")
-        elif turn_index not in known[2]:
-            self._refusal = (f"dialogue {dialogue_id!r} turn {turn_index} "
-                             f"is not tracked in {self.mode.value} mode")
-        else:
-            _add_fills(self._predicted[known[0]], dialogue_id, turn_index, pairs)
+            raise UnknownScenario(f"dialogue {dialogue_id!r} not present in gold corpus")
+        if turn_index not in known[1]:
+            raise UnknownScenario(f"dialogue {dialogue_id!r} turn {turn_index} "
+                                  "is not a user turn in gold corpus")
+        if turn_index not in known[2]:
+            raise UnknownScenario(f"dialogue {dialogue_id!r} turn {turn_index} "
+                                  f"is not tracked in {mode.value} mode")
+        _add_fills(known[0], dialogue_id, turn_index, pairs)
+    slots = {}
+    for scenario_id in sorted(gold):
+        G = _valued(gold[scenario_id])
+        if not G:
+            raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
+        slots[scenario_id] = (_valued(predicted[scenario_id]), G)
+    if not slots:
+        raise InvalidGold("gold corpus contains no dialogues")
+    return slots
 
-    def valued_slots(self) -> Dict[str, Tuple[List[ValuedSlot], List[ValuedSlot]]]:
-        """The predicted and the gold slots of each scenario, in scenario
-        order. Raises, in this order: InvalidGold for a corpus without a
-        gold schema, UnknownScenario for the refused entry, and InvalidGold
-        for the first scenario without gold fills or a corpus without
-        dialogues."""
-        if not self._has_gold_schema:
-            raise InvalidGold("gold corpus has no gold schema")
-        if self._refusal is not None:
-            raise UnknownScenario(self._refusal)
-        slots = {}
-        for scenario_id in sorted(self._gold):
-            G = _valued(self._gold[scenario_id])
-            if not G:
-                raise InvalidGold(f"scenario {scenario_id!r} has no gold fills")
-            slots[scenario_id] = (_valued(self._predicted[scenario_id]), G)
-        if not slots:
-            raise InvalidGold("gold corpus contains no dialogues")
-        return slots
 
-    def corpus_slots(self) -> Tuple[List[ValuedSlot], List[ValuedSlot]]:
-        """The predicted and the gold slots over every scenario."""
-        return _valued(_merged(self._predicted)), _valued(_merged(self._gold))
+def corpus_slots(
+    slots: Mapping[str, Tuple[Sequence[ValuedSlot], Sequence[ValuedSlot]]]
+) -> Tuple[List[ValuedSlot], List[ValuedSlot]]:
+    """The predicted and the gold slots over every scenario of
+    ``scenario_slots``: each key's fills merged across scenarios."""
+    merged: Tuple[Dict[SlotKey, set], Dict[SlotKey, set]] = ({}, {})
+    for sides in slots.values():
+        for fills, side in zip(merged, sides):
+            for s in side:
+                fills.setdefault(s.key, set()).update(s.fills)
+    return _valued(merged[0]), _valued(merged[1])
 
 
 @dataclass(frozen=True)
@@ -362,7 +345,7 @@ def score_slots(
     slots: Mapping[str, Tuple[Sequence[ValuedSlot], Sequence[ValuedSlot]]]
 ) -> MetricReport:
     """Match and score each scenario's predicted slots against its gold
-    slots, as ``RunFills.valued_slots`` gives them, and macro-average the
+    slots, as ``scenario_slots`` gives them, and macro-average the
     metrics across scenarios."""
     per_scenario = {}
     for scenario_id, (P, G) in slots.items():
@@ -382,28 +365,20 @@ def evaluate_run(
     mode: StateMode,
 ) -> MetricReport:
     """Score a run's state log against a gold corpus, macro-averaged across
-    scenarios. An entry at a dialogue, or a turn of one, that the corpus
-    lacks or that ``mode`` does not track raises UnknownScenario."""
-    run = RunFills(mode, gold_corpus.gold_schema)
-    for d in gold_corpus.dialogues:
-        run.add_dialogue(d.id, d.scenario_id, user_turn_states(d))
-    for entry in state_log:
-        run.add_entry(entry.dialogue_id, entry.turn_index, entry.state.triples)
-    return score_slots(run.valued_slots())
+    scenarios, through ``scenario_slots``, which raises on a run it refuses."""
+    return score_slots(scenario_slots(
+        mode, gold_corpus.gold_schema,
+        ((d.id, d.scenario_id, user_turn_states(d)) for d in gold_corpus.dialogues),
+        ((e.dialogue_id, e.turn_index, e.state.triples) for e in state_log)))
 
 
-def load_run(predictions, gold_path, mode: StateMode) -> RunFills:
-    """Read a state log file and its gold corpus file straight into the
-    fills ``evaluate_run`` would score them on. Only a CorpusFormatError
-    is raised here, so one in either file comes before any refusal of the
-    run, which ``RunFills.valued_slots`` raises."""
+def load_run(predictions, gold_path) -> Tuple[Optional[SlotSchema], Iterator, Iterator]:
+    """The gold schema, the dialogue rows and the logged-state rows that
+    ``scenario_slots`` folds, read from a gold corpus file and then a state
+    log file; only a CorpusFormatError is raised. The rows come as
+    iterators over their lists, so each list is freed once it is folded."""
     gold_schema, dialogues = load_gold_states(gold_path)
-    run = RunFills(mode, gold_schema)
-    for dialogue_id, scenario_id, user_states in dialogues:
-        run.add_dialogue(dialogue_id, scenario_id, user_states)
-    for dialogue_id, turn_index, values in load_logged_states(predictions):
-        run.add_entry(dialogue_id, turn_index, values.items())
-    return run
+    return gold_schema, iter(dialogues), iter(load_logged_states(predictions))
 
 
 def _decided_key(where: str, slot) -> SlotKey:

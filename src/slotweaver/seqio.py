@@ -76,7 +76,6 @@ __all__ = [
     "schema_to_obj",
     "schema_from_obj",
     "state_to_obj",
-    "state_from_obj",
     "StateLogEntry",
     "tracked_turns",
     "user_turn_states",
@@ -448,10 +447,6 @@ def _state_values(obj) -> Dict[SlotKey, str]:
     return values
 
 
-def state_from_obj(obj: dict) -> DialogueState:
-    return DialogueState.from_values(_state_values(obj))
-
-
 @dataclass(frozen=True)
 class StateLogEntry:
     """One predicted state of a run's log, at (dialogue id, turn index).
@@ -741,11 +736,13 @@ def load_state_log(path) -> List[StateLogEntry]:
     return _read_state_log(path, StateLogEntry._built)
 
 
-def load_logged_states(path) -> List[Tuple[str, int, Dict[SlotKey, str]]]:
+def load_logged_states(path) -> List[Tuple[str, int, AbstractSet[Tuple[SlotKey, str]]]]:
     """A state log, checked as ``load_state_log`` checks it, as the
-    dialogue id, turn index and state values of each entry. No
-    StateLogEntry or DialogueState is built."""
-    return _read_state_log(path, lambda obj, values, _: (obj["dialogue_id"], obj["turn"], values))
+    dialogue id, turn index and state (key, value) pairs of each entry, a
+    dict's items as ``load_gold_states`` gives gold pairs. No StateLogEntry
+    or DialogueState is built."""
+    return _read_state_log(
+        path, lambda obj, values, _: (obj["dialogue_id"], obj["turn"], values.items()))
 
 
 # ---------------------------------------------------------------------------

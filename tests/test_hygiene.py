@@ -1,7 +1,8 @@
 """Hygiene of the package source: no unused imports, no stale ``__all__``
-entries, one thread pool, no unbounded memo table, the block format's
-strings spelled in ``seqio`` only, no indented ``json.dumps``, no file
-written outside ``seqio``, no config key that nothing reads, no
+entries, no export that nothing reads, one thread pool, no unbounded memo
+table, the block format's strings spelled in ``seqio`` only, no indented
+``json.dumps``, no file written outside ``seqio``, no config key that
+nothing reads, no
 ``HttpBackend``, ``SimConfig`` or ``FilterConfig`` parameter that no config
 key sets, no value check that a CLI flag makes and its config key does not,
 no third-party HTTP library, no command that loads code it does not run,
@@ -22,6 +23,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import click
@@ -47,13 +49,20 @@ def _bound_names(node):
             yield alias.asname or alias.name
 
 
+def _all_statement(tree):
+    """The top-level ``__all__ = [...]`` statement, or None."""
+    return next((
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ), None)
+
+
 def _exported(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
-    return set()
+    node = _all_statement(tree)
+    if node is None:
+        return set()
+    return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
 
 
 def _annotations(tree):
@@ -132,6 +141,75 @@ def test_every_export_is_bound():
         for name in stale_exports(importlib.import_module(
             "slotweaver" if path.stem == "__init__" else f"slotweaver.{path.stem}"
         ))
+    ]
+    assert found == []
+
+
+def _top_level_bindings(tree) -> Counter:
+    """How many top-level statements bind each name: a def, a class, an
+    assignment or an import."""
+    bound = Counter()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(_bound_names(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+def dead_exports(source: str, elsewhere: str):
+    """Names in the ``__all__`` of ``source``, other than ``__version__``,
+    that neither ``elsewhere`` nor ``source`` spells as a whole word apart
+    from the name's top-level bindings and its ``__all__`` entry."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exports = _all_statement(tree)
+    if exports is not None:
+        del lines[exports.lineno - 1:exports.end_lineno]
+    rest = "\n".join(lines)
+    bound = _top_level_bindings(tree)
+
+    def spelled(name, text):
+        return len(re.findall(rf"\b{re.escape(name)}\b", text))
+
+    return [
+        name for name in sorted(_exported(tree) - {"__version__"})
+        if not spelled(name, elsewhere) and spelled(name, rest) <= bound[name]
+    ]
+
+
+def test_dead_export_checker_flags_names_nothing_else_spells():
+    source = (
+        "from .core import Imported\n"
+        "__all__ = ['used', 'self_used', 'dead', 'Dead', 'Imported', '__version__']\n"
+        "__version__ = '0'\n"
+        "def used(): pass\n"
+        "def self_used(): pass\n"
+        "def dead(): pass\n"
+        "class Dead: pass\n"
+        "DEFAULT = self_used\n"
+    )
+    elsewhere = "from m import used\nref_dead = 'Dead_'\n"
+    assert dead_exports(source, elsewhere) == ["Dead", "Imported", "dead"]
+
+
+def test_every_export_is_used():
+    """Each public name is read somewhere in the package, its tests, demos
+    or benchmark, beyond where it is defined and exported."""
+    root = Path(__file__).parents[1]
+    sources = {
+        path: path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted((root / "src" / "slotweaver").glob("*.py"))
+        for name in dead_exports(
+            sources[path], "\n".join(text for p, text in sources.items() if p != path))
     ]
     assert found == []
 

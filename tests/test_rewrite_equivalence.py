@@ -1730,10 +1730,23 @@ _LATE_FORMAT_ERROR = (
     None,
 )
 
+# a scenario without gold fills (a refusal) and a mapping whose first entry is
+# not an object (a format error): every file is read before the run is refused
+_LATE_MAPPING_ERROR = (
+    "update",
+    {"format_version": 1, "gold_schema": {"domains": [{"name": "hotel", "slots": [{"name": "area"}]}]},
+     "dialogues": [{"id": "d0", "scenario_id": "s0",
+                    "turns": [{"speaker": "user", "text": "u", "state": None},
+                              {"speaker": "agent", "text": "a", "state": None}]}]},
+    [],
+    {"decisions": [7]},
+)
+
 
 @settings(max_examples=400, deadline=None)
 @given(evaluate_cases())
 @example(_LATE_FORMAT_ERROR)
+@example(_LATE_MAPPING_ERROR)
 def test_evaluate_matches_object_route(case):
     mode, corpus, lines, mapping = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -11,7 +11,6 @@ that never makes one never loads ``http.client``.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
@@ -105,6 +104,8 @@ def ordered_map(backend: Backend) -> Iterator[Callable]:
     if in_flight <= 1:
         yield map
         return
+    from concurrent.futures import ThreadPoolExecutor  # loaded only when calls overlap
+
     pool = ThreadPoolExecutor(in_flight)
     try:
         yield pool.map

@@ -5,7 +5,8 @@ credential is read from the SLOTWEAVER_API_KEY environment variable. Exit
 codes: 0 success, 1 pipeline error, 2 configuration/auth error.
 
 Each command loads only what it runs: ``evaluate`` and ``make-train-data``
-load no YAML, simulator, induction or HTTP code.
+load no YAML, simulator, induction or HTTP code, and only ``evaluate`` loads
+the metrics.
 
 The cyclic garbage collector is managed here alone: see ``_inputs_frozen``.
 """
@@ -22,12 +23,12 @@ from typing import Callable, Iterator, Optional
 
 import click
 
-# yaml, sim and induct are imported inside the code that uses them: click
-# registers every command when this module loads, so a top-level import would
-# load them for every command. The HTTP client loads on first use of
+# yaml, sim, induct and evalx are imported inside the code that uses them:
+# click registers every command when this module loads, so a top-level import
+# would load them for every command. The HTTP client loads on first use of
 # backend_mod.HttpBackend.
 from . import backend as backend_mod
-from . import evalx, refine, seqio
+from . import refine, seqio
 from .backend import AuthError, Backend, BackendError
 from .seqio import StateMode
 
@@ -269,7 +270,7 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
     out = Path(out_dir)
     with _inputs_frozen() as loaded:
         try:
-            corpus = seqio.load_corpus(corpus_path)
+            corpus = seqio.load_stream(corpus_path)
         except seqio.CorpusFormatError as exc:
             _fail(str(exc), EXIT_CONFIG)
 
@@ -312,6 +313,8 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def evaluate(predictions, gold_path, mode, human_path, out_path):
     """Score a run's states against a gold corpus; print the metric table."""
+    from . import evalx
+
     with _inputs_frozen() as loaded:
         try:
             gold_schema, dialogues, entries = evalx.load_run(predictions, gold_path)

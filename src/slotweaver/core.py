@@ -157,7 +157,9 @@ class SlotSchema:
         schema = object.__new__(SlotSchema)
         object.__setattr__(schema, "slots", slots)
         object.__setattr__(schema, "version", version)
-        sections = {d: s for d, s in self._sections.items() if d not in changed}
+        sections = dict(self._sections)
+        for domain in changed:
+            sections.pop(domain, None)
         schema._memo(index, groups, sections)
         return schema
 
@@ -221,23 +223,22 @@ class SlotSchema:
         for key in drop:
             del index[key]
         changed = {key.domain for key in drop}
-        groups: Dict[str, Tuple[SlotDef, ...]] = {}
+        groups = dict(self._groups)
         moved = False
-        for domain, group in self._groups.items():
-            if domain in changed:
-                kept = tuple(slot for slot in group if slot.key not in drop)
-                if not kept:
-                    continue
+        for domain in changed:
+            group = groups[domain]
+            kept = tuple(slot for slot in group if slot.key not in drop)
+            if kept:
+                groups[domain] = kept
                 moved = moved or kept[0] is not group[0]
-                group = kept
-            groups[domain] = group
+            else:
+                del groups[domain]
         if moved:
             # a domain stands at its first slot, so losing that slot can
-            # move the domain later
-            rank = {slot.key: i for i, slot in enumerate(self.slots)}
-            groups = dict(sorted(groups.items(), key=lambda item: rank[item[1][0].key]))
-        slots = tuple(slot for slot in self.slots if slot.key not in drop)
-        return self._derived(slots, version, index, groups, changed)
+            # move the domain later; the index holds the slots in order
+            order = dict.fromkeys(key.domain for key in index)
+            groups = {domain: groups[domain] for domain in order}
+        return self._derived(tuple(index.values()), version, index, groups, changed)
 
 
 # the descriptions of every state that discovers no slot
@@ -375,8 +376,11 @@ def schema_update(
     description, the original definition wins for schema stability.
     Discoveries are inserted in sorted key order for reproducibility.
     """
-    discovered = [
+    index = prev._index
+    new = [kv for kv in state.triples if kv[0] not in index]
+    if not new:
+        return prev
+    return prev.with_slots(
         SlotDef(key, state.new_slot_descriptions.get(key, ""), discovered_at)
-        for key, _ in sorted(kv for kv in state.triples if kv[0] not in prev)
-    ]
-    return prev.with_slots(discovered)
+        for key, _ in sorted(new)
+    )

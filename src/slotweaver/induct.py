@@ -135,8 +135,10 @@ def run_induction(
             state = DialogueState()
         else:
             state = outcome
-        if dst_only and any(key not in schema for key in state.keys()):
-            state = DialogueState(frozenset((k, v) for k, v in state.triples if k in schema))
+        # against a frozen schema, the discoveries are the keys outside it
+        discovered = state.new_slot_descriptions
+        if dst_only and discovered:
+            state = DialogueState(frozenset(kv for kv in state.triples if kv[0] not in discovered))
         state_log.append(StateLogEntry(dialogue.id, turn, state, d_index))
         if refiner is not None:
             refiner.observe_state(state, d_index)

@@ -63,7 +63,7 @@ class SlotStats(Dict[SlotKey, List[int]]):
 def record_state(stats: SlotStats, state: DialogueState, dialogue_index: int) -> SlotStats:
     """Count one fill event per valued slot, at most once per dialogue.
     Updates ``stats`` in place and returns it."""
-    for key in state.keys():
+    for key, _ in state.triples:  # one value per key
         fills = stats.setdefault(key, [])
         if not fills or fills[-1] != dialogue_index:
             fills.append(dialogue_index)
@@ -102,15 +102,18 @@ def confidence_filter(
     never evicted. The counted window is (current - w, current].
     """
     w, tau = cfg.window_w, cfg.threshold_tau
+    floor = current_dialogue - w
     doomed = []
     for slot in schema:
         if slot.discovered_at == GOLD:
             continue
-        fills = stats.get(slot.key, ())
-        discovered = fills[0] if fills else current_dialogue
-        if current_dialogue - discovered < w:
+        fills = stats.get(slot.key)
+        # a slot without fills was discovered at the current dialogue
+        if not fills or fills[0] > floor:
             continue
-        recent = bisect_right(fills, current_dialogue) - bisect_right(fills, current_dialogue - w)
+        if len(fills) >= tau and fills[-tau] > floor and fills[-1] <= current_dialogue:
+            continue  # the last tau fills are in the window
+        recent = bisect_right(fills, current_dialogue) - bisect_right(fills, floor)
         if recent < tau:
             doomed.append(slot.key)
     return schema.without_keys(doomed)

@@ -8,9 +8,10 @@ constants below, and one walker reads both the types and the values block.
 It also owns the files: every file a command reads or writes goes through
 the one writer and the one reader of its format below. The reader of a
 corpus and that of a state log are each one walk that makes every check of
-the format; it hands back objects (``load_corpus``, ``load_state_log``) or
-plain values that need no Dialogue, Turn, DialogueState or StateLogEntry
-(``load_gold_states``, ``load_logged_states``).
+the format; it hands back objects (``load_corpus``, ``load_state_log``),
+the dialogues without their gold states (``load_stream``, which ``induce``
+reads), or plain values that need no Dialogue, Turn, DialogueState or
+StateLogEntry (``load_gold_states``, ``load_logged_states``).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ __all__ = [
     "load_json_lines",
     "load_corpus",
     "load_gold_states",
+    "load_stream",
     "save_corpus",
     "load_state_log",
     "load_logged_states",
@@ -147,10 +149,11 @@ def _walk_block(
     line is ``header``.
     """
     lines = text.splitlines()
-    try:
-        start = next(i for i, ln in enumerate(lines) if ln.strip() == header)
-    except StopIteration:
-        raise missing(f"no {header!r} line found") from None
+    for start, line in enumerate(lines):
+        if line.strip() == header:
+            break
+    else:
+        raise missing(f"no {header!r} line found")
 
     warnings: List[str] = []
     texts: Dict[SlotKey, str] = {}
@@ -161,15 +164,10 @@ def _walk_block(
         line = raw.strip()
         if not line:
             continue
-        if line == "##" or line.startswith("## "):
-            domain = line[3:].strip() or None
-            if domain is None:
-                warnings.append(f"line {lineno}: empty domain header")
-            last_key = None
-            continue
-        if line.startswith("# "):
-            break  # next top-level block
-        if line.startswith("* "):
+        # a line is told by its first character, bullets being the most
+        # common; a line that no branch takes is unrecognized
+        lead = line[0]
+        if lead == "*" and line.startswith("* "):
             last_key = None
             if domain is None:
                 warnings.append(f"line {lineno}: bullet outside any domain section")
@@ -189,7 +187,7 @@ def _walk_block(
             texts[key] = value.strip()
             last_key = key
             continue
-        if known is not None and line.startswith("-"):
+        if lead == "-" and known is not None:
             if last_key is None:
                 warnings.append(f"line {lineno}: description line without preceding bullet")
             elif last_key in known:
@@ -200,6 +198,15 @@ def _walk_block(
                 descriptions[last_key] = line[1:].strip()
             last_key = None
             continue
+        if lead == "#":
+            if line == "##" or line.startswith("## "):
+                domain = line[3:].strip() or None
+                if domain is None:
+                    warnings.append(f"line {lineno}: empty domain header")
+                last_key = None
+                continue
+            if line.startswith("# "):
+                break  # next top-level block
         warnings.append(f"line {lineno}: unrecognized line {line!r}")
         last_key = None
     return texts, descriptions, warnings
@@ -216,16 +223,13 @@ def render_schema_block(schema: SlotSchema) -> str:
     """
     block = schema._rendered
     if block is None:
-        sections = schema._sections
-        parts = [TYPES_HEADER]
-        for domain, group in schema._groups.items():
-            section = sections.get(domain)
-            if section is None:
-                section = sections[domain] = _section(
+        sections, groups = schema._sections, schema._groups
+        for domain, group in groups.items():
+            if domain not in sections:
+                sections[domain] = _section(
                     domain, ((s.key.name, s.description, None) for s in group)
                 )
-            parts.append(section)
-        block = "\n".join(parts)
+        block = "\n".join([TYPES_HEADER, *map(sections.__getitem__, groups)])
         object.__setattr__(schema, "_rendered", block)
     return block
 
@@ -266,7 +270,7 @@ def render_prompt(schema: SlotSchema, dialogue: Dialogue, upto_turn: int) -> str
     if not 0 <= upto_turn < len(dialogue.turns):
         raise IndexError(f"upto_turn {upto_turn} out of range for {len(dialogue.turns)} turns")
     turn_lines = [f"{SPEAKER_LABELS[t.speaker]}: {t.text}" for t in dialogue.turns[: upto_turn + 1]]
-    size = sum(len(ln) + 1 for ln in turn_lines)
+    size = sum(map(len, turn_lines)) + len(turn_lines)
     first = 0
     while first < len(turn_lines) - 1 and size > CONTEXT_BUDGET:
         size -= len(turn_lines[first]) + 1
@@ -299,9 +303,9 @@ def parse_state_block(text: str, known_schema: SlotSchema) -> ParsedPrediction:
     values, descriptions, warnings = _walk_block(
         text, VALUES_HEADER, MissingValuesHeader, known_schema
     )
-    new_descriptions = {
-        key: descriptions.get(key, "") for key in values if key not in known_schema
-    }
+    index = known_schema._index
+    unknown = [key for key in values if key not in index]
+    new_descriptions = {key: descriptions.get(key, "") for key in unknown} if unknown else None
     state = DialogueState.from_values(values, new_descriptions)
     return ParsedPrediction(state, tuple(warnings))
 
@@ -523,17 +527,19 @@ def corpus_to_obj(corpus: CorpusFile) -> dict:
 
 def _read_corpus(obj, turn: Callable, dialogue: Callable) -> Tuple[Optional[SlotSchema], list]:
     """The one walk of a corpus object, which every corpus reader takes: it
-    checks the layout in document order. Each turn goes to ``turn(speaker,
-    text, values)``, with its state's values or None, and each dialogue to
-    ``dialogue(id, scenario_id, turns)``, with what ``turn`` returned for
-    its turns; a ValueError either raises is a CorpusFormatError naming the
-    turn or the dialogue. Returns the gold schema and what ``dialogue``
-    returned for each dialogue."""
+    checks the layout in document order, then refuses the first gold state
+    that values a slot the gold schema lacks. Each turn goes to
+    ``turn(speaker, text, values)``, with its state's values or None, and
+    each dialogue to ``dialogue(id, scenario_id, turns)``, with what
+    ``turn`` returned for its turns; a ValueError either raises is a
+    CorpusFormatError naming the turn or the dialogue. Returns the gold
+    schema and what ``dialogue`` returned for each dialogue."""
     _check_fields(obj, _CORPUS_FIELDS, "corpus file")
     gold = obj.get("gold_schema")
     gold_schema = None if gold is None else schema_from_obj(gold)
     dialogues = []
     first_index: Dict[str, int] = {}
+    valued: set = set()  # every slot some gold state values
     for i, d in enumerate(obj["dialogues"]):
         _check_fields(d, _DIALOGUE_FIELDS, f"dialogues[{i}]")
         first = first_index.setdefault(d["id"], i)
@@ -546,14 +552,23 @@ def _read_corpus(obj, turn: Callable, dialogue: Callable) -> Tuple[Optional[Slot
             try:
                 _check_fields(t, _TURN_FIELDS)
                 state = t.get("state")
-                turns.append(turn(t["speaker"], t["text"],
-                                  None if state is None else _state_values(state)))
+                values = None if state is None else _state_values(state)
+                if values:
+                    valued.update(values)
+                turns.append(turn(t["speaker"], t["text"], values))
             except ValueError as exc:
                 raise CorpusFormatError(f"dialogue {d['id']!r} turn {j}: {exc}") from exc
         try:
             dialogues.append(dialogue(d["id"], d["scenario_id"], turns))
         except ValueError as exc:
             raise CorpusFormatError(str(exc)) from exc
+    if gold_schema is not None and any(key not in gold_schema for key in valued):
+        # every state passed its checks, so a second walk finds the first stray
+        _refuse_stray_slots(gold_schema, (
+            (d["id"], j, _state_values(t["state"]).items())
+            for d in obj["dialogues"] for j, t in enumerate(d["turns"])
+            if t.get("state") is not None
+        ))
     return gold_schema, dialogues
 
 
@@ -563,6 +578,18 @@ def _turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]) -> Turn
 
 def corpus_from_obj(obj: dict) -> CorpusFile:
     gold_schema, dialogues = _read_corpus(obj, _turn, Dialogue)
+    return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
+
+
+def _bare_turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]) -> Turn:
+    """The turn without its gold state, refused as ``_turn`` refuses it."""
+    if values is not None:
+        check_turn(speaker, True)
+    return Turn(speaker, text)
+
+
+def _stream_from_obj(obj: dict) -> CorpusFile:
+    gold_schema, dialogues = _read_corpus(obj, _bare_turn, Dialogue)
     return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
 
 
@@ -578,18 +605,6 @@ def _dialogue_states(dialogue_id: str, scenario_id: str, turns: list):
     return dialogue_id, scenario_id, states
 
 
-def _gold_states_from_obj(obj: dict):
-    gold_schema, dialogues = _read_corpus(obj, _checked_turn, _dialogue_states)
-    if gold_schema is not None:
-        _refuse_stray_slots(gold_schema, (
-            (dialogue_id, i, pairs)
-            for dialogue_id, _, states in dialogues
-            for i, pairs in states
-            if pairs is not None
-        ))
-    return gold_schema, dialogues
-
-
 def _json_key(key) -> str:
     """A dict key that is not a ``str``, encoded (or refused) as ``json.dumps`` does."""
     return json.dumps({key: None}, ensure_ascii=False)[1 : -len(": null}")]
@@ -599,20 +614,17 @@ def _indented(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, ensure_ascii=False)``
     writes it nested at indentation ``pad``, without the pure-Python encoder
     that ``indent`` selects: strings go through the C string encoder, and a
-    scalar other than a string, an int or None through ``json.dumps``."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if type(value) is int:
-        return int.__repr__(value)
+    scalar other than a string, an int or None through ``json.dumps``.
+    A dict writes its string and int values inline, so the containers,
+    which most calls are for, are tested first."""
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = pad + "  "
         items = [
             (encode_basestring(k) if type(k) is str else _json_key(k)) + ": "
-            + (encode_basestring(v) if type(v) is str else _indented(v, inner))
+            + (encode_basestring(v) if type(v) is str
+               else int.__repr__(v) if type(v) is int else _indented(v, inner))
             for k, v in value.items()
         ]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
@@ -622,6 +634,12 @@ def _indented(value, pad: str) -> str:
         inner = pad + "  "
         items = [_indented(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return int.__repr__(value)
     return json.dumps(value)
 
 
@@ -645,9 +663,12 @@ def save_json(obj, path) -> None:
 
 
 def save_json_lines(objs: Iterable, path) -> None:
-    """One JSON value per line, keys sorted, non-ASCII kept; each line is
-    written as it is made, so a long file is never one string in memory."""
-    _write(path, (json.dumps(o, ensure_ascii=False, sort_keys=True) + "\n" for o in objs))
+    """One JSON value per line, keys sorted, non-ASCII kept, as
+    ``json.dumps(o, ensure_ascii=False, sort_keys=True)`` writes it; each
+    line is written as it is made, so a long file is never one string in
+    memory."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
+    _write(path, (encode(o) + "\n" for o in objs))
 
 
 def read_utf8(path) -> str:
@@ -673,12 +694,20 @@ def load_json_lines(path, parse: Callable[[object], object]) -> list:
     A line that is not JSON, or whose value ``parse`` rejects with a
     ValueError, is a CorpusFormatError ``<path>:<line>: <reason>``. Only a
     newline ends a line: a JSON string may hold other line separators."""
+    # The C scanner reads a value that fills its line without json.loads'
+    # checks around it; any other line (a bad one, or one with a BOM or
+    # whitespace around its value) goes to json.loads, for its value or error.
+    scan = json.JSONDecoder().scan_once
     out = []
     for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            out.append(parse(json.loads(line)))
+            try:
+                value, end = scan(line, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            out.append(parse(value if end == len(line) else json.loads(line)))
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         except ValueError as exc:
@@ -706,7 +735,14 @@ def load_gold_states(path) -> Tuple[Optional[SlotSchema], List[Tuple[str, str, l
     it, as its gold schema and, for each dialogue, its id, its scenario id
     and the ``user_turn_states`` of its turns, with a dict's items for gold
     pairs. No Dialogue, Turn or DialogueState is built."""
-    return _read_document(path, _gold_states_from_obj)
+    return _read_document(path, lambda obj: _read_corpus(obj, _checked_turn, _dialogue_states))
+
+
+def load_stream(path) -> CorpusFile:
+    """The corpus in a UTF-8 JSON file, checked as ``load_corpus`` checks
+    it, as the dialogue stream that induction reads: no turn keeps its gold
+    state."""
+    return _read_document(path, _stream_from_obj)
 
 
 def save_corpus(corpus: CorpusFile, path) -> None:

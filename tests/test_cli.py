@@ -357,7 +357,19 @@ class TestInduce:
          "dialogue 'd00' turn 1: 'text' must be a string, got int"),
         (lambda c: c["dialogues"][0].update(id=["x"]),
          "dialogues[0]: 'id' must be a string, got list"),
-    ], ids=["slot-description", "turn-list", "format-version", "turn-text", "dialogue-id"])
+        # induce keeps no gold state, but it refuses a corpus as it would with them
+        (lambda c: c["dialogues"][0]["turns"][2]["state"].update(taxi={"to": "north"}),
+         "dialogue d00 turn 2: gold state uses slots absent from gold schema: ['taxi/to']"),
+        (lambda c: c["dialogues"][3].update(id="d01"),
+         "dialogues[3]: id 'd01' repeats that of dialogues[1]"),
+        (lambda c: c["dialogues"][0]["turns"][1].update(speaker="user"),
+         "dialogue d00: turn 1 speaker 'user', expected 'agent' "
+         "(turns alternate starting with user)"),
+        (lambda c: c["dialogues"][0]["turns"][2]["state"].update(
+            {"Garden Layouts": {"Style": "formal"}}),
+         "dialogue 'd00' turn 2: slot garden layouts/style valued twice"),
+    ], ids=["slot-description", "turn-list", "format-version", "turn-text", "dialogue-id",
+            "stray-gold-slot", "repeated-id", "out-of-turn", "slot-valued-twice"])
     def test_corpus_field_of_the_wrong_type_is_config_error(
         self, runner, config_path, tmp_path, edit, message
     ):

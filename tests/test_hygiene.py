@@ -637,9 +637,11 @@ def test_cli_import_loads_no_http_library():
 
 
 # Modules that only some commands run: the HTTP client and what it pulls in,
-# the YAML parser, the simulator and the induction engine.
+# the YAML parser, the simulator, the induction engine, the metrics and the
+# thread pool that overlaps calls.
 OPTIONAL_MODULES = ("http.client", "ssl", "email", "yaml", "slotweaver.sim",
-                    "slotweaver.induct", "slotweaver.http_backend")
+                    "slotweaver.induct", "slotweaver.http_backend", "slotweaver.evalx",
+                    "concurrent.futures")
 
 
 def loaded_by_command(args, cwd, modules=OPTIONAL_MODULES):
@@ -662,11 +664,12 @@ def loaded_by_command(args, cwd, modules=OPTIONAL_MODULES):
 
 @pytest.mark.parametrize("command, flags, loaded", [
     ("evaluate", ["--predictions", DATA / "golden" / "states.jsonl",
-                  "--gold", DATA / "corpus.json"], []),
+                  "--gold", DATA / "corpus.json"], ["slotweaver.evalx"]),
     ("make-train-data", ["--corpus", DATA / "corpus.json", "--out", "pairs.jsonl"], []),
-    # a scripted run closes its backend without loading the HTTP client
+    # a scripted run closes its backend without loading the HTTP client, and
+    # makes its calls one at a time without a thread pool
     ("induce", ["--config", "config.yaml", "--corpus", DATA / "corpus.json",
-                "--out-dir", "run"], ["slotweaver.induct", "yaml"]),
+                "--out-dir", "run", "--two-pass"], ["slotweaver.induct", "yaml"]),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, command, flags, loaded):
     (tmp_path / "config.yaml").write_text(

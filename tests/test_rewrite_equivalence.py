@@ -15,6 +15,7 @@ import random
 import re
 import tempfile
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -48,7 +49,8 @@ from slotweaver.core import (
     schema_update,
 )
 from slotweaver.evalx import SlotMapping, mapping_agreement
-from slotweaver.refine import FilterConfig, SlotStats, make_refiner, record_state
+from slotweaver.refine import (FilterConfig, SlotStats, confidence_filter, make_refiner,
+                               record_state)
 from slotweaver.seqio import (
     CorpusFile,
     MissingTypesHeader,
@@ -1478,15 +1480,22 @@ description_objs = st.none() | st.dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(state_objs, description_objs, st.none() | st.integers(0, 9))
+# a smaller slot given one value under two spellings, which is no fault
+@example({"hotel": {"area": "north"}, "Hotel": {"Area": "north"},
+          "train": {"day": "north"}, "TRAIN": {"Day": "North"}}, None, None)
 def test_log_reader_matches_old_reader(state, described, dialogue_index):
     obj = {"dialogue_id": "d0", "turn": 0, "state": state, "dialogue_index": dialogue_index}
     if described is not None:
         obj["new_slot_descriptions"] = described
     got, want = error_of(StateLogEntry.from_obj, obj), error_of(ref_entry_from_obj, obj)
     if want == (ValueError, "multiple values for one slot key in a single state"):
-        # the one changed message: it names the smallest slot valued twice
-        keys_ = [canonical_slot_key(d, n) for d, slots in state.items() for n in slots]
-        twice = min(k for k in keys_ if keys_.count(k) > 1)
+        # the one changed message: it names the smallest slot given two
+        # different values
+        valued = {}
+        for d, slots in state.items():
+            for n, v in slots.items():
+                valued.setdefault(canonical_slot_key(d, n), set()).add(v)
+        twice = min(k for k, vs in valued.items() if len(vs) > 1)
         assert got == (ValueError, f"slot {twice} valued twice")
         return
     assert got[0] == want[0]
@@ -1766,3 +1775,258 @@ def test_evaluate_matches_object_route(case):
         got = (result.exit_code, result.stdout, result.stderr,
                out.read_text(encoding="utf-8") if out.exists() else None)
         assert got == object_route(predictions, gold, StateMode(mode), human)
+
+
+# --- induce's reply walker, JSON-lines reader, window filter and corpus read ----
+# As they were before ``induce`` stopped building gold states: the walker
+# tried each line prefix in turn, each JSON line went through ``json.loads``,
+# the confidence filter bisected every slot past its grace period, and the
+# corpus was read with a gold DialogueState on each labeled turn.
+
+
+def ref_walk_block(text, header, missing, known=None):
+    lines = text.splitlines()
+    try:
+        start = next(i for i, ln in enumerate(lines) if ln.strip() == header)
+    except StopIteration:
+        raise missing(f"no {header!r} line found") from None
+
+    warnings = []
+    texts = {}
+    descriptions = {}
+    domain = None
+    last_key = None
+    for lineno, raw in enumerate(lines[start + 1 :], start=start + 2):
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "##" or line.startswith("## "):
+            domain = line[3:].strip() or None
+            if domain is None:
+                warnings.append(f"line {lineno}: empty domain header")
+            last_key = None
+            continue
+        if line.startswith("# "):
+            break  # next top-level block
+        if line.startswith("* "):
+            last_key = None
+            if domain is None:
+                warnings.append(f"line {lineno}: bullet outside any domain section")
+                continue
+            name, sep, value = line[2:].partition(":")
+            if not sep:
+                warnings.append(f"line {lineno}: bullet without colon: {line!r}")
+                continue
+            try:
+                k = canonical_slot_key(domain, name)
+            except InvalidSlotName:
+                warnings.append(f"line {lineno}: empty slot name")
+                continue
+            if k in texts:
+                warnings.append(f"line {lineno}: duplicate slot {k}, keeping last")
+                descriptions.pop(k, None)
+            texts[k] = value.strip()
+            last_key = k
+            continue
+        if known is not None and line.startswith("-"):
+            if last_key is None:
+                warnings.append(f"line {lineno}: description line without preceding bullet")
+            elif last_key in known:
+                warnings.append(
+                    f"line {lineno}: description attached to known slot {last_key}, ignored"
+                )
+            else:
+                descriptions[last_key] = line[1:].strip()
+            last_key = None
+            continue
+        warnings.append(f"line {lineno}: unrecognized line {line!r}")
+        last_key = None
+    return texts, descriptions, warnings
+
+
+def walk_outcome(walk, *args):
+    try:
+        texts, descriptions, warnings = walk(*args)
+    except (MissingTypesHeader, MissingValuesHeader) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", list(texts.items()), list(descriptions.items()), warnings
+
+
+@settings(max_examples=500, deadline=None)
+@example("# Key Information Values\n## Hotel\n* area: north\n- new\n*x\n#x\n-- y\n# Dialogue",
+         seqio.VALUES_HEADER, None)
+@given(block_texts, st.sampled_from([seqio.VALUES_HEADER, seqio.TYPES_HEADER]),
+       st.none() | st.lists(slot_defs, max_size=4).map(schema_of))
+def test_reply_walker_matches_old_walker(text, header, known):
+    missing = MissingValuesHeader if header == seqio.VALUES_HEADER else MissingTypesHeader
+    assert walk_outcome(seqio._walk_block, text, header, missing, known) == walk_outcome(
+        ref_walk_block, text, header, missing, known)
+
+
+def ref_load_json_lines(path, parse):
+    out = []
+    for lineno, line in enumerate(seqio.read_utf8(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise seqio.CorpusFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise seqio.CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+# JSON values and the lines around them: blank ones, CRLF endings, a BOM,
+# whitespace before or after, trailing garbage and lines that are no JSON.
+json_values = st.sampled_from([
+    '{"a": 1}', '{"b": [1, 2.5, null], "a": "x"}', '"text"', '"\\u2028   \u0085"', "7",
+    "-0.5e3", "true", "null", "[]", "NaN", "-Infinity", '{"a": {"b": {}}}', '"café"',
+])
+json_lines = st.one_of(
+    json_values,
+    st.tuples(st.sampled_from(["", " ", "\t", "﻿", "\r"]), json_values,
+              st.sampled_from(["", " ", "\r", "\t ", " x", "}", ",", '{"c": 2}']))
+    .map("".join),
+    st.sampled_from(["", "   ", "\r", "\t", "{", '{"a": ', '{"a" 1}', "[1, 2", "nul", '"open',
+                     "'single'", "{'a': 1}", "1 2", "﻿", "\x0c"]),
+)
+
+
+def rejecting(value):
+    """A line parser that rejects some values, as a state-log or script reader does."""
+    if value == 7 or value is None:
+        raise ValueError(f"rejected {value!r}")
+    return value
+
+
+def read_outcome(read, path):
+    try:
+        return "ok", repr(read(path, rejecting))  # repr: NaN is not equal to itself
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(json_lines, max_size=8), st.sampled_from(["", "\n", "\r\n"]))
+def test_json_lines_reader_matches_old_reader(lines, end):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.jsonl"
+        path.write_bytes(("\n".join(lines) + end).encode("utf-8"))
+        assert read_outcome(seqio.load_json_lines, path) == read_outcome(
+            ref_load_json_lines, path)
+
+
+def ref_windowed_filter(schema, stats, cfg, current_dialogue):
+    w, tau = cfg.window_w, cfg.threshold_tau
+    doomed = []
+    for slot in schema:
+        if slot.discovered_at == GOLD:
+            continue
+        fills = stats.get(slot.key, ())
+        discovered = fills[0] if fills else current_dialogue
+        if current_dialogue - discovered < w:
+            continue
+        recent = bisect_right(fills, current_dialogue) - bisect_right(fills, current_dialogue - w)
+        if recent < tau:
+            doomed.append(slot.key)
+    return schema.without_keys(doomed)
+
+
+# Fill tables as a stream records them, ascending with at most one fill per
+# dialogue, with fills on both sides of the current dialogue and past it.
+fill_tables = st.dictionaries(
+    keys, st.lists(st.integers(0, 30), max_size=8, unique=True).map(sorted), max_size=8)
+filter_schemas = st.lists(
+    st.builds(SlotDef, keys, st.just(""),
+              st.just(GOLD) | st.tuples(st.integers(0, 30), st.integers(0, 9))),
+    max_size=10,
+).map(schema_of)
+
+
+@settings(max_examples=500, deadline=None)
+@given(filter_schemas, fill_tables, st.integers(1, 8), st.integers(1, 5), st.integers(0, 30))
+def test_window_filter_matches_bisecting_filter(schema, table, w, tau, current):
+    cfg = FilterConfig(window_w=w, threshold_tau=tau)
+    stats = SlotStats({k: list(fills) for k, fills in table.items()})
+    got, want = confidence_filter(schema, stats, cfg, current), ref_windowed_filter(
+        schema, SlotStats(table), cfg, current)
+    assert got == want
+    assert got.version == want.version
+    assert render_schema_block(got) == ref_render_schema_block(got)
+    assert stats == table
+
+
+def ref_read_corpus(obj):
+    seqio._check_fields(obj, seqio._CORPUS_FIELDS, "corpus file")
+    gold = obj.get("gold_schema")
+    gold_schema = None if gold is None else seqio.schema_from_obj(gold)
+    dialogues = []
+    first_index = {}
+    for i, d in enumerate(obj["dialogues"]):
+        seqio._check_fields(d, seqio._DIALOGUE_FIELDS, f"dialogues[{i}]")
+        first = first_index.setdefault(d["id"], i)
+        if first != i:
+            raise seqio.CorpusFormatError(
+                f"dialogues[{i}]: id {d['id']!r} repeats that of dialogues[{first}]"
+            )
+        turns = []
+        for j, t in enumerate(d["turns"]):
+            try:
+                seqio._check_fields(t, seqio._TURN_FIELDS)
+                state = t.get("state")
+                values = None if state is None else seqio._state_values(state)
+                turns.append(Turn(t["speaker"], t["text"],
+                                  None if values is None else DialogueState.from_values(values)))
+            except ValueError as exc:
+                raise seqio.CorpusFormatError(f"dialogue {d['id']!r} turn {j}: {exc}") from exc
+        try:
+            dialogues.append(Dialogue(d["id"], d["scenario_id"], turns))
+        except ValueError as exc:
+            raise seqio.CorpusFormatError(str(exc)) from exc
+    return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
+
+
+def ref_load_corpus(path):
+    obj = seqio.load_json(path)
+    try:
+        return ref_read_corpus(obj)
+    except seqio.CorpusFormatError as exc:
+        raise seqio.CorpusFormatError(f"{path}: {exc}") from exc
+
+
+def bare(corpus):
+    """A corpus without its gold states."""
+    return CorpusFile(tuple(Dialogue(d.id, d.scenario_id, tuple(Turn(t.speaker, t.text)
+                                                                   for t in d.turns))
+                            for d in corpus.dialogues),
+                      corpus.gold_schema, corpus.format_version)
+
+
+@st.composite
+def corpus_documents(draw):
+    """Corpus documents as ``evaluate_cases`` draws them, half of them with
+    one or two more faults, which may repeat one another."""
+    corpus = draw(evaluate_cases())[1]
+    if draw(st.booleans()):
+        for fault in draw(st.lists(st.sampled_from(CORPUS_FAULTS), min_size=1, max_size=2)):
+            _break_corpus(draw, corpus, fault)
+    return corpus
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_documents())
+def test_corpus_readers_match_old_read(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        path.write_text(canonical_json(corpus), encoding="utf-8")
+        want = error_of(ref_load_corpus, path)
+        if want[0] != "ok":
+            assert error_of(seqio.load_corpus, path) == want
+            assert error_of(seqio.load_stream, path) == want
+            assert error_of(seqio.load_gold_states, path) == want
+            return
+        stream = seqio.load_stream(path)
+        assert seqio.load_corpus(path) == want[1]
+        assert stream == bare(want[1])
+        assert all(t.gold_state is None for d in stream.dialogues for t in d.turns)

@@ -318,6 +318,19 @@ class TestCorpusIO:
                            match=re.escape("dialogues[2]: id 'd0' repeats that of dialogues[0]")):
             corpus_from_obj(obj)
 
+    def test_stream_keeps_no_gold_state(self, tmp_path, monkeypatch):
+        # induce reads the corpus as a stream: its turns, checked as
+        # load_corpus checks them, and no gold DialogueState
+        corpus = _gold_corpus()
+        path = tmp_path / "c.json"
+        save_corpus(corpus, path)
+        monkeypatch.setattr(DialogueState, "__init__", None)
+        monkeypatch.setattr(DialogueState, "from_values", None)
+        stream = seqio.load_stream(path)
+        assert stream.gold_schema == corpus.gold_schema
+        assert [[(t.speaker, t.text, t.gold_state) for t in d.turns] for d in stream.dialogues] == [
+            [(t.speaker, t.text, None) for t in d.turns] for d in corpus.dialogues]
+
     def test_canonical_serialization_stable(self, tmp_path):
         corpus = _gold_corpus()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -255,6 +255,7 @@ class DialogueState:
 
     triples: frozenset = frozenset()  # of (SlotKey, str)
     new_slot_descriptions: Mapping[SlotKey, str] = field(default_factory=dict)
+    __hash__ = None  # the descriptions are a read-only mapping, which does not hash
 
     def __post_init__(self) -> None:
         triples = frozenset(self.triples)
@@ -276,12 +277,6 @@ class DialogueState:
         if missing:
             raise ValueError(f"described slots missing from triples: {sorted(map(str, missing))}")
         object.__setattr__(self, "new_slot_descriptions", MappingProxyType(descriptions))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DialogueState):
-            return NotImplemented
-        return (self.triples == other.triples
-                and self.new_slot_descriptions == other.new_slot_descriptions)
 
     def __bool__(self) -> bool:
         return bool(self.triples)

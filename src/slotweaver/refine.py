@@ -25,6 +25,7 @@ from .seqio import (
     parse_schema_block,
     render_revision_prompt,
     render_schema_block,
+    user_turn_states,
 )
 
 __all__ = [
@@ -242,10 +243,9 @@ def build_revision_pairs(
     introduced: set = set()
     pairs: List[Tuple[str, str]] = []
     for dialogue in corpus.dialogues:
-        for turn_index in dialogue.user_turn_indices():
-            gold_state = dialogue.turns[turn_index].gold_state
-            if gold_state is not None:
-                introduced |= gold_state.keys()
+        for turn_index, gold_pairs in user_turn_states(dialogue):
+            if gold_pairs is not None:
+                introduced.update(key for key, _ in gold_pairs)
             noisy_state = noisy_by_position.get((dialogue.id, turn_index))
             if noisy_state is not None:
                 noisy_schema = schema_update(noisy_schema, noisy_state)

@@ -12,6 +12,8 @@ the format; it hands back objects (``load_corpus``, ``load_state_log``),
 the dialogues without their gold states (``load_stream``, which ``induce``
 reads), or plain values that need no Dialogue, Turn, DialogueState or
 StateLogEntry (``load_gold_states``, ``load_logged_states``).
+``user_turn_states`` with ``gold_targets`` is the one walk over a dialogue's
+gold user turns; training pairs, revision pairs and evaluation share it.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ __all__ = [
     "tracked_turns",
     "user_turn_states",
     "gold_targets",
-    "gold_turns",
     "build_training_sequences",
     "save_training_pairs",
 ]
@@ -790,11 +791,9 @@ def _require_gold(corpus: CorpusFile) -> SlotSchema:
     if corpus.gold_schema is None:
         raise MissingGoldError("corpus has no gold schema")
     for dialogue in corpus.dialogues:
-        for i in dialogue.user_turn_indices():
-            if dialogue.turns[i].gold_state is None:
-                raise MissingGoldError(
-                    f"dialogue {dialogue.id} turn {i} has no gold state"
-                )
+        for i, pairs in user_turn_states(dialogue):
+            if pairs is None:
+                raise MissingGoldError(f"dialogue {dialogue.id} turn {i} has no gold state")
     return corpus.gold_schema
 
 
@@ -833,26 +832,15 @@ def gold_targets(
         prev = pairs
 
 
-def gold_turns(
-    dialogue: Dialogue, mode: StateMode
-) -> Iterator[Tuple[int, DialogueState, DialogueState]]:
-    """Yield (turn_index, gold_state, target_state) for each turn with a
-    gold state that ``gold_targets`` gives a target."""
-    for i, target in gold_targets(user_turn_states(dialogue), mode):
-        if target is not None:
-            state = dialogue.turns[i].gold_state
-            yield i, state, DialogueState(target) if mode is StateMode.UPDATE else state
-
-
 def _with_discoveries(
-    state: DialogueState, introduced: set, gold_schema: SlotSchema
+    pairs: AbstractSet, introduced: set, gold_schema: SlotSchema
 ) -> DialogueState:
     new_descriptions = {
         key: (gold_schema.get(key).description if gold_schema.get(key) else "")
-        for key in state.keys()
+        for key, _ in pairs
         if key not in introduced
     }
-    return DialogueState(state.triples, new_descriptions)
+    return DialogueState(pairs, new_descriptions)
 
 
 def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[str, str]]:
@@ -867,16 +855,15 @@ def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[
     introduced: set = set()
     pairs: List[Tuple[str, str]] = []
     for dialogue in corpus.dialogues:
-        for turn_index, gold_state, target_state in gold_turns(dialogue, mode):
-            target_state = _with_discoveries(target_state, introduced, gold_schema)
-            prompt_schema = gold_schema.restricted_to(introduced)
-            prompt = render_prompt(prompt_schema, dialogue, turn_index)
+        user_states = user_turn_states(dialogue)
+        for turn_index, target in gold_targets(user_states, mode):
+            target_state = _with_discoveries(target, introduced, gold_schema)
+            prompt = render_prompt(gold_schema.restricted_to(introduced), dialogue, turn_index)
             pairs.append((prompt, render_state_block(target_state)))
-            introduced |= gold_state.keys()
-        if mode is StateMode.FINAL:
-            # slots never surfaced at the final turn still count as introduced
-            for _, state, _ in gold_turns(dialogue, StateMode.STATE):
-                introduced |= state.keys()
+            introduced.update(key for key, _ in target)
+        # slots never surfaced at a tracked turn still count as introduced
+        for _, state in user_states:
+            introduced.update(key for key, _ in state)
     return pairs
 
 

@@ -122,6 +122,20 @@ class TestSchemaTypes:
         with pytest.raises(ValueError):
             DialogueState(frozenset(), {k: "desc"})
 
+    def test_states_compare_by_value_and_do_not_hash(self):
+        k, j = canonical_slot_key("hotel", "area"), canonical_slot_key("hotel", "price")
+        built = DialogueState(frozenset([(k, "north"), (j, "cheap")]), {k: "where"})
+        assert built == DialogueState.from_values({k: "north", j: "cheap"}, {k: "where"})
+        assert built != DialogueState.from_values({k: "north", j: "cheap"})
+        assert built != DialogueState.from_values({k: "north", j: "cheap"}, {k: "area"})
+        assert built != DialogueState.from_values({k: "south", j: "cheap"}, {k: "where"})
+        assert DialogueState() == DialogueState(frozenset(), {})
+        assert DialogueState() == DialogueState.from_values({})
+        assert DialogueState() != frozenset()
+        assert (DialogueState() == "state") is False
+        with pytest.raises(TypeError, match="unhashable type: 'DialogueState'"):
+            hash(built)
+
     def test_dialogue_alternation_enforced(self):
         with pytest.raises(ValueError):
             Dialogue("d", "s", (Turn("agent", "hi"),))

@@ -7,8 +7,9 @@ nothing reads, no
 key sets, no value check that a CLI flag makes and its config key does not,
 no third-party HTTP library, no command that loads code it does not run,
 no CLI option that the README leaves out, no use of the ``gc`` module
-outside ``cli``, no Python-level hash or equality on slot keys, and no
-per-turn state object built by ``evaluate``.
+outside ``cli``, no Python-level hash or equality on slot keys, no
+per-turn state object built by ``evaluate``, and no gold state read outside
+``core``, ``seqio`` and ``sim``.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -460,6 +461,47 @@ def test_only_cli_manages_the_collector():
         if gc_uses(path.read_text(encoding="utf-8"))
     }
     assert users == {"cli.py"}
+
+
+def gold_state_reads(source: str):
+    """Line of every read of a ``gold_state`` attribute, spelled as an
+    attribute or through ``getattr``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = node.attr == "gold_state"
+        else:
+            found = (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                     and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                     and node.args[1].value == "gold_state")
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_gold_state_checker_finds_every_read():
+    source = (
+        "def f(turn, dialogue, gold_state=None):\n"
+        "    a = turn.gold_state\n"
+        "    b = dialogue.turns[0].gold_state.keys()\n"
+        "    c = getattr(turn, 'gold_state', None)\n"
+        "    d = Turn('user', 'hi', gold_state=gold_state)\n"
+        "    e = turn.gold_states, 'gold_state', getattr(turn, 'text')\n"
+        "    return a if turn.gold_state is None else b\n"
+    )
+    assert gold_state_reads(source) == [2, 3, 4, 7]
+
+
+def test_gold_turns_are_walked_in_seqio():
+    """``core`` defines ``Turn``, ``sim`` labels turns with gold states and
+    ``seqio`` reads and writes corpora; every other module reads gold turns
+    through ``seqio.user_turn_states`` and ``seqio.gold_targets``."""
+    readers = {
+        path.name
+        for path in PACKAGE_DIR.glob("*.py")
+        if gold_state_reads(path.read_text(encoding="utf-8"))
+    }
+    assert readers <= {"core.py", "seqio.py", "sim.py"}
 
 
 def test_slot_keys_hash_and_compare_in_c():

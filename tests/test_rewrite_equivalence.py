@@ -3,8 +3,8 @@ gold-turn walker, the refiners' fill table, the interned slot keys, the
 memoized catalog render and derived schemas, the block parsers and
 renderers, the simulator's prompt templates and fenced-block retry, the
 induction engine, the prompt's context budget, the mapping agreement, the
-state-log reader and the evaluation path against reference copies of the
-code they replaced, the ``evaluate`` command against the object route it
+state-log reader, the evaluation path and the training and revision pair
+builders against reference copies of the code they replaced, the ``evaluate`` command against the object route it
 replaced, and the JSON writer ``canonical_json`` against ``json.dumps``, on
 random inputs."""
 
@@ -27,7 +27,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slotweaver import cli, evalx, induct, seqio, sim
+from slotweaver import cli, evalx, induct, refine, seqio, sim
 from slotweaver.backend import (
     AuthError,
     BackendError,
@@ -58,13 +58,14 @@ from slotweaver.seqio import (
     StateLogEntry,
     StateMode,
     canonical_json,
-    gold_turns,
+    gold_targets,
     parse_schema_block,
     parse_state_block,
     render_prompt,
     render_schema_block,
     render_state_block,
     schema_to_obj,
+    user_turn_states,
 )
 
 from conftest import key
@@ -299,10 +300,11 @@ def dialogue_of(user_states):
 def test_gold_turns_matches_old_stream(user_states, mode):
     # None entries are user turns that carry no gold state
     dialogue = dialogue_of(user_states)
-    got = [(i, target) for i, _, target in gold_turns(dialogue, mode)]
-    assert got == list(ref_gold_state_stream(dialogue, mode))
-    for i, gold, _ in gold_turns(dialogue, mode):
-        assert gold is dialogue.turns[i].gold_state
+    targets = list(gold_targets(user_turn_states(dialogue), mode))
+    assert [(i, target) for i, target in targets if target is not None] == [
+        (i, state.triples) for i, state in ref_gold_state_stream(dialogue, mode)]
+    assert [i for i, target in targets if target is None] == [
+        i for i in seqio.tracked_turns(dialogue, mode) if dialogue.turns[i].gold_state is None]
 
 
 # A stream: each dialogue advances the index by 0-3 (so it is nondecreasing,
@@ -1386,7 +1388,7 @@ def ref_gold_valued_slots(dialogues, mode):
     entries = [
         StateLogEntry(dialogue.id, turn_index, target)
         for dialogue in dialogues
-        for turn_index, _, target in gold_turns(dialogue, mode)
+        for turn_index, target in ref_gold_state_stream(dialogue, mode)
     ]
     return ref_collect_valued_slots(entries)
 
@@ -2030,3 +2032,129 @@ def test_corpus_readers_match_old_read(corpus):
         assert seqio.load_corpus(path) == want[1]
         assert stream == bare(want[1])
         assert all(t.gold_state is None for d in stream.dialogues for t in d.turns)
+
+
+# --- training and revision pairs over the one gold-turn walk -------------------
+
+
+def ref_require_gold(corpus):
+    if corpus.gold_schema is None:
+        raise seqio.MissingGoldError("corpus has no gold schema")
+    for dialogue in corpus.dialogues:
+        for i in dialogue.user_turn_indices():
+            if dialogue.turns[i].gold_state is None:
+                raise seqio.MissingGoldError(
+                    f"dialogue {dialogue.id} turn {i} has no gold state"
+                )
+    return corpus.gold_schema
+
+
+def ref_gold_turns(dialogue, mode):
+    for i, target in gold_targets(user_turn_states(dialogue), mode):
+        if target is not None:
+            state = dialogue.turns[i].gold_state
+            yield i, state, DialogueState(target) if mode is StateMode.UPDATE else state
+
+
+def ref_with_discoveries(state, introduced, gold_schema):
+    new_descriptions = {
+        k: (gold_schema.get(k).description if gold_schema.get(k) else "")
+        for k in state.keys()
+        if k not in introduced
+    }
+    return DialogueState(state.triples, new_descriptions)
+
+
+def ref_build_training_sequences(corpus, mode):
+    gold_schema = ref_require_gold(corpus)
+    introduced = set()
+    pairs = []
+    for dialogue in corpus.dialogues:
+        for turn_index, gold_state, target_state in ref_gold_turns(dialogue, mode):
+            target_state = ref_with_discoveries(target_state, introduced, gold_schema)
+            prompt_schema = gold_schema.restricted_to(introduced)
+            prompt = render_prompt(prompt_schema, dialogue, turn_index)
+            pairs.append((prompt, render_state_block(target_state)))
+            introduced |= gold_state.keys()
+        if mode is StateMode.FINAL:
+            for _, state, _ in ref_gold_turns(dialogue, StateMode.STATE):
+                introduced |= state.keys()
+    return pairs
+
+
+def ref_build_revision_pairs(corpus, noisy_states, seed):
+    if corpus.gold_schema is None:
+        raise seqio.MissingGoldError("corpus has no gold schema")
+    noisy_by_position = {(e.dialogue_id, e.turn_index): e.state for e in noisy_states}
+    rng = random.Random(seed)
+    noisy_schema = SlotSchema()
+    introduced = set()
+    pairs = []
+    for dialogue in corpus.dialogues:
+        for turn_index in dialogue.user_turn_indices():
+            gold_state = dialogue.turns[turn_index].gold_state
+            if gold_state is not None:
+                introduced |= gold_state.keys()
+            noisy_state = noisy_by_position.get((dialogue.id, turn_index))
+            if noisy_state is not None:
+                noisy_schema = schema_update(noisy_schema, noisy_state)
+            gold_t = corpus.gold_schema.restricted_to(introduced)
+            if len(gold_t) == 0:
+                continue
+            strategy = refine.NoiseStrategy.draw(rng)
+            noised, target = refine.make_revision_example(gold_t, noisy_schema, strategy)
+            pairs.append((seqio.render_revision_prompt(noised), render_schema_block(target)))
+    return pairs
+
+
+@st.composite
+def gold_corpora_and_noisy_logs(draw):
+    """A gold corpus over the small vocabulary and a prior run's log against
+    it. Each later user turn keeps, changes or drops every slot of the turn
+    before and may add new ones, so some slots are valued only before a
+    dialogue's last user turn; now and then a user turn has no gold state,
+    or the corpus no gold schema. The log values random slots, some of them
+    described, at user turns, agent turns, turns past a dialogue's end and
+    a dialogue the corpus lacks, and may value one position twice."""
+    gold_keys = draw(st.lists(keys, min_size=1, max_size=8, unique=True))
+    schema = SlotSchema(tuple(
+        SlotDef(k, draw(st.sampled_from(["", "a thing", "the price"]))) for k in gold_keys))
+    gaps = draw(st.integers(0, 4)) == 0
+    dialogues = []
+    for d in range(draw(st.integers(1, 4))):
+        turns = []
+        state = {}
+        for _ in range(draw(st.integers(1, 4))):
+            for k in list(state):
+                fate = draw(st.sampled_from(["keep", "change", "drop"]))
+                if fate == "drop":
+                    del state[k]
+                elif fate == "change":
+                    state[k] = draw(values)
+            state.update(draw(st.dictionaries(st.sampled_from(gold_keys), values, max_size=3)))
+            gold = None if gaps and draw(st.booleans()) else DialogueState.from_values(state)
+            turns += [Turn("user", f"u{d}.{len(turns)}", gold), Turn("agent", f"a{d}.{len(turns)}")]
+        if draw(st.booleans()):
+            turns.pop()  # the dialogue ends on a user turn
+        dialogues.append(Dialogue(f"d{d}", "s1", tuple(turns)))
+    corpus = CorpusFile(tuple(dialogues), None if draw(st.integers(0, 19)) == 0 else schema)
+    positions = [(d.id, i) for d in dialogues for i in range(len(d.turns) + 1)] + [("ghost", 0)]
+    log = []
+    for dialogue_id, turn in draw(st.lists(st.sampled_from(positions), max_size=12)):
+        predicted = draw(st.dictionaries(keys, values, max_size=3))
+        described = {k: draw(st.sampled_from(["new", "a thing"]))
+                     for k in predicted if draw(st.booleans())}
+        log.append(StateLogEntry(dialogue_id, turn, DialogueState.from_values(predicted, described)))
+    return corpus, log
+
+
+@settings(max_examples=200, deadline=None)
+@given(gold_corpora_and_noisy_logs(), st.integers(0, 2**32))
+def test_pairs_match_old_builders(drawn, seed):
+    corpus, log = drawn
+    for mode in StateMode:
+        assert error_of(seqio.build_training_sequences, corpus, mode) == error_of(
+            ref_build_training_sequences, corpus, mode)
+    for run_seed in (0, 4, seed):
+        assert error_of(refine.build_revision_pairs, corpus, log, run_seed) == error_of(
+            ref_build_revision_pairs, corpus, log, run_seed)

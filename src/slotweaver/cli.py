@@ -5,32 +5,38 @@ credential is read from the SLOTWEAVER_API_KEY environment variable. Exit
 codes: 0 success, 1 pipeline error, 2 configuration/auth error.
 
 Each command loads only what it runs: ``evaluate`` and ``make-train-data``
-load no YAML, simulator, induction or HTTP code, and only ``evaluate`` loads
-the metrics.
+load no YAML, simulator, induction, backend or HTTP code, nor ``logging``,
+and only ``evaluate`` loads the metrics.
 
-The cyclic garbage collector is managed here alone: see ``_inputs_frozen``.
+The cyclic garbage collector is managed here alone. ``evaluate`` and
+``make-train-data`` load their inputs with it paused and then freeze them
+(``_inputs_frozen``); ``induce`` keeps it paused until it returns. Whichever
+command runs, the heap is frozen at exit, so interpreter shutdown skips its
+last collection (see ``main``).
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 import random
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import click
 
-# yaml, sim, induct and evalx are imported inside the code that uses them:
-# click registers every command when this module loads, so a top-level import
-# would load them for every command. The HTTP client loads on first use of
-# backend_mod.HttpBackend.
-from . import backend as backend_mod
+# yaml, sim, induct, evalx and backend are imported inside the code that uses
+# them: click registers every command when this module loads, so a top-level
+# import would load them for every command. The HTTP client loads on first use
+# of backend.HttpBackend.
 from . import refine, seqio
-from .backend import AuthError, Backend, BackendError
 from .seqio import StateMode
+
+if TYPE_CHECKING:
+    from .backend import Backend
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -119,6 +125,8 @@ class RunConfig:
         return self
 
     def make_backend(self) -> Backend:
+        from . import backend as backend_mod
+
         kind = self.backend.get("kind", "scripted")
         if kind == "scripted":
             script = self.backend.get("script")
@@ -157,9 +165,10 @@ def _command_backend(cfg: RunConfig) -> Iterator[Backend]:
 def _inputs_frozen() -> Iterator[Callable[[], None]]:
     """Pause the cyclic collector until the yielded ``loaded`` is called,
     which freezes everything alive (``gc.freeze``), so that later
-    collections skip the loaded inputs, and resumes collecting. On the way
-    out, by return or exit, the collector is left as it was found: a
-    caller's own freeze stays, and then this one is skipped."""
+    collections skip the loaded inputs, and resumes collecting; a command
+    that never calls it runs paused throughout. On the way out, by return or
+    exit, the collector is left as it was found: a caller's own freeze
+    stays, and then this one is skipped."""
     enabled, caller_froze = gc.isenabled(), gc.get_freeze_count() > 0
     gc.disable()
 
@@ -186,6 +195,16 @@ def _fail(message: str, code: int) -> None:
 @click.group()
 def main() -> None:
     """Slot schema induction, simulation, and evaluation pipeline."""
+    # Freeze whatever is alive at exit, so that interpreter shutdown's last
+    # collection has nothing to walk. Skipping that collection loses nothing:
+    # every artifact is written and closed inside seqio._write's `with`, the
+    # interpreter flushes stdout and stderr whatever the collector does,
+    # ordered_map joins its pools, and _command_backend closes the HTTP
+    # connections. Registered here, when a command runs, and not on import,
+    # so importing this module leaves its host process's exit as it was;
+    # unregistered first, so a process that runs many commands holds one hook.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 @main.command()
@@ -198,6 +217,7 @@ def main() -> None:
 def simulate(config_path, out_path, report_path, n_scenarios, dialogues_per_scenario, seed):
     """Simulate a state-annotated corpus and write it to disk."""
     from . import sim
+    from .backend import AuthError, BackendError
 
     cfg = RunConfig.load(config_path).override(seed, simulation=dict(
         scenarios=n_scenarios, dialogues_per_scenario=dialogues_per_scenario))
@@ -254,6 +274,7 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
            two_pass, seed, shuffle):
     """Run streaming induction over a corpus, emitting schema + state log."""
     from . import induct
+    from .backend import AuthError, BackendError
 
     cfg = RunConfig.load(config_path).override(seed, induction=dict(
         mode=mode, refiner=refiner, window=window, tau=tau, cap=cap))
@@ -268,7 +289,11 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
         raise ConfigError("--shuffle-seed needs a seed: pass --seed or set seed in the config")
     seed = cfg.seed if shuffle else None
     out = Path(out_dir)
-    with _inputs_frozen() as loaded:
+    # The collector stays paused through both passes and the writes: a run
+    # leaves cyclic garbage only when a backend call fails, one
+    # exception-frame cycle per failed attempt, so what waits for the
+    # collector grows with the failed attempts alone.
+    with _inputs_frozen():
         try:
             corpus = seqio.load_stream(corpus_path)
         except seqio.CorpusFormatError as exc:
@@ -276,7 +301,6 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
 
         try:
             with _command_backend(cfg) as backend:
-                loaded()
                 refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
                 if two_pass:
                     schema, result = induct.run_two_pass(corpus, mode, refiner, backend, seed=seed)

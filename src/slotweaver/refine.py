@@ -9,13 +9,11 @@ updates that table in place.
 
 from __future__ import annotations
 
-import logging
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from .backend import Backend, GenerationRequest
 from .core import GOLD, DialogueState, SlotDef, SlotKey, SlotSchema, schema_update
 from .seqio import (
     CorpusFile,
@@ -27,6 +25,11 @@ from .seqio import (
     render_schema_block,
     user_turn_states,
 )
+
+# logging and the backend load only when a schema revision runs: the CLI
+# imports this module for the refiner names, and evaluate runs neither.
+if TYPE_CHECKING:
+    from .backend import Backend
 
 __all__ = [
     "SlotStats",
@@ -49,8 +52,6 @@ __all__ = [
     "refiner_class",
     "make_refiner",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class SlotStats(Dict[SlotKey, List[int]]):
@@ -205,6 +206,11 @@ def revise_schema(
     catalog unchanged returns the schema itself, and an unparseable one
     leaves it unchanged with a logged warning.
     """
+    import logging
+
+    from .backend import GenerationRequest
+
+    log = logging.getLogger(__name__)
     prompt = render_revision_prompt(schema)
     response = backend.generate(GenerationRequest(prompt, max_output=REVISION_MAX_OUTPUT))
     try:

@@ -334,6 +334,18 @@ class CorpusFile:
                 if turn.gold_state is not None
             ))
 
+    @classmethod
+    def _read(cls, gold_schema: Optional[SlotSchema], dialogues: list,
+              format_version: int) -> "CorpusFile":
+        """The corpus of an object that ``_read_corpus`` has checked, which
+        refused any stray gold slot already: ``__post_init__``'s walk over
+        every gold state is skipped."""
+        corpus = object.__new__(cls)
+        object.__setattr__(corpus, "dialogues", tuple(dialogues))
+        object.__setattr__(corpus, "gold_schema", gold_schema)
+        object.__setattr__(corpus, "format_version", format_version)
+        return corpus
+
 
 def _refuse_stray_slots(schema: SlotSchema, gold_states) -> None:
     """Raise a CorpusFormatError naming the first of ``gold_states``, each
@@ -349,17 +361,19 @@ def _refuse_stray_slots(schema: SlotSchema, gold_states) -> None:
             )
 
 
-# The JSON type each field of an artifact's objects must hold, by field; a
-# field that may be null may also be left out.
+# The JSON types each field of an artifact's objects may hold, as (field,
+# types) pairs in the order they are checked; a field that may be null may
+# also be left out.
 _NULL = type(None)
-_CORPUS_FIELDS = {"format_version": (int,), "dialogues": (list,), "gold_schema": (dict, _NULL)}
-_DIALOGUE_FIELDS = {"id": (str,), "scenario_id": (str,), "turns": (list,)}
-_TURN_FIELDS = {"speaker": (str,), "text": (str,), "state": (dict, _NULL)}
-_SCHEMA_FIELDS = {"domains": (list,)}
-_DOMAIN_FIELDS = {"name": (str,), "slots": (list,)}
-_SLOT_FIELDS = {"name": (str,), "description": (str, _NULL)}
-_LOG_ENTRY_FIELDS = {"dialogue_id": (str,), "turn": (int,), "state": (dict,),
-                     "dialogue_index": (int, _NULL), "new_slot_descriptions": (dict, _NULL)}
+_CORPUS_FIELDS = (("format_version", (int,)), ("dialogues", (list,)),
+                  ("gold_schema", (dict, _NULL)))
+_DIALOGUE_FIELDS = (("id", (str,)), ("scenario_id", (str,)), ("turns", (list,)))
+_TURN_FIELDS = (("speaker", (str,)), ("text", (str,)), ("state", (dict, _NULL)))
+_SCHEMA_FIELDS = (("domains", (list,)),)
+_DOMAIN_FIELDS = (("name", (str,)), ("slots", (list,)))
+_SLOT_FIELDS = (("name", (str,)), ("description", (str, _NULL)))
+_LOG_ENTRY_FIELDS = (("dialogue_id", (str,)), ("turn", (int,)), ("state", (dict,)),
+                     ("dialogue_index", (int, _NULL)), ("new_slot_descriptions", (dict, _NULL)))
 _JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object", _NULL: "null"}
 
 
@@ -367,14 +381,15 @@ def _type_name(value) -> str:
     return "null" if value is None else type(value).__name__
 
 
-def _check_fields(obj, fields: Dict[str, tuple], where: Optional[str] = None) -> None:
+def _check_fields(obj, fields: Tuple[Tuple[str, tuple], ...],
+                  where: Optional[str] = None) -> None:
     """Raise a CorpusFormatError, led by ``where`` when it is given, unless
     ``obj`` is a JSON object whose every field in ``fields`` holds one of
     the JSON types listed for it. A ``bool`` is not an integer."""
     if type(obj) is not dict:
         reason = f"must be an object, got {type(obj).__name__}"
     else:
-        for name, types in fields.items():
+        for name, types in fields:
             value = obj.get(name)
             if type(value) not in types:
                 reason = (f"missing {name!r}" if name not in obj else f"{name!r} must be "
@@ -578,8 +593,7 @@ def _turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]) -> Turn
 
 
 def corpus_from_obj(obj: dict) -> CorpusFile:
-    gold_schema, dialogues = _read_corpus(obj, _turn, Dialogue)
-    return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
+    return CorpusFile._read(*_read_corpus(obj, _turn, Dialogue), obj["format_version"])
 
 
 def _bare_turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]) -> Turn:
@@ -590,8 +604,7 @@ def _bare_turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]) ->
 
 
 def _stream_from_obj(obj: dict) -> CorpusFile:
-    gold_schema, dialogues = _read_corpus(obj, _bare_turn, Dialogue)
-    return CorpusFile(tuple(dialogues), gold_schema, obj["format_version"])
+    return CorpusFile._read(*_read_corpus(obj, _bare_turn, Dialogue), obj["format_version"])
 
 
 def _checked_turn(speaker: str, text: str, values: Optional[Dict[SlotKey, str]]):

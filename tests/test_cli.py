@@ -1,11 +1,17 @@
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from slotweaver import backend, cli, seqio
 from slotweaver.cli import main
 from slotweaver.seqio import canonical_json
 
@@ -1024,3 +1030,132 @@ class TestCommandsRestoreTheCollector:
         result = runner.invoke(main, argv)
         assert result.exit_code == code, result.output
         assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def _golden_induce_argv(config_path, out):
+    return ["induce", "--config", str(config_path), "--corpus", str(DATA / "corpus.json"),
+            "--out-dir", str(out), "--two-pass"]
+
+
+class TestInducePausesTheCollector:
+    """``induce`` keeps the collector paused through both passes and its
+    writes, and resumes it before it returns."""
+
+    def test_paused_through_both_passes_and_the_writes(self, runner, config_path, tmp_path,
+                                                       monkeypatch):
+        seen = []
+        generate, write = backend.ScriptedBackend.generate, seqio._write
+
+        def watched_generate(self, request):
+            seen.append(("call", gc.isenabled()))
+            return generate(self, request)
+
+        def watched_write(path, chunks):
+            seen.append(("write", gc.isenabled()))
+            write(path, chunks)
+
+        monkeypatch.setattr(backend.ScriptedBackend, "generate", watched_generate)
+        monkeypatch.setattr(seqio, "_write", watched_write)
+        assert gc.isenabled()
+        result = runner.invoke(main, _golden_induce_argv(config_path, tmp_path / "run"))
+        assert result.exit_code == 0, result.output
+        assert gc.isenabled()
+        assert Counter(seen) == {("call", False): 80, ("write", False): 3}  # 40 turns, twice
+
+    def test_two_pass_run_leaves_no_cyclic_garbage(self, config_path, tmp_path):
+        """What makes the pause safe: a run whose backend calls all succeed
+        makes no reference cycle, so a collection during it frees nothing."""
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                main(_golden_induce_argv(config_path, tmp_path / "run"), standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert (tmp_path / "run" / "report.json").read_bytes() == (
+            GOLDEN / "report.json").read_bytes()
+
+
+# Runs each command given as a JSON list of argument lists in one fresh
+# interpreter, then exits. The exit probe is registered before any command
+# runs, so it runs after every hook a command registers (atexit is last in,
+# first out); it reports whether the heap is frozen, how many times gc.freeze
+# ran after the commands, and the digest of each file under out/.
+EXIT_PROBE = """
+import atexit, gc, hashlib, json, sys
+from pathlib import Path
+
+freeze, freezes, commands_done = gc.freeze, [], []
+
+def counted_freeze():
+    freezes.append(bool(commands_done))
+    freeze()
+
+def probe():
+    outputs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(Path("out").glob("*"))}
+    print(json.dumps({"frozen": gc.get_freeze_count() > 0, "exit_freezes": sum(freezes),
+                      "outputs": outputs}))
+
+gc.freeze = counted_freeze
+atexit.register(probe)
+from slotweaver.cli import main
+for argv in json.loads(sys.argv[1]):
+    try:
+        main(argv, standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+commands_done.append(True)
+"""
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestHeapFrozenAtExit:
+    """A command freezes the heap at exit, once however many commands ran,
+    so interpreter shutdown has no collection to run, and its outputs are
+    complete by then; importing the CLI without running a command leaves
+    the exit as it was."""
+
+    @staticmethod
+    def _exit_state(tmp_path, *commands):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE, json.dumps([list(map(str, c)) for c in commands])],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_import_alone_leaves_the_exit_as_it_was(self, tmp_path):
+        assert self._exit_state(tmp_path) == {"frozen": False, "exit_freezes": 0, "outputs": {}}
+
+    def test_induce(self, config_path, tmp_path):
+        state = self._exit_state(tmp_path, _golden_induce_argv(config_path, "out"))
+        assert state == {"frozen": True, "exit_freezes": 1, "outputs": {
+            name: _sha256(GOLDEN / name) for name in ("report.json", "schema.json", "states.jsonl")}}
+
+    def test_evaluate(self, tmp_path):
+        state = self._exit_state(tmp_path, [
+            "evaluate", "--predictions", GOLDEN / "states.jsonl", "--gold", DATA / "corpus.json",
+            "--out", "out/metrics.json"])
+        assert state == {"frozen": True, "exit_freezes": 1,
+                         "outputs": {"metrics.json": _sha256(DATA / "metrics" / "state.json")}}
+
+    def test_make_train_data(self, runner, tmp_path):
+        expected = tmp_path / "pairs.jsonl"
+        argv = ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--out"]
+        assert runner.invoke(main, [*argv, str(expected)]).exit_code == 0
+        state = self._exit_state(tmp_path, [*argv, "out/pairs.jsonl"])
+        assert state == {"frozen": True, "exit_freezes": 1,
+                         "outputs": {"pairs.jsonl": _sha256(expected)}}
+
+    def test_repeated_commands_register_one_hook(self, config_path, tmp_path):
+        pairs = ["make-train-data", "--corpus", DATA / "corpus.json", "--out", "out/pairs.jsonl"]
+        state = self._exit_state(tmp_path, _golden_induce_argv(config_path, "out"), pairs,
+                                 _golden_induce_argv(config_path, "out"))
+        assert (state["frozen"], state["exit_freezes"], len(state["outputs"])) == (True, 1, 4)

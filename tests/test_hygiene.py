@@ -679,11 +679,11 @@ def test_cli_import_loads_no_http_library():
 
 
 # Modules that only some commands run: the HTTP client and what it pulls in,
-# the YAML parser, the simulator, the induction engine, the metrics and the
-# thread pool that overlaps calls.
+# the YAML parser, the simulator, the induction engine, the metrics, the
+# thread pool that overlaps calls, the backends and logging.
 OPTIONAL_MODULES = ("http.client", "ssl", "email", "yaml", "slotweaver.sim",
                     "slotweaver.induct", "slotweaver.http_backend", "slotweaver.evalx",
-                    "concurrent.futures")
+                    "concurrent.futures", "slotweaver.backend", "logging")
 
 
 def loaded_by_command(args, cwd, modules=OPTIONAL_MODULES):
@@ -711,7 +711,8 @@ def loaded_by_command(args, cwd, modules=OPTIONAL_MODULES):
     # a scripted run closes its backend without loading the HTTP client, and
     # makes its calls one at a time without a thread pool
     ("induce", ["--config", "config.yaml", "--corpus", DATA / "corpus.json",
-                "--out-dir", "run", "--two-pass"], ["slotweaver.induct", "yaml"]),
+                "--out-dir", "run", "--two-pass"],
+     ["slotweaver.backend", "slotweaver.induct", "yaml"]),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, command, flags, loaded):
     (tmp_path / "config.yaml").write_text(

@@ -2158,3 +2158,62 @@ def test_pairs_match_old_builders(drawn, seed):
     for run_seed in (0, 4, seed):
         assert error_of(refine.build_revision_pairs, corpus, log, run_seed) == error_of(
             ref_build_revision_pairs, corpus, log, run_seed)
+
+
+# --- the field checker of every artifact object --------------------------------
+# ``_check_fields`` took each spec as a dict of field -> JSON types and read
+# each value into a local; it now walks (field, types) pairs.
+
+_REF_JSON_TYPES = {str: "a string", int: "an integer", list: "a list", dict: "an object",
+                   type(None): "null"}
+
+
+def ref_check_fields(obj, fields, where=None):
+    if type(obj) is not dict:
+        reason = f"must be an object, got {type(obj).__name__}"
+    else:
+        for name, types in fields.items():
+            value = obj.get(name)
+            if type(value) not in types:
+                reason = (f"missing {name!r}" if name not in obj else f"{name!r} must be "
+                          f"{' or '.join(_REF_JSON_TYPES[t] for t in types)}, "
+                          f"got {seqio._type_name(value)}")
+                break
+        else:
+            return
+    raise seqio.CorpusFormatError(reason if where is None else f"{where}: {reason}")
+
+
+FIELD_SPECS = [seqio._CORPUS_FIELDS, seqio._DIALOGUE_FIELDS, seqio._TURN_FIELDS,
+               seqio._SCHEMA_FIELDS, seqio._DOMAIN_FIELDS, seqio._SLOT_FIELDS,
+               seqio._LOG_ENTRY_FIELDS]
+FIELD_NAMES = sorted({name for spec in FIELD_SPECS for name, _ in spec} | {"extra"})
+# a value of every JSON type, a bool among the integers
+json_values = st.sampled_from(["s", "", 0, 7, -1, True, False, 2.5, None, [], [1], {}, {"a": "b"}])
+
+
+@st.composite
+def checked_objects(draw):
+    """A spec and an object to check against it: mostly a JSON object that
+    holds each of the spec's fields, now and then with one left out or of
+    another type, sometimes a value that is no object."""
+    spec = draw(st.sampled_from(FIELD_SPECS))
+    if draw(st.integers(0, 9)) == 0:
+        return spec, draw(json_values)
+    good = {type(None): None, str: "s", int: 3, list: [], dict: {}}
+    obj = {name: good[draw(st.sampled_from(types))] for name, types in spec}
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(FIELD_NAMES))
+        if draw(st.booleans()):
+            obj.pop(name, None)
+        else:
+            obj[name] = draw(json_values)
+    return spec, obj
+
+
+@settings(max_examples=2000, deadline=None)
+@given(checked_objects(), st.sampled_from([None, "corpus file", "dialogues[3]"]))
+def test_check_fields_matches_old_checker(drawn, where):
+    spec, obj = drawn
+    assert error_of(seqio._check_fields, obj, spec, where) == error_of(
+        ref_check_fields, obj, dict(spec), where)

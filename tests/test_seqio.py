@@ -298,6 +298,35 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError):
             CorpusFile((d,), schema)
 
+    def test_stray_gold_slot_is_refused_by_one_walk(self, tmp_path, monkeypatch):
+        # a built corpus walks its gold states for a slot the schema lacks; a
+        # file's were walked by _read_corpus, so its corpus skips that walk,
+        # and both refuse the first stray with the same message
+        message = ("dialogue d1 turn 0: gold state uses slots absent from gold schema: "
+                   "['train/day']")
+        schema = SlotSchema((SlotDef(key("hotel", "area")),))
+        d = make_dialogue("d1", 1, gold_states=_gold_states([[("train", "day", "monday")]]))
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            CorpusFile((d,), schema)
+        obj = corpus_to_obj(CorpusFile((d,), None))
+        obj["gold_schema"] = schema_to_obj(schema)
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        for load in (load_corpus, seqio.load_stream):
+            with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: {message}")):
+                load(path)
+
+        walks = []
+        refuse = seqio._refuse_stray_slots
+        monkeypatch.setattr(seqio, "_refuse_stray_slots",
+                            lambda *args: walks.append(args) or refuse(*args))
+        corpus = _gold_corpus()
+        assert len(walks) == 1
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+        assert seqio.load_stream(path).gold_schema == corpus.gold_schema
+        assert len(walks) == 1
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

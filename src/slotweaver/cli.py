@@ -8,11 +8,12 @@ Each command loads only what it runs: ``evaluate`` and ``make-train-data``
 load no YAML, simulator, induction, backend or HTTP code, nor ``logging``,
 and only ``evaluate`` loads the metrics.
 
-The cyclic garbage collector is managed here alone. ``evaluate`` and
-``make-train-data`` load their inputs with it paused and then freeze them
-(``_inputs_frozen``); ``induce`` keeps it paused until it returns. Whichever
-command runs, the heap is frozen at exit, so interpreter shutdown skips its
-last collection (see ``main``).
+The cyclic garbage collector is managed here alone, by one policy: every
+command, ``simulate`` included, runs with it paused and hands what it made
+over unscanned when it ends (``_collector_paused``). Only a failed backend
+call or a lost dialogue leaves reference cycles, held until the command
+ends. The heap is frozen at exit, so interpreter shutdown skips its last
+collection (see ``main``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import click
 
@@ -162,26 +163,20 @@ def _command_backend(cfg: RunConfig) -> Iterator[Backend]:
 
 
 @contextmanager
-def _inputs_frozen() -> Iterator[Callable[[], None]]:
-    """Pause the cyclic collector until the yielded ``loaded`` is called,
-    which freezes everything alive (``gc.freeze``), so that later
-    collections skip the loaded inputs, and resumes collecting; a command
-    that never calls it runs paused throughout. On the way out, by return or
-    exit, the collector is left as it was found: a caller's own freeze
-    stays, and then this one is skipped."""
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector until the command returns or exits, then
+    hand everything alive to the oldest generation without scanning it
+    (``gc.freeze`` then ``gc.unfreeze``), so the caller's next young
+    collection does not walk what the command made, and leave the collector
+    as it was found. A caller's own freeze stays, and the hand-over, which
+    would undo it, is then skipped."""
     enabled, caller_froze = gc.isenabled(), gc.get_freeze_count() > 0
     gc.disable()
-
-    def loaded() -> None:
-        if not caller_froze:
-            gc.freeze()
-        if enabled:
-            gc.enable()
-
     try:
-        yield loaded
+        yield
     finally:
         if not caller_froze:
+            gc.freeze()
             gc.unfreeze()
         if enabled:
             gc.enable()
@@ -205,6 +200,8 @@ def main() -> None:
     # unregistered first, so a process that runs many commands holds one hook.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
+    # paused until the group's context closes, after the command ends
+    click.get_current_context().with_resource(_collector_paused())
 
 
 @main.command()
@@ -289,43 +286,38 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
         raise ConfigError("--shuffle-seed needs a seed: pass --seed or set seed in the config")
     seed = cfg.seed if shuffle else None
     out = Path(out_dir)
-    # The collector stays paused through both passes and the writes: a run
-    # leaves cyclic garbage only when a backend call fails, one
-    # exception-frame cycle per failed attempt, so what waits for the
-    # collector grows with the failed attempts alone.
-    with _inputs_frozen():
-        try:
-            corpus = seqio.load_stream(corpus_path)
-        except seqio.CorpusFormatError as exc:
-            _fail(str(exc), EXIT_CONFIG)
+    try:
+        corpus = seqio.load_stream(corpus_path)
+    except seqio.CorpusFormatError as exc:
+        _fail(str(exc), EXIT_CONFIG)
 
-        try:
-            with _command_backend(cfg) as backend:
-                refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
-                if two_pass:
-                    schema, result = induct.run_two_pass(corpus, mode, refiner, backend, seed=seed)
-                else:
-                    result = induct.run_induction(corpus, mode, refiner, backend, seed=seed)
-                    schema = result.final_schema
-        except AuthError as exc:
-            _fail(str(exc), EXIT_CONFIG)
-        except (BackendError, induct.SchemaOverflowError) as exc:
-            _fail(str(exc), EXIT_PIPELINE)
-        report = result.to_obj()
-        report["two_pass"] = two_pass
-        report["mode"] = mode.value
-        report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
-        seqio.save_json(seqio.schema_to_obj(schema), out / "schema.json")
-        # each entry's to_obj() serves both files
-        seqio.save_json_lines(report["states"], out / "states.jsonl")
-        seqio.save_json(report, out / "report.json")
-        click.echo(
-            f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
-            f"{result.parse_failures} parse failures"
-        )
-        if result.turns_processed and result.failed_turns == result.turns_processed:
-            _fail(f"every backend call failed in {out}", EXIT_PIPELINE)
-        sys.exit(EXIT_OK)
+    try:
+        with _command_backend(cfg) as backend:
+            refiner = refine.make_refiner(refiner_name, filter_cfg, backend)
+            if two_pass:
+                schema, result = induct.run_two_pass(corpus, mode, refiner, backend, seed=seed)
+            else:
+                result = induct.run_induction(corpus, mode, refiner, backend, seed=seed)
+                schema = result.final_schema
+    except AuthError as exc:
+        _fail(str(exc), EXIT_CONFIG)
+    except (BackendError, induct.SchemaOverflowError) as exc:
+        _fail(str(exc), EXIT_PIPELINE)
+    report = result.to_obj()
+    report["two_pass"] = two_pass
+    report["mode"] = mode.value
+    report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
+    seqio.save_json(seqio.schema_to_obj(schema), out / "schema.json")
+    # each entry's to_obj() serves both files
+    seqio.save_json_lines(report["states"], out / "states.jsonl")
+    seqio.save_json(report, out / "report.json")
+    click.echo(
+        f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
+        f"{result.parse_failures} parse failures"
+    )
+    if result.turns_processed and result.failed_turns == result.turns_processed:
+        _fail(f"every backend call failed in {out}", EXIT_PIPELINE)
+    sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -339,28 +331,26 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
     """Score a run's states against a gold corpus; print the metric table."""
     from . import evalx
 
-    with _inputs_frozen() as loaded:
+    try:
+        gold_schema, dialogues, entries = evalx.load_run(predictions, gold_path)
+        human = evalx.load_human_mapping(human_path) if human_path else None
+        slots = evalx.scenario_slots(StateMode(mode), gold_schema, dialogues, entries)
+        report = evalx.score_slots(slots)
+    except seqio.CorpusFormatError as exc:
+        _fail(str(exc), EXIT_CONFIG)
+    except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
+        _fail(str(exc), EXIT_PIPELINE)
+    click.echo(report.render_table())
+    if human is not None:
+        auto = evalx.match_slots(*evalx.corpus_slots(slots))
         try:
-            gold_schema, dialogues, entries = evalx.load_run(predictions, gold_path)
-            human = evalx.load_human_mapping(human_path) if human_path else None
-            slots = evalx.scenario_slots(StateMode(mode), gold_schema, dialogues, entries)
-            loaded()
-            report = evalx.score_slots(slots)
-        except seqio.CorpusFormatError as exc:
-            _fail(str(exc), EXIT_CONFIG)
-        except (evalx.UnknownScenario, evalx.InvalidGold) as exc:
+            agreement = evalx.mapping_agreement(auto, human)
+        except evalx.IncompleteMapping as exc:
             _fail(str(exc), EXIT_PIPELINE)
-        click.echo(report.render_table())
-        if human is not None:
-            auto = evalx.match_slots(*evalx.corpus_slots(slots))
-            try:
-                agreement = evalx.mapping_agreement(auto, human)
-            except evalx.IncompleteMapping as exc:
-                _fail(str(exc), EXIT_PIPELINE)
-            click.echo(f"mapping agreement with human decisions: {agreement:.3f}")
-        if out_path:
-            seqio.save_json(report.to_obj(), out_path)
-        sys.exit(EXIT_OK)
+        click.echo(f"mapping agreement with human decisions: {agreement:.3f}")
+    if out_path:
+        seqio.save_json(report.to_obj(), out_path)
+    sys.exit(EXIT_OK)
 
 
 @main.command("make-train-data")
@@ -373,22 +363,20 @@ def evaluate(predictions, gold_path, mode, human_path, out_path):
 def make_train_data(corpus_path, mode, out_path, noisy_path, seed):
     """Emit JSON-lines (prompt, target) training pairs: DST pairs, or
     schema revision pairs when a noisy state log is given."""
-    with _inputs_frozen() as loaded:
-        try:
-            corpus = seqio.load_corpus(corpus_path)
-            noisy = seqio.load_state_log(noisy_path) if noisy_path else None
-            loaded()
-            if noisy is not None:
-                pairs = refine.build_revision_pairs(corpus, noisy, seed)
-            else:
-                pairs = seqio.build_training_sequences(corpus, StateMode(mode))
-        except seqio.CorpusFormatError as exc:
-            _fail(str(exc), EXIT_CONFIG)
-        except seqio.MissingGoldError as exc:
-            _fail(str(exc), EXIT_PIPELINE)
-        seqio.save_training_pairs(pairs, out_path)
-        click.echo(f"wrote {len(pairs)} pairs -> {out_path}")
-        sys.exit(EXIT_OK)
+    try:
+        corpus = seqio.load_corpus(corpus_path)
+        noisy = seqio.load_state_log(noisy_path) if noisy_path else None
+        if noisy is not None:
+            pairs = refine.build_revision_pairs(corpus, noisy, seed)
+        else:
+            pairs = seqio.build_training_sequences(corpus, StateMode(mode))
+    except seqio.CorpusFormatError as exc:
+        _fail(str(exc), EXIT_CONFIG)
+    except seqio.MissingGoldError as exc:
+        _fail(str(exc), EXIT_PIPELINE)
+    seqio.save_training_pairs(pairs, out_path)
+    click.echo(f"wrote {len(pairs)} pairs -> {out_path}")
+    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

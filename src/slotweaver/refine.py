@@ -247,6 +247,7 @@ def build_revision_pairs(
     rng = random.Random(seed)
     noisy_schema = SlotSchema()
     introduced: set = set()
+    gold_t, gold_t_size = corpus.gold_schema.restricted_to(introduced), 0
     pairs: List[Tuple[str, str]] = []
     for dialogue in corpus.dialogues:
         for turn_index, gold_pairs in user_turn_states(dialogue):
@@ -255,7 +256,8 @@ def build_revision_pairs(
             noisy_state = noisy_by_position.get((dialogue.id, turn_index))
             if noisy_state is not None:
                 noisy_schema = schema_update(noisy_schema, noisy_state)
-            gold_t = corpus.gold_schema.restricted_to(introduced)
+            if len(introduced) != gold_t_size:  # `introduced` only grows
+                gold_t, gold_t_size = corpus.gold_schema.restricted_to(introduced), len(introduced)
             if len(gold_t) == 0:
                 continue
             strategy = NoiseStrategy.draw(rng)

@@ -866,12 +866,15 @@ def build_training_sequences(corpus: CorpusFile, mode: StateMode) -> List[Tuple[
     """
     gold_schema = _require_gold(corpus)
     introduced: set = set()
+    catalog, catalog_size = gold_schema.restricted_to(introduced), 0
     pairs: List[Tuple[str, str]] = []
     for dialogue in corpus.dialogues:
         user_states = user_turn_states(dialogue)
         for turn_index, target in gold_targets(user_states, mode):
             target_state = _with_discoveries(target, introduced, gold_schema)
-            prompt = render_prompt(gold_schema.restricted_to(introduced), dialogue, turn_index)
+            if len(introduced) != catalog_size:  # it only grows; reuse keeps the render memo
+                catalog, catalog_size = gold_schema.restricted_to(introduced), len(introduced)
+            prompt = render_prompt(catalog, dialogue, turn_index)
             pairs.append((prompt, render_state_block(target_state)))
             introduced.update(key for key, _ in target)
         # slots never surfaced at a tracked turn still count as introduced

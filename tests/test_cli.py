@@ -806,7 +806,8 @@ BAD_SIM_SETTINGS = [
 
 
 class TestSimulate:
-    def _config(self, tmp_path, break_first=False):
+    @staticmethod
+    def _config(tmp_path, break_first=False):
         script = tmp_path / "sim_script.jsonl"
         write_substring_script(script, sim_script_entries(break_first))
         cfg = tmp_path / "sim.yaml"
@@ -975,10 +976,53 @@ class TestFlagOverridesItsConfigKey:
         assert written is None
 
 
+COMMANDS = ["simulate", "induce", "evaluate", "make-train-data"]
+
+
+def _command_argv(command, code, tmp_path, config_path):
+    """Arguments of a run of ``command`` that exits with ``code``."""
+    if command == "simulate":
+        cfg = Path(TestSimulate._config(tmp_path, break_first=code == 1))  # 1 of 2 lost
+        if code == 2:
+            cfg.write_text(cfg.read_text() + "simulation: {max_turns: 0}\n")
+        return ["simulate", "--config", str(cfg), "--out", str(tmp_path / "corpus.json"),
+                "--report", str(tmp_path / "sim.json"), "--scenarios", "2",
+                "--dialogues-per-scenario", "1"]
+    corpus = str(DATA / "corpus.json")
+    if code == 2:
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dialogues": []}')  # missing format_version
+        corpus = str(bad)
+    if command == "induce":
+        cfg = config_path
+        if code == 1:  # an empty script answers no call
+            script = tmp_path / "empty.jsonl"
+            script.write_text("")
+            cfg = tmp_path / "empty.yaml"
+            cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
+        return ["induce", "--config", str(cfg), "--corpus", corpus,
+                "--out-dir", str(tmp_path / "out"), "--two-pass"]
+    if command == "evaluate":
+        states = GOLDEN / "states.jsonl"
+        if code == 1:
+            states = tmp_path / "ghost.jsonl"
+            states.write_text(json.dumps({"dialogue_id": "ghost", "turn": 0, "state": {}}))
+        return ["evaluate", "--predictions", str(states), "--gold", corpus,
+                "--out", str(tmp_path / "metrics.json")]
+    if code == 1:  # a corpus without gold labels
+        corpus = tmp_path / "bare.json"
+        corpus.write_text(json.dumps({"format_version": 1, "dialogues": [], "gold_schema": None}))
+    return ["make-train-data", "--corpus", str(corpus), "--out", str(tmp_path / "pairs.jsonl")]
+
+
 @pytest.fixture(params=["enabled", "disabled", "frozen"])
-def collector(request):
+def collector(request, runner, command):
     """The collector as a caller leaves it before a command: running, paused,
-    or running with objects of its own frozen."""
+    or running with objects of its own frozen. A process's first run of a
+    command, a help run included, frees a few objects inside click, which
+    would change the caller's freeze count; a help run before the collector
+    is set takes that first run."""
+    runner.invoke(main, [command, "--help"])
     if request.param == "disabled":
         gc.disable()
     elif request.param == "frozen":
@@ -991,41 +1035,15 @@ def collector(request):
 
 
 class TestCommandsRestoreTheCollector:
-    """``induce``, ``evaluate`` and ``make-train-data`` load their inputs
-    with the cyclic collector paused and then freeze them; whichever way a
-    command exits, the collector is left as the caller had it."""
-
-    @staticmethod
-    def _argv(command, code, tmp_path, config_path):
-        corpus = str(DATA / "corpus.json")
-        if code == 2:
-            bad = tmp_path / "bad.json"
-            bad.write_text('{"dialogues": []}')  # missing format_version
-            corpus = str(bad)
-        if command == "induce":
-            cfg = config_path
-            if code == 1:  # an empty script answers no call
-                script = tmp_path / "empty.jsonl"
-                script.write_text("")
-                cfg = tmp_path / "empty.yaml"
-                cfg.write_text(f"backend:\n  kind: scripted\n  script: {script}\n")
-            return ["induce", "--config", str(cfg), "--corpus", corpus,
-                    "--out-dir", str(tmp_path / "out")]
-        if command == "evaluate":
-            states = GOLDEN / "states.jsonl"
-            if code == 1:
-                states = tmp_path / "ghost.jsonl"
-                states.write_text(json.dumps({"dialogue_id": "ghost", "turn": 0, "state": {}}))
-            return ["evaluate", "--predictions", str(states), "--gold", corpus]
-        if code == 1:  # a corpus without gold labels
-            corpus = tmp_path / "bare.json"
-            corpus.write_text(json.dumps({"format_version": 1, "dialogues": [], "gold_schema": None}))
-        return ["make-train-data", "--corpus", str(corpus), "--out", str(tmp_path / "pairs.jsonl")]
+    """Every command runs with the cyclic collector paused and hands what it
+    made to the oldest generation unscanned; whichever way it exits, the
+    collector is left as the caller had it, and a caller's own freeze
+    stays."""
 
     @pytest.mark.parametrize("code", [0, 1, 2])
-    @pytest.mark.parametrize("command", ["induce", "evaluate", "make-train-data"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_collector_is_as_before(self, runner, config_path, tmp_path, collector, command, code):
-        argv = self._argv(command, code, tmp_path, config_path)
+        argv = _command_argv(command, code, tmp_path, config_path)
         before = gc.isenabled(), gc.get_freeze_count()
         result = runner.invoke(main, argv)
         assert result.exit_code == code, result.output
@@ -1037,12 +1055,20 @@ def _golden_induce_argv(config_path, out):
             "--out-dir", str(out), "--two-pass"]
 
 
-class TestInducePausesTheCollector:
-    """``induce`` keeps the collector paused through both passes and its
-    writes, and resumes it before it returns."""
+class TestCommandsPauseTheCollector:
+    """Every command keeps the collector paused through all its backend
+    calls and all its writes, and resumes it before it returns. A command
+    leaves reference cycles only for a failed backend call or a lost
+    dialogue, and they are held until the command ends."""
 
-    def test_paused_through_both_passes_and_the_writes(self, runner, config_path, tmp_path,
-                                                       monkeypatch):
+    @pytest.mark.parametrize("command, events", [
+        ("simulate", {("call", False): 19, ("write", False): 2}),
+        ("induce", {("call", False): 80, ("write", False): 3}),  # 40 turns, twice
+        ("evaluate", {("write", False): 1}),
+        ("make-train-data", {("write", False): 1}),
+    ])
+    def test_paused_through_every_call_and_write(self, runner, config_path, tmp_path,
+                                                 monkeypatch, command, events):
         seen = []
         generate, write = backend.ScriptedBackend.generate, seqio._write
 
@@ -1057,10 +1083,10 @@ class TestInducePausesTheCollector:
         monkeypatch.setattr(backend.ScriptedBackend, "generate", watched_generate)
         monkeypatch.setattr(seqio, "_write", watched_write)
         assert gc.isenabled()
-        result = runner.invoke(main, _golden_induce_argv(config_path, tmp_path / "run"))
+        result = runner.invoke(main, _command_argv(command, 0, tmp_path, config_path))
         assert result.exit_code == 0, result.output
         assert gc.isenabled()
-        assert Counter(seen) == {("call", False): 80, ("write", False): 3}  # 40 turns, twice
+        assert Counter(seen) == events
 
     def test_two_pass_run_leaves_no_cyclic_garbage(self, config_path, tmp_path):
         """What makes the pause safe: a run whose backend calls all succeed
@@ -1083,12 +1109,13 @@ class TestInducePausesTheCollector:
 # interpreter, then exits. The exit probe is registered before any command
 # runs, so it runs after every hook a command registers (atexit is last in,
 # first out); it reports whether the heap is frozen, how many times gc.freeze
-# ran after the commands, and the digest of each file under out/.
+# ran after the commands, how many collections started from the first
+# command on, and the digest of each file under out/.
 EXIT_PROBE = """
 import atexit, gc, hashlib, json, sys
 from pathlib import Path
 
-freeze, freezes, commands_done = gc.freeze, [], []
+freeze, freezes, commands_done, collections = gc.freeze, [], [], []
 
 def counted_freeze():
     freezes.append(bool(commands_done))
@@ -1098,11 +1125,12 @@ def probe():
     outputs = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(Path("out").glob("*"))}
     print(json.dumps({"frozen": gc.get_freeze_count() > 0, "exit_freezes": sum(freezes),
-                      "outputs": outputs}))
+                      "collections": len(collections), "outputs": outputs}))
 
 gc.freeze = counted_freeze
 atexit.register(probe)
 from slotweaver.cli import main
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(phase))
 for argv in json.loads(sys.argv[1]):
     try:
         main(argv, standalone_mode=False)
@@ -1132,18 +1160,19 @@ class TestHeapFrozenAtExit:
         return json.loads(done.stdout.splitlines()[-1])
 
     def test_import_alone_leaves_the_exit_as_it_was(self, tmp_path):
-        assert self._exit_state(tmp_path) == {"frozen": False, "exit_freezes": 0, "outputs": {}}
+        assert self._exit_state(tmp_path) == {"frozen": False, "exit_freezes": 0,
+                                              "collections": 0, "outputs": {}}
 
     def test_induce(self, config_path, tmp_path):
         state = self._exit_state(tmp_path, _golden_induce_argv(config_path, "out"))
-        assert state == {"frozen": True, "exit_freezes": 1, "outputs": {
+        assert state == {"frozen": True, "exit_freezes": 1, "collections": 0, "outputs": {
             name: _sha256(GOLDEN / name) for name in ("report.json", "schema.json", "states.jsonl")}}
 
     def test_evaluate(self, tmp_path):
         state = self._exit_state(tmp_path, [
             "evaluate", "--predictions", GOLDEN / "states.jsonl", "--gold", DATA / "corpus.json",
             "--out", "out/metrics.json"])
-        assert state == {"frozen": True, "exit_freezes": 1,
+        assert state == {"frozen": True, "exit_freezes": 1, "collections": 0,
                          "outputs": {"metrics.json": _sha256(DATA / "metrics" / "state.json")}}
 
     def test_make_train_data(self, runner, tmp_path):
@@ -1151,11 +1180,12 @@ class TestHeapFrozenAtExit:
         argv = ["make-train-data", "--corpus", str(DATA / "corpus.json"), "--out"]
         assert runner.invoke(main, [*argv, str(expected)]).exit_code == 0
         state = self._exit_state(tmp_path, [*argv, "out/pairs.jsonl"])
-        assert state == {"frozen": True, "exit_freezes": 1,
+        assert state == {"frozen": True, "exit_freezes": 1, "collections": 0,
                          "outputs": {"pairs.jsonl": _sha256(expected)}}
 
     def test_repeated_commands_register_one_hook(self, config_path, tmp_path):
         pairs = ["make-train-data", "--corpus", DATA / "corpus.json", "--out", "out/pairs.jsonl"]
         state = self._exit_state(tmp_path, _golden_induce_argv(config_path, "out"), pairs,
                                  _golden_induce_argv(config_path, "out"))
-        assert (state["frozen"], state["exit_freezes"], len(state["outputs"])) == (True, 1, 4)
+        assert (state["frozen"], state["exit_freezes"], state["collections"],
+                len(state["outputs"])) == (True, 1, 0, 4)

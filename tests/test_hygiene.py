@@ -7,9 +7,10 @@ nothing reads, no
 key sets, no value check that a CLI flag makes and its config key does not,
 no third-party HTTP library, no command that loads code it does not run,
 no CLI option that the README leaves out, no use of the ``gc`` module
-outside ``cli``, no Python-level hash or equality on slot keys, no
-per-turn state object built by ``evaluate``, and no gold state read outside
-``core``, ``seqio`` and ``sim``.
+outside ``cli`` and no ``gc`` call outside its one pause context, no
+Python-level hash or equality on slot keys, no per-turn state object built
+by ``evaluate``, and no gold state read outside ``core``, ``seqio`` and
+``sim``.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -433,11 +434,15 @@ def gc_uses(source: str):
         elif isinstance(node, ast.ImportFrom):
             found = node.module == "gc"
         else:
-            found = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "gc")
+            found = is_gc_call(node)
         if found:
             lines.append(node.lineno)
     return sorted(lines)
+
+
+def is_gc_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "gc")
 
 
 def test_gc_checker_finds_every_use():
@@ -452,15 +457,64 @@ def test_gc_checker_finds_every_use():
     assert gc_uses(source) == [1, 2, 3, 5]
 
 
+def gc_call_owners(source: str):
+    """For each function that calls a ``gc.<name>`` itself (not in a nested
+    function), in order: its name, whether it is a ``@contextmanager``, and
+    the names of the functions that refer to it. A call outside every
+    function has the owner None."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def innermost(line):
+        around = [f for f in functions if f.lineno <= line <= f.end_lineno]
+        return max(around, key=lambda f: f.lineno, default=None)
+
+    owners = {innermost(node.lineno) for node in ast.walk(tree) if is_gc_call(node)}
+    found = []
+    for owner in sorted(owners, key=lambda f: -1 if f is None else f.lineno):
+        if owner is None:
+            found.append((None, False, set()))
+            continue
+        is_cm = any(getattr(d, "id", getattr(d, "attr", None)) == "contextmanager"
+                    for d in owner.decorator_list)
+        referrers = {getattr(innermost(node.lineno), "name", None) for node in ast.walk(tree)
+                     if isinstance(node, ast.Name) and node.id == owner.name}
+        found.append((owner.name, is_cm, referrers))
+    return found
+
+
+def test_gc_owner_checker_finds_every_owner():
+    source = (
+        "import gc\n"
+        "gc.collect()\n"
+        "@contextlib.contextmanager\n"
+        "def paused():\n"
+        "    gc.disable()\n"
+        "    def later():\n"
+        "        gc.enable()\n"
+        "    yield later\n"
+        "def run():\n"
+        "    with paused():\n"
+        "        pass\n"
+    )
+    assert gc_call_owners(source) == [(None, False, set()), ("paused", True, {"run"}),
+                                      ("later", False, {"paused"})]
+
+
 def test_only_cli_manages_the_collector():
-    """The policy for the cyclic collector (paused while a command loads its
-    inputs, which are then frozen) lives in one place."""
+    """The policy for the cyclic collector lives in one place: every call of
+    a ``gc`` function in the package sits directly in one context manager of
+    ``cli``, which only the ``main`` group callback enters, so every command
+    runs under it, paused, and hands what it made over unscanned."""
     users = {
         path.name
         for path in PACKAGE_DIR.glob("*.py")
         if gc_uses(path.read_text(encoding="utf-8"))
     }
     assert users == {"cli.py"}
+    owners = gc_call_owners((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))
+    assert [(is_cm, referrers) for _, is_cm, referrers in owners] == [(True, {"main"})], owners
 
 
 def gold_state_reads(source: str):

@@ -303,14 +303,13 @@ def induce(config_path, corpus_path, out_dir, mode, refiner, window, tau, cap,
         _fail(str(exc), EXIT_CONFIG)
     except (BackendError, induct.SchemaOverflowError) as exc:
         _fail(str(exc), EXIT_PIPELINE)
-    report = result.to_obj()
+    report = result.report_obj()
     report["two_pass"] = two_pass
     report["mode"] = mode.value
     report["refiner"] = {"name": refiner_name, "params": refiner.params() if refiner else {}}
     seqio.save_json(seqio.schema_to_obj(schema), out / "schema.json")
-    # each entry's to_obj() serves both files
-    seqio.save_json_lines(report["states"], out / "states.jsonl")
-    seqio.save_json(report, out / "report.json")
+    # one pass over the state log writes states.jsonl and the report's states
+    seqio.save_run_log(report, out / "states.jsonl", out / "report.json")
     click.echo(
         f"[{out}] {len(schema)} slots, {result.turns_processed} turns, "
         f"{result.parse_failures} parse failures"

@@ -64,9 +64,14 @@ class RunResult:
         return len(self.state_log)
 
     def to_obj(self) -> dict:
+        return {**self.report_obj(), "states": [entry.to_obj() for entry in self.state_log]}
+
+    def report_obj(self) -> dict:
+        """``to_obj()`` with the log's entries as its "states", for
+        ``seqio.save_run_log`` to encode."""
         return {
             "final_schema": schema_to_obj(self.final_schema),
-            "states": [entry.to_obj() for entry in self.state_log],
+            "states": self.state_log,
             "parse_failures": self.parse_failures,
             "turns_processed": self.turns_processed,
             "seed": self.seed,
@@ -119,7 +124,7 @@ def run_induction(
         except BackendError as exc:
             return exc
         try:
-            return parse_state_block(reply, schema).state
+            return parse_state_block(reply, schema, known_only=dst_only).state
         except MissingValuesHeader:
             return None
 
@@ -135,10 +140,6 @@ def run_induction(
             state = DialogueState()
         else:
             state = outcome
-        # against a frozen schema, the discoveries are the keys outside it
-        discovered = state.new_slot_descriptions
-        if dst_only and discovered:
-            state = DialogueState(frozenset(kv for kv in state.triples if kv[0] not in discovered))
         state_log.append(StateLogEntry(dialogue.id, turn, state, d_index))
         if refiner is not None:
             refiner.observe_state(state, d_index)

@@ -66,6 +66,7 @@ __all__ = [
     "canonical_json",
     "save_json",
     "save_json_lines",
+    "save_run_log",
     "read_utf8",
     "load_json",
     "load_json_lines",
@@ -293,20 +294,30 @@ class ParsedPrediction:
     parse_warnings: Tuple[str, ...] = ()
 
 
-def parse_state_block(text: str, known_schema: SlotSchema) -> ParsedPrediction:
+def parse_state_block(
+    text: str, known_schema: SlotSchema, *, known_only: bool = False
+) -> ParsedPrediction:
     """Parse arbitrary model output into a dialogue state.
 
     Keys that canonically match ``known_schema`` are existing-slot fills;
     unknown keys become discoveries carrying the optional ``- description``
-    line that follows their bullet. Malformed lines produce warnings; the
-    only hard failure is a missing values header.
+    line that follows their bullet, or, with ``known_only``, are dropped, as
+    a frozen schema wants. Malformed lines produce warnings, the same with
+    or without ``known_only``; the only hard failure is a missing values
+    header.
     """
     values, descriptions, warnings = _walk_block(
         text, VALUES_HEADER, MissingValuesHeader, known_schema
     )
     index = known_schema._index
     unknown = [key for key in values if key not in index]
-    new_descriptions = {key: descriptions.get(key, "") for key in unknown} if unknown else None
+    new_descriptions = None
+    if unknown:
+        if known_only:
+            for key in unknown:
+                del values[key]
+        else:
+            new_descriptions = {key: descriptions.get(key, "") for key in unknown}
     state = DialogueState.from_values(values, new_descriptions)
     return ParsedPrediction(state, tuple(warnings))
 
@@ -648,6 +659,11 @@ def _indented(value, pad: str) -> str:
         inner = pad + "  "
         items = [_indented(v, inner) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
+    """A JSON scalar as ``json.dumps(value, ensure_ascii=False)`` writes it."""
     if isinstance(value, str):
         return encode_basestring(value)
     if value is None:
@@ -683,6 +699,78 @@ def save_json_lines(objs: Iterable, path) -> None:
     memory."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False).encode
     _write(path, (encode(o) + "\n" for o in objs))
+
+
+def _entry_texts(entry: StateLogEntry) -> Tuple[str, str]:
+    """The entry's ``to_obj()`` as ``save_json_lines`` writes it, newline
+    included, and as ``canonical_json`` writes it inside the report's
+    "states" list. The two differ in key order, and in the order of the
+    descriptions: the line sorts them by string, the report keeps
+    ``to_obj``'s key order, and a string that two keys print to holds its
+    first place there and its last description in both."""
+    encode = encode_basestring
+    # each domain's object, less its closing brace: most domains hold one slot
+    line_domains: List[str] = []
+    report_domains: List[str] = []
+    last = None
+    for (domain, name), value in sorted(entry.state.triples):
+        pair = f"{encode(name)}: {encode(value)}"
+        if domain != last:
+            last, encoded = domain, encode(domain)
+            line_domains.append(f"{encoded}: {{{pair}")
+            report_domains.append(f"{encoded}: {{\n          {pair}")
+        else:
+            line_domains[-1] += ", " + pair
+            report_domains[-1] += ",\n          " + pair
+    if line_domains:
+        line_state = "{" + "}, ".join(line_domains) + "}}"
+        report_state = ("{\n        " + "\n        },\n        ".join(report_domains)
+                        + "\n        }\n      }")
+    else:
+        line_state = report_state = "{}"
+    described = entry.state.new_slot_descriptions
+    if described:
+        by_string = {str(key): text for key, text in sorted(described.items())}
+        items = {name: f"{encode(name)}: {encode(text)}" for name, text in by_string.items()}
+        line_described = "{" + ", ".join([items[name] for name in sorted(items)]) + "}"
+        report_described = "{\n        " + ",\n        ".join(items.values()) + "\n      }"
+    else:
+        line_described = report_described = "{}"
+    dialogue_id, index, turn = (
+        _scalar(entry.dialogue_id), _scalar(entry.dialogue_index), _scalar(entry.turn_index))
+    line = (f'{{"dialogue_id": {dialogue_id}, "dialogue_index": {index}, '
+            f'"new_slot_descriptions": {line_described}, "state": {line_state}, '
+            f'"turn": {turn}}}\n')
+    text = (f'{{\n      "dialogue_id": {dialogue_id},\n      "dialogue_index": {index},'
+            f'\n      "turn": {turn},\n      "state": {report_state},'
+            f'\n      "new_slot_descriptions": {report_described}\n    }}')
+    return line, text
+
+
+def save_run_log(report: dict, log_path, report_path) -> None:
+    """Write a run's state log, the StateLogEntry objects at
+    ``report["states"]``, to ``log_path`` and the report to
+    ``report_path``: the bytes of ``save_json_lines`` of each entry's
+    ``to_obj()`` and of ``save_json`` of the report with those objects as
+    its "states", from one pass over the log that encodes each string once.
+    Each log line is written as it is made; the report's entry texts are
+    kept and spliced into the report."""
+    texts: List[str] = []
+
+    def lines() -> Iterator[str]:
+        for entry in report["states"]:
+            line, text = _entry_texts(entry)
+            texts.append(text)
+            yield line
+
+    _write(log_path, lines())
+    # canonical_json escapes every newline inside a string, so the only line
+    # with two spaces before "states" is the report's own key
+    summary = canonical_json({**report, "states": []})
+    if texts:
+        summary = summary.replace(
+            '\n  "states": []', '\n  "states": [\n    ' + ",\n    ".join(texts) + "\n  ]", 1)
+    _write(report_path, [summary])
 
 
 def read_utf8(path) -> str:

@@ -723,9 +723,11 @@ def simulate_corpus(
     dialogue's seed in that order. A dialogue's set-up begins as soon as its
     scenario is folded: it fetches its tasks' knowledge lists at once, then
     takes the goal steps, which make every draw on its seed, in task order.
-    Each red herring runs beside the later goal steps, and the dialogue
-    starts once its first task is set up; a later task's red herrings are
-    awaited only when the dialogue reaches that task. These off-chain calls
+    Each red herring runs beside the later goal steps. The off-chain map
+    reads its whole input at once, so every goal step runs on the
+    dialogue's thread before the dialogue starts; its first turn waits for
+    the first task's red herrings, and a later task's are awaited only when
+    the dialogue reaches that task. These off-chain calls
     and every dialogue's annotations share one ``ordered_map`` use for the
     run, beside the one that runs the dialogues, so with ``n`` calls in
     flight the run holds at most ``n`` off-chain workers and ``n``

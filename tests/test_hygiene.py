@@ -9,8 +9,9 @@ no third-party HTTP library, no command that loads code it does not run,
 no CLI option that the README leaves out, no use of the ``gc`` module
 outside ``cli`` and no ``gc`` call outside its one pause context, no
 Python-level hash or equality on slot keys, no per-turn state object built
-by ``evaluate``, and no gold state read outside ``core``, ``seqio`` and
-``sim``.
+by ``evaluate``, no pass-2 state built twice or log entry turned into an
+object by ``induce``, and no gold state read outside ``core``, ``seqio``
+and ``sim``.
 
 A name bound by an import counts as used when the module reads it anywhere,
 lists it in ``__all__``, or mentions it inside a string annotation.
@@ -288,7 +289,10 @@ def test_indent_checker_finds_every_indented_dump():
 def test_indented_json_lives_in_canonical_json():
     """``seqio.canonical_json`` is the one spelling of the indented artifact
     format, and it writes it without the pure-Python encoder that
-    ``indent`` selects; a property test holds it to ``json.dumps``'s bytes."""
+    ``indent`` selects; a property test holds it to ``json.dumps``'s bytes.
+    The state-log writer ``seqio.save_run_log`` is the second place that
+    spells the layout, of a log entry alone; a property test holds it to
+    ``canonical_json`` of the report as ``to_obj()`` builds it."""
     found = [
         f"{path.name}:{line}"
         for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -797,6 +801,58 @@ def test_evaluate_builds_no_per_turn_state_objects(monkeypatch, tmp_path, mode):
     assert result.exit_code == 0, result.output
     assert out.exists()
     assert made == []
+
+
+def test_induce_builds_each_pass_two_state_once(monkeypatch, tmp_path):
+    """Pass 2 of ``induce --two-pass`` builds one DialogueState per turn,
+    dropping the keys outside its frozen schema as it parses the reply, and
+    the command writes its state log without any entry's ``to_obj()``."""
+    lines = (DATA / "script.jsonl").read_text(encoding="utf-8").splitlines()
+    half = len(lines) // 2  # pass 2 replays pass 1's turns
+    script = tmp_path / "script.jsonl"
+    with script.open("w", encoding="utf-8") as fh:
+        for i, line in enumerate(lines):
+            entry = json.loads(line)
+            if i >= half:  # a slot that pass 1 never saw
+                entry["response"] += "\n## Unseen\n* slot: x\n- a slot outside the schema\n"
+            fh.write(json.dumps(entry) + "\n")
+    config = tmp_path / "config.yaml"
+    config.write_text(f"backend:\n  kind: scripted\n  script: {script}\n", encoding="utf-8")
+
+    from slotweaver import induct
+
+    made = Counter()
+    phase = ["pass 1"]
+
+    def counting(build):
+        def counted(*args, **kwargs):
+            made[phase[0]] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    def run(*args, _original=induct.run_induction, **kwargs):
+        phase[0] = "pass 2" if kwargs.get("dst_only") else "pass 1"
+        return _original(*args, **kwargs)
+
+    def to_obj(self):
+        made["to_obj"] += 1
+        return {}
+
+    monkeypatch.setattr(DialogueState, "__init__", counting(DialogueState.__init__))
+    monkeypatch.setattr(DialogueState, "from_values", classmethod(
+        counting(DialogueState.from_values.__func__)))
+    monkeypatch.setattr(induct, "run_induction", run)
+    monkeypatch.setattr(seqio.StateLogEntry, "to_obj", to_obj)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(cli.main, [
+        "induce", "--config", str(config), "--corpus", str(DATA / "corpus.json"),
+        "--out-dir", str(out), "--two-pass"])
+    assert result.exit_code == 0, result.output
+    logged = (out / "states.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(logged) == half
+    assert not any('"unseen"' in line for line in logged)
+    assert made["pass 2"] == half
+    assert made["to_obj"] == 0
 
 
 def undocumented_options(group: click.Group, text: str):

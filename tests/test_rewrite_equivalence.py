@@ -5,8 +5,10 @@ renderers, the simulator's prompt templates and fenced-block retry, the
 induction engine, the prompt's context budget, the mapping agreement, the
 state-log reader, the evaluation path and the training and revision pair
 builders against reference copies of the code they replaced, the ``evaluate`` command against the object route it
-replaced, and the JSON writer ``canonical_json`` against ``json.dumps``, on
-random inputs."""
+replaced, the known-keys parse against parsing then dropping the
+discoveries, the JSON writer ``canonical_json`` against ``json.dumps``, and
+the one-pass state-log writer against the files written from each entry's
+``to_obj()``, on random inputs."""
 
 import json
 import logging
@@ -700,6 +702,25 @@ def test_state_parser_matches_old_parser(text, known):
 
 
 @settings(max_examples=500, deadline=None)
+@given(block_texts, st.lists(slot_defs, max_size=3).map(schema_of))
+def test_known_only_parse_matches_parse_then_drop(text, known):
+    # pass 2 once parsed every key, then rebuilt the state without the
+    # discoveries
+    got = outcome_of(lambda *args: parse_state_block(*args, known_only=True), text, known)
+    want = outcome_of(parse_state_block, text, known)
+    assert got[0] == want[0]
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    parsed, kept = want[1], got[1]
+    discovered = parsed.state.new_slot_descriptions
+    assert kept.state == DialogueState(
+        frozenset(kv for kv in parsed.state.triples if kv[0] not in discovered))
+    assert not kept.state.new_slot_descriptions
+    assert kept.parse_warnings == parsed.parse_warnings
+
+
+@settings(max_examples=500, deadline=None)
 @given(block_texts)
 def test_schema_parser_matches_old_parser(text):
     got = outcome_of(parse_schema_block, text)
@@ -1259,12 +1280,58 @@ awkward_results = st.builds(
 @given(awkward_results, st.booleans(), st.sampled_from(list(StateMode)),
        st.fixed_dictionaries({"name": awkward, "params": st.dictionaries(awkward, st.integers())}))
 def test_fast_report_writer_matches_canonical_json(result, two_pass, mode, refiner):
-    # the report as cli.induce builds it
+    # the report as to_obj() gives it, with the keys cli.induce adds
     report = result.to_obj()
     report["two_pass"] = two_pass
     report["mode"] = mode.value
     report["refiner"] = refiner
     assert canonical_json(report) == ref_canonical_json(report)
+
+
+def described_entry(turn, described, index=0):
+    """A log entry valuing and describing each (domain, name) of ``described``."""
+    texts = {canonical_slot_key(*surface): text for surface, text in described.items()}
+    state = DialogueState.from_pairs(((k, "v") for k in texts), texts)
+    return StateLogEntry("d1", turn, state, index)
+
+
+def run_of(*entries):
+    return induct.RunResult(SlotSchema(), entries, 0, None)
+
+
+# the key ("a", "y") sorts first, the string "a b/x" does
+_KEY_ORDER = run_of(described_entry(0, {("a b", "x"): "second", ("a", "y"): "first"}))
+# ("c", "a/b") and ("c/a", "b") both print as "c/a/b"
+_COLLIDING = run_of(described_entry(0, {("c", "a/b"): "in place", ("c/a", "b"): "as text"}))
+_NO_INDEX = run_of(described_entry(0, {}, None), described_entry(1, {("hotel", "area"): ""}, None))
+_NO_REFINER = {"name": "none", "params": {}}
+
+
+def written_run(result, extra):
+    """``save_run_log``'s states.jsonl and report.json, and the same files
+    as they were written from the entries' ``to_obj()``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        seqio.save_run_log({**result.report_obj(), **extra}, tmp / "states.jsonl",
+                           tmp / "report.json")
+        seqio.save_json_lines([entry.to_obj() for entry in result.state_log], tmp / "ref.jsonl")
+        got = [(tmp / "states.jsonl").read_bytes(), (tmp / "report.json").read_bytes()]
+        want = [(tmp / "ref.jsonl").read_bytes(),
+                canonical_json({**result.to_obj(), **extra}).encode("utf-8")]
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_results, st.booleans(), st.sampled_from(list(StateMode)),
+       st.fixed_dictionaries({"name": awkward, "params": st.dictionaries(awkward, st.integers())}))
+@example(_KEY_ORDER, True, StateMode.STATE, _NO_REFINER)
+@example(_COLLIDING, False, StateMode.UPDATE, _NO_REFINER)
+@example(_NO_INDEX, True, StateMode.FINAL, _NO_REFINER)
+@example(run_of(), True, StateMode.STATE, _NO_REFINER)  # an empty log
+def test_run_log_writer_matches_entry_objects(result, two_pass, mode, refiner):
+    got, want = written_run(result, {"two_pass": two_pass, "mode": mode.value,
+                                     "refiner": refiner})
+    assert got == want
 
 
 # json.dumps writes an int, float, bool or None key as its JSON text

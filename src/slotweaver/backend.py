@@ -3,19 +3,27 @@ ordered map that overlaps calls, and the scripted mocks.
 
 Everything downstream (induction, refinement, simulation, evaluation)
 depends only on the ``generate`` callable contract, never on which backend
-is installed. The chat-completions HTTP client lives in ``http_backend``;
-``HttpBackend`` here names it and imports that module on first use, so code
-that never makes one never loads ``http.client``.
+is installed. ``HttpBackend``, the chat-completions client, imports
+``http.client`` when one is made, so code that never makes one never loads it.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import os
+import random
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from urllib.parse import urlsplit
 
-from .seqio import load_json_lines
+from .seqio import CorpusFormatError, load_json_lines
+
+if TYPE_CHECKING:
+    import http.client
 
 __all__ = [
     "GenerationRequest",
@@ -71,10 +79,10 @@ class ScriptMismatch(BackendError):
 
 
 class Backend(Protocol):
-    """Callers read an optional ``max_in_flight`` attribute (default 1): how
-    many ``generate`` calls may overlap when the work allows it. A backend
-    that sets it above 1 takes ``generate`` calls from any number of threads
-    and keeps at most that many in flight itself."""
+    """``ordered_map`` reads an optional ``max_in_flight`` attribute
+    (default 1): how many ``generate`` calls may overlap when the work allows
+    it. A backend that sets it above 1 takes ``generate`` calls from any
+    number of threads and keeps at most that many in flight itself."""
 
     def generate(self, request: GenerationRequest) -> str: ...
 
@@ -84,8 +92,9 @@ def ordered_map(backend: Backend) -> Iterator[Callable]:
     """A ``map`` that overlaps calls up to the backend's ``max_in_flight``
     and yields the results in input order.
 
-    With one call in flight (the default) this is the builtin lazy ``map``:
-    each item is drawn from the input and run only when its result is read,
+    With one call in flight (the default) it yields the builtin lazy ``map``
+    itself, so ``is map`` tells a caller its calls run one at a time: each
+    item is drawn from the input and run only when its result is read,
     so the calls are made in the order of a serial loop and none is made
     after an exception. A one-thread executor would keep the order too, but
     hands every call to another thread: on a 2,500-turn scripted stream that
@@ -191,29 +200,202 @@ def load_script(path) -> ScriptedBackend:
     """Load a script file: JSON lines of {"match": {...}, "response": "..."}.
 
     ``match`` is either {"substring": str} (keyed mode) or {"index": n}
-    (strict-order mode, entries sorted by index). A file must use one match
-    kind throughout. A malformed file raises a CorpusFormatError (a
-    ValueError) naming the file and the line.
+    (strict-order mode, where n entries give each index 0 to n - 1 once).
+    A file must use one match kind throughout. A malformed file raises a
+    CorpusFormatError (a ValueError) naming the file and any bad line.
     """
     kinds = set()
+    indexes = set()
 
     def entry(obj) -> Tuple[str, object, str]:
         kind, value, response = _script_entry(obj)
         kinds.add(kind)
         if len(kinds) > 1:
             raise ValueError("script file mixes substring and index matchers")
+        if kind == "index":
+            if value in indexes:
+                raise ValueError(f"index {value} given twice")
+            indexes.add(value)
         return kind, value, response
 
     entries = load_json_lines(path, entry)
     if entries and entries[0][0] == "substring":
         return ScriptedBackend.keyed([(value, r) for _, value, r in entries])
+    missing = set(range(len(entries))) - indexes
+    if missing:
+        raise CorpusFormatError(f"{path}: no response for index {min(missing)}")
     ordered = sorted(entries, key=lambda e: e[1])
     return ScriptedBackend.from_responses([r for _, _, r in ordered])
 
 
-def __getattr__(name: str):
-    if name == "HttpBackend":
-        from .http_backend import HttpBackend
+def _retry_hint(headers) -> Optional[float]:
+    """The wait a 429 reply asks for, in seconds, capped at RETRY_WAIT_CAP.
 
-        return HttpBackend
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ``retry-after-ms`` is read first, then ``Retry-After`` in seconds. None
+    when neither holds a usable number (an HTTP-date ``Retry-After`` included).
+    """
+    for name, scale in (("retry-after-ms", 1e-3), ("Retry-After", 1.0)):
+        try:
+            wait = float(headers.get(name, "")) * scale
+        except ValueError:
+            continue
+        if math.isfinite(wait) and wait >= 0:
+            return min(wait, RETRY_WAIT_CAP)
+    return None
+
+
+# What a kept-alive connection that the server closed while idle fails with
+# (``http.client.RemoteDisconnected`` is a ConnectionResetError).
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
+class HttpBackend:
+    """Client for chat-completions style endpoints.
+
+    POSTs ``{endpoint}/v1/chat/completions`` with the prompt as a single
+    user message and reads ``choices[0].message.content``. Transient
+    failures (connection errors, 429, 5xx) are retried; 401/403 raise
+    AuthError immediately. Before a retry the client waits what a 429 reply
+    asks for (``retry-after-ms``, else ``Retry-After``, capped at 60 s) or,
+    without such a hint, its exponential backoff scaled by a random factor
+    in [0.5, 1.5). That wait and ``max_in_flight`` are its only pacing.
+
+    ``generate`` may be called from any number of threads at once. At most
+    ``max_in_flight`` requests are sent at a time: a call holds one of that
+    many slots while its request is on the wire, but not while it waits for
+    a retry. Each send takes an idle keep-alive ``http.client`` connection,
+    or opens one when none is idle, and returns it afterwards, so the
+    backend never holds more than ``max_in_flight`` connections. ``close``
+    closes the idle ones and ends the backend: no request is sent after it.
+    """
+
+    # A conservative overlap for a hosted endpoint; no endpoint's own limit
+    # was measured.
+    max_in_flight = 4
+    backoff = 0.5  # seconds before the first retry without a hint; doubles per retry
+    timeout = 120.0  # seconds a connection waits on the server
+
+    def __init__(
+        self,
+        endpoint: str,
+        model: str = "default",
+        api_key: Optional[str] = None,
+        max_retries: int = 3,
+    ):
+        try:
+            parts = urlsplit(endpoint)
+            port = parts.port
+        except (AttributeError, TypeError, ValueError):
+            parts = None
+        if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http or https URL with a host, got {endpoint!r}")
+        if type(model) is not str or not model:
+            raise ValueError(f"model must be a non-empty string, got {model!r}")
+        if api_key is not None and type(api_key) is not str:
+            raise ValueError(f"api_key must be a string or null, got {type(api_key).__name__}")
+        if type(max_retries) is not int or max_retries < 0:
+            raise ValueError(f"max_retries must be an integer >= 0, got {max_retries!r}")
+        key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        if not key:
+            raise AuthError(f"no API credential: set {API_KEY_ENV} or pass api_key")
+        import http.client  # loaded only by a command that makes an HTTP backend
+
+        self.model = model
+        self._connection_type = (http.client.HTTPSConnection if parts.scheme == "https"
+                                 else http.client.HTTPConnection)
+        self._retried = (OSError, http.client.HTTPException)  # what a failed send raises
+        self._address = (parts.hostname, port)
+        self._path = parts.path.rstrip("/") + "/v1/chat/completions"
+        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+        self.max_retries = max_retries
+        self._rng = random.Random()
+        self._slots = threading.BoundedSemaphore(self.max_in_flight)
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
+
+    def close(self) -> None:
+        """Close the idle connections and refuse new sends: a later send,
+        a retry included, raises TransportError, and a request already on
+        the wire closes its connection when it ends."""
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _post(self, body: bytes) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """Status, headers and body of one POST, sent in one of the
+        ``max_in_flight`` slots on a pooled connection."""
+        with self._slots:
+            with self._idle_lock:
+                if self._closed:
+                    raise TransportError("backend is closed")
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                conn = self._connection_type(*self._address, timeout=self.timeout)
+            try:
+                return self._send(conn, body)
+            finally:
+                with self._idle_lock:
+                    if self._closed:
+                        conn.close()
+                    else:
+                        self._idle.append(conn)
+
+    def _send(self, conn: http.client.HTTPConnection,
+              body: bytes) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """A request on a kept-alive connection that the server has since
+        closed is sent once more on a fresh connection; any other failure
+        closes the connection and raises. A closed connection reconnects by
+        itself on its next request."""
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._path, body, self._headers)
+            resp = conn.getresponse()
+            return resp.status, resp.headers, resp.read()
+        except BaseException as exc:
+            conn.close()
+            if not (reused and isinstance(exc, _STALE)):
+                raise
+        return self._send(conn, body)  # the closed connection opens a fresh one
+
+    def _backoff(self, failed_attempt: int) -> float:
+        return self.backoff * 2 ** failed_attempt * self._rng.uniform(0.5, 1.5)
+
+    def generate(self, request: GenerationRequest) -> str:
+        body = json.dumps({
+            "model": self.model,
+            "messages": [{"role": "user", "content": request.prompt}],
+            "temperature": request.temperature,
+            "max_tokens": request.max_output,
+        }).encode()
+        last_error: Optional[Exception] = None
+        wait = 0.0
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(wait)
+            try:
+                status, headers, data = self._post(body)
+            except self._retried as exc:
+                last_error = exc
+                wait = self._backoff(attempt)
+                continue
+            if status in (401, 403):
+                raise AuthError(f"endpoint rejected credential (HTTP {status})")
+            if status == 429 or status >= 500:
+                reply = data.decode("utf-8", "replace")[:200]
+                last_error = TransportError(f"HTTP {status}: {reply}")
+                hint = _retry_hint(headers) if status == 429 else None
+                wait = hint if hint is not None else self._backoff(attempt)
+                continue
+            if status >= 400:
+                raise TransportError(f"malformed completion response: HTTP {status}")
+            try:
+                text = json.loads(data)["choices"][0]["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError(f"content is {type(text).__name__}, not a string")
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise TransportError(f"malformed completion response: {exc}") from exc
+            return text
+        raise TransportError(f"giving up after {self.max_retries} retries: {last_error}")

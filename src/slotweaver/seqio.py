@@ -147,8 +147,9 @@ def _walk_block(
     duplicate key wins), the descriptions by key, and one warning per
     malformed line. Only a values block, walked with ``known``, has
     ``- <description>`` lines: one describes the bullet right before it,
-    unless that bullet's slot is in ``known``. Raises ``missing`` when no
-    line is ``header``.
+    unless that bullet's slot is in ``known``; there, keys that print alike,
+    such as ("c", "a/b") and ("c/a", "b"), are duplicates too. Raises
+    ``missing`` when no line is ``header``.
     """
     lines = text.splitlines()
     for start, line in enumerate(lines):
@@ -160,6 +161,9 @@ def _walk_block(
     warnings: List[str] = []
     texts: Dict[SlotKey, str] = {}
     descriptions: Dict[SlotKey, str] = {}
+    # the state log keys descriptions by str(key), and only a key with a "/"
+    # in its domain or name prints like another
+    slashed: Optional[Dict[str, SlotKey]] = None if known is None else {}
     domain: Optional[str] = None
     last_key: Optional[SlotKey] = None
     for lineno, raw in enumerate(lines[start + 1 :], start=start + 2):
@@ -186,6 +190,13 @@ def _walk_block(
             if key in texts:
                 warnings.append(f"line {lineno}: duplicate slot {key}, keeping last")
                 descriptions.pop(key, None)
+            elif slashed is not None and ("/" in key.domain or "/" in key.name):
+                earlier = slashed.get(str(key))
+                if earlier is not None:
+                    warnings.append(f"line {lineno}: duplicate slot {key}, keeping last")
+                    del texts[earlier]
+                    descriptions.pop(earlier, None)
+                slashed[str(key)] = key
             texts[key] = value.strip()
             last_key = key
             continue
@@ -362,9 +373,8 @@ def _refuse_stray_slots(schema: SlotSchema, gold_states) -> None:
     """Raise a CorpusFormatError naming the first of ``gold_states``, each
     (dialogue id, turn index, gold (key, value) pairs), that values a slot
     ``schema`` lacks."""
-    known = set(schema.keys())
     for dialogue_id, i, pairs in gold_states:
-        stray = [key for key, _ in pairs if key not in known]
+        stray = [key for key, _ in pairs if key not in schema]
         if stray:
             raise CorpusFormatError(
                 f"dialogue {dialogue_id} turn {i}: gold state uses slots "

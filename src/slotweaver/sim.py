@@ -226,7 +226,7 @@ class TaskSetup:
         for record in self.red_herrings:
             if record not in self.knowledge:
                 raise ValueError("red herrings must be part of the knowledge list")
-        stray = set(self.goal) - set(self.schemas.slot_schema.keys())
+        stray = [key for key in self.goal if key not in self.schemas.slot_schema]
         if stray:
             raise ValueError(f"goal keys outside the slot schema: {sorted(map(str, stray))}")
 
@@ -747,7 +747,6 @@ def simulate_corpus(
     lost = 0
     dialogues = []
     gold = SlotSchema()
-    one_at_a_time = getattr(backend, "max_in_flight", 1) <= 1
 
     def jobs():
         nonlocal lost, gold
@@ -773,7 +772,7 @@ def simulate_corpus(
             goals = (_draw_goal(ts, knowledge, backend, child, config)
                      for ts, knowledge in zip(schemas, side(fetch, schemas)))
             setups = side(partial(_add_red_herrings, backend=backend, config=config), goals)
-            if one_at_a_time:  # a serial loop sets every task up before the turns
+            if side is map:  # a serial loop sets every task up before the turns
                 setups = list(setups)
             return simulate_dialogue(scenario, setups, backend, f"{scenario.id}-d{j:03d}",
                                      config, side)

@@ -8,7 +8,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
-from slotweaver import http_backend
 from slotweaver.backend import (
     AuthError,
     GenerationRequest,
@@ -82,6 +81,19 @@ class TestScriptFile:
         backend = load_script(path)
         assert backend.generate(req()) == "first"
         assert backend.generate(req()) == "second"
+
+    @pytest.mark.parametrize("indexes, message", [
+        ([0, 0, 5], r"s\.jsonl:2: index 0 given twice$"),
+        ([0, 2], r"s\.jsonl: no response for index 1$"),
+        ([1], r"s\.jsonl: no response for index 0$"),
+        ([-1, 0], r"s\.jsonl: no response for index 1$"),
+    ])
+    def test_index_script_must_number_every_response_once(self, tmp_path, indexes, message):
+        path = tmp_path / "s.jsonl"
+        path.write_text("".join(json.dumps({"match": {"index": i}, "response": "r"}) + "\n"
+                                for i in indexes))
+        with pytest.raises(ValueError, match=message):
+            load_script(path)
 
     def test_mixed_matchers_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -221,7 +233,7 @@ class TestHttpBackend:
 def sleeps(monkeypatch):
     """Record the client's waits instead of sleeping."""
     waits = []
-    monkeypatch.setattr(http_backend.time, "sleep", waits.append)
+    monkeypatch.setattr("slotweaver.backend.time.sleep", waits.append)
     return waits
 
 

@@ -179,6 +179,10 @@ class TestInduce:
          "bad.jsonl:2: script file mixes substring and index matchers"),
         (['{"match": {"index": 0}, "response": "a"}', "not json"], "bad.jsonl:2: invalid JSON"),
         (['{"match": {"index": 0}}'], "bad.jsonl:1: not of the form"),
+        (['{"match": {"index": 0}, "response": "a"}', '{"match": {"index": 0}, "response": "b"}'],
+         "bad.jsonl:2: index 0 given twice"),
+        (['{"match": {"index": 0}, "response": "a"}', '{"match": {"index": 5}, "response": "b"}'],
+         "bad.jsonl: no response for index 1"),
         (None, "No such file or directory"),
     ])
     def test_bad_script_file_is_config_error(self, runner, tmp_path, lines, message):
@@ -906,6 +910,63 @@ class TestSimulate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert message in result.output
         assert not out.exists()
+
+
+# The induction replies for a simulated corpus: every prompt is answered
+# with the same values block, which names one of the two scenarios' slots.
+LOOP_INDUCTION_ENTRIES = [
+    ("Identify Key Information Values",
+     "# Key Information Values\n\n## Pick Plants\n* color: Pink\n- The preferred bloom color\n"),
+]
+
+
+class TestPaperLoop:
+    """The paper's loop through the CLI: simulate a corpus, induce a schema
+    over it in two passes, and score the run against the simulated gold."""
+
+    OUTPUTS = ("corpus.json", "sim_report.json", "run/schema.json", "run/states.jsonl",
+               "run/report.json", "metrics.json")
+
+    def _loop(self, runner, tmp_path):
+        """Run the loop in ``tmp_path``; the bytes of each of ``OUTPUTS``."""
+        tmp_path.mkdir(exist_ok=True)
+        sim_script = tmp_path / "sim_script.jsonl"
+        write_substring_script(sim_script, sim_script_entries())
+        induce_script = tmp_path / "induce_script.jsonl"
+        write_substring_script(induce_script, LOOP_INDUCTION_ENTRIES)
+        (tmp_path / "sim.yaml").write_text(
+            f"backend:\n  kind: scripted\n  script: {sim_script}\nseed: 7\n")
+        (tmp_path / "induce.yaml").write_text(
+            f"backend:\n  kind: scripted\n  script: {induce_script}\n")
+        corpus, run = tmp_path / "corpus.json", tmp_path / "run"
+        commands = [
+            ["simulate", "--config", tmp_path / "sim.yaml", "--out", corpus,
+             "--report", tmp_path / "sim_report.json", "--scenarios", "2",
+             "--dialogues-per-scenario", "2"],
+            ["induce", "--config", tmp_path / "induce.yaml", "--corpus", corpus,
+             "--out-dir", run, "--two-pass"],
+            ["evaluate", "--predictions", run / "states.jsonl", "--gold", corpus,
+             "--out", tmp_path / "metrics.json"],
+        ]
+        for args in commands:
+            result = runner.invoke(main, [str(a) for a in args])
+            assert result.exit_code == 0, (args[0], result.output)
+        return {name: (tmp_path / name).read_bytes() for name in self.OUTPUTS}
+
+    def test_loop_runs_end_to_end_with_finite_metrics(self, runner, tmp_path):
+        artifacts = self._loop(runner, tmp_path)
+        assert len(json.loads(artifacts["corpus.json"])["dialogues"]) == 4
+        assert len(json.loads(artifacts["run/schema.json"])["domains"]) == 1
+        # json writes a NaN or an infinity as a bare constant
+        metrics = json.loads(artifacts["metrics.json"], parse_constant=pytest.fail)
+        assert sorted(metrics["per_scenario"]) == ["scenario-000", "scenario-001"]
+        # the replies name the first scenario's slot only
+        assert metrics["slot"] == metrics["value"] == {"precision": 0.5, "recall": 0.5, "f1": 0.5}
+
+    def test_artifacts_do_not_depend_on_calls_in_flight(self, runner, tmp_path, monkeypatch):
+        serial = self._loop(runner, tmp_path / "serial")
+        monkeypatch.setattr(backend.ScriptedBackend, "max_in_flight", 4, raising=False)
+        assert self._loop(runner, tmp_path / "overlapped") == serial
 
 
 # Every flag that has a config key: the command, the flag, the key's section

@@ -740,8 +740,8 @@ def test_cli_import_loads_no_http_library():
 # the YAML parser, the simulator, the induction engine, the metrics, the
 # thread pool that overlaps calls, the backends and logging.
 OPTIONAL_MODULES = ("http.client", "ssl", "email", "yaml", "slotweaver.sim",
-                    "slotweaver.induct", "slotweaver.http_backend", "slotweaver.evalx",
-                    "concurrent.futures", "slotweaver.backend", "logging")
+                    "slotweaver.induct", "slotweaver.evalx", "concurrent.futures",
+                    "slotweaver.backend", "logging")
 
 
 def loaded_by_command(args, cwd, modules=OPTIONAL_MODULES):

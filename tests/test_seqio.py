@@ -179,6 +179,18 @@ class TestParseStateBlock:
         assert prediction.state.as_dict()[key("garden layouts", "style")] == "oasis"
         assert len(prediction.parse_warnings) == 1
 
+    def test_keys_that_print_alike_are_duplicates(self, tmp_path):
+        # the state log keys descriptions by str(key), which would give the
+        # first key the second one's description
+        prediction = parse_state_block(COLLIDING_BLOCK, SlotSchema())
+        assert prediction.state.as_dict() == {key("c/a", "b"): "w"}
+        assert prediction.state.new_slot_descriptions == {key("c/a", "b"): "second"}
+        assert prediction.parse_warnings == ("line 6: duplicate slot c/a/b, keeping last",)
+        entries = [StateLogEntry("d1", 0, prediction.state, 0)]
+        log, report = tmp_path / "states.jsonl", tmp_path / "report.json"
+        seqio.save_run_log({"states": entries}, log, report)
+        assert seqio.load_state_log(log) == entries
+
     def test_state_round_trip(self):
         rng = random.Random(5)
         for _ in range(1000):
@@ -206,6 +218,7 @@ class TestParseStateBlock:
 
 # Hand-built malformed outputs with their expected (triples, discoveries).
 H = "# Key Information Values\n"
+COLLIDING_BLOCK = H + "## c\n* a/b: v\n- first\n## c/a\n* b: w\n- second\n"
 MALFORMED_CASES = [
     (H, 0, 0),
     (H + "* area: north\n", 0, 0),  # bullet before any domain
@@ -228,6 +241,7 @@ MALFORMED_CASES = [
     (H + "## Hotel\n* area: north: east\n", 1, 1),  # colon inside value
     (H + "   \n\t\n## Hotel\n* area: north\n", 1, 1),
     (H + "## Hotel\n* area: north\n- desc one\n- desc two\n", 1, 1),
+    (COLLIDING_BLOCK, 1, 1),  # ("c", "a/b") and ("c/a", "b") both print as c/a/b
 ]
 
 
